@@ -18,7 +18,7 @@ from . import __version__, acceptance, formats, hecke, homext, invariants, kacmo
 from .bundles import EXAMPLE_NAMES, get_bundle
 from .errors import DomainError, FormatError, QuivexError, UnknownExampleError
 from .quiver import ZetaParam, cb_extend_dim, cb_transform, chi, d_of, dim_bigM
-from .rep import cb_apply, is_flat, moment_map, simple_rep
+from .rep import cb_apply, is_flat, moment_map
 from .stability import is_stable, stabilizer_trivial
 
 
@@ -145,7 +145,7 @@ def _cmd_reduce(args) -> int:
     x = _load_rep(inputs, "rep", args.rep)
     red = hecke.reduce_i(x, args.vertex)
     classes = hecke.recovery_classes(x, args.vertex, red)
-    layout = homext.build_complex(simple_rep(x.dq, args.vertex), red.reduced)
+    layout = hecke.class_layout(red.reduced, args.vertex)
     result = {
         "r": red.r,
         "dimV_reduced": red.reduced.dim_v.as_dict(),
@@ -160,8 +160,8 @@ def _cmd_extend(args) -> int:
     inputs = _Inputs()
     x = _load_rep(inputs, "rep", args.rep)
     payload = inputs.json_arg("classes", args.classes)
-    complex3 = homext.build_complex(simple_rep(x.dq, args.vertex), x)
-    classes = formats.classes_from_json(payload, complex3, args.vertex)
+    layout = hecke.class_layout(x, args.vertex)
+    classes = formats.classes_from_json(payload, layout, args.vertex)
     extended = hecke.extend_i(x, args.vertex, classes)
     result = {
         "extended": formats.rep_to_json(extended),

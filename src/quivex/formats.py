@@ -15,7 +15,7 @@ from typing import Any
 
 from .bundles import ExampleBundle
 from .errors import FormatError
-from .homext import Complex3
+from .homext import MiddleLayout
 from .quiver import Arrow, DimVector, DoubledQuiver, Quiver, ZetaParam, double
 from .ratmat import RatMatrix, as_fraction
 from .rep import FramedRep
@@ -157,33 +157,33 @@ def bundle_to_json(b: ExampleBundle) -> dict:
     }
 
 
-def layout_sha256(complex3: Complex3) -> str:
-    canonical = json.dumps(complex3.middle.descriptor(), separators=(",", ":"))
+def layout_sha256(layout: MiddleLayout) -> str:
+    canonical = json.dumps(layout.descriptor(), separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def classes_to_json(complex3: Complex3, vertex: str, classes: list[RatMatrix]) -> dict:
+def classes_to_json(layout: MiddleLayout, vertex: str, classes: list[RatMatrix]) -> dict:
     return {
         "vertex": vertex,
-        "layout_sha256": layout_sha256(complex3),
+        "layout_sha256": layout_sha256(layout),
         "classes": [[fraction_to_json(v[k, 0]) for k in range(v.rows)] for v in classes],
     }
 
 
-def classes_from_json(obj: Any, complex3: Complex3, vertex: str) -> list[RatMatrix]:
+def classes_from_json(obj: Any, layout: MiddleLayout, vertex: str) -> list[RatMatrix]:
     if not isinstance(obj, dict) or "classes" not in obj:
         raise FormatError("cocycle file needs a 'classes' array")
     if obj.get("vertex") != vertex:
         raise FormatError(
             f"cocycle file is for vertex {obj.get('vertex')!r}, not {vertex!r}"
         )
-    expected = layout_sha256(complex3)
+    expected = layout_sha256(layout)
     if obj.get("layout_sha256") != expected:
         raise FormatError("cocycle layout hash does not match this representation")
     out = []
     for entry in obj["classes"]:
-        if not isinstance(entry, list) or len(entry) != complex3.middle.dim:
-            raise FormatError(f"cocycle vector must have {complex3.middle.dim} entries")
+        if not isinstance(entry, list) or len(entry) != layout.dim:
+            raise FormatError(f"cocycle vector must have {layout.dim} entries")
         out.append(RatMatrix.column([fraction_from_json(v) for v in entry]))
     return out
 

@@ -18,7 +18,6 @@ from .ratmat import (
     RatMatrix,
     column_space_echelon,
     hstack,
-    image_basis,
     rank,
     rref,
     solve_exact,
@@ -145,7 +144,7 @@ def extend_i(x: FramedRep, i: str, classes: list[RatMatrix]) -> FramedRep:
             )
         if not (c.beta @ vec).is_zero:
             raise DomainError("extension class is not a cocycle")
-    im = image_basis(c.alpha)
+    im = c.image_alpha
     _, pivots = rref(hstack(im + classes, rows=c.middle.dim))
     if len(pivots) != len(im) + r:
         raise DependentClassesError("extension classes are dependent modulo the coboundaries")
@@ -171,6 +170,13 @@ def extend_i(x: FramedRep, i: str, classes: list[RatMatrix]) -> FramedRep:
     return out
 
 
+def class_layout(x: FramedRep, i: str) -> homext.MiddleLayout:
+    """The middle layout of the complex with the simple at vertex i first
+    and x second: the layout extension classes of x at i are packed in."""
+    unit = DimVector.unit(x.dq, i)
+    return homext.MiddleLayout.of(x.dq, unit, DimVector.zero(x.dq), x.dim_v, x.dim_w)
+
+
 def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[RatMatrix]:
     """The tautological extension classes that rebuild x from its reduction.
 
@@ -191,7 +197,7 @@ def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[R
                 break
     complement = [row for row in range(x.dim_v[i]) if row not in pivot_rows]
     assert len(complement) == reduction.r
-    layout = homext.build_complex(simple_rep(x.dq, i), reduction.reduced).middle
+    layout = class_layout(reduction.reduced, i)
     classes = []
     for row in complement:
         unit = RatMatrix.column([1 if t == row else 0 for t in range(x.dim_v[i])])

@@ -1,21 +1,45 @@
 """The three-term complex computing Hom and Ext^1 between framed
-representations, materialized as two explicit block matrices.
+representations x1 and x2, materialized as two explicit block matrices.
+
+The ends are the graded maps xi = (xi_i: V1_i -> V2_i).  For every arrow
+a: s -> t of the doubled quiver, with B1, I1, J1 the maps of x1 and B2, I2,
+J2 those of x2,
+
+* alpha(xi) = (xi_t B1_a - B2_a xi_s per arrow; xi_i I1_i; -J2_i xi_i),
+* beta(C, D, E)_i = sum over arrows a into i of
+  eps(a) (B2_a C_bar(a) + C_a B1_bar(a)), plus I2_i E_i + D_i J1_i.
 
 Block order in the middle term is canonical: arrow blocks in doubled-quiver
 declared order, then the W1->V2 blocks by vertex order, then the V1->W2
-blocks.  Each block is vectorized row-major.  This layout is what cocycle
-files and the reduce/extend machinery decode against.
+blocks.  Each block, here and in the ends, is vectorized row-major: entry
+(r, c) of a block with n columns sits at its offset plus r*n + c.  This
+layout is what cocycle files and the reduce/extend machinery decode against.
+
+Row-major vectorization turns X -> A X B into the Kronecker product
+vec(A X B) = (A kron B^T) vec(X), so each term above is one signed block:
+xi_t B1_a is (1 kron B1_a^T) and -B2_a xi_s is -(B2_a kron 1); beta's
+eps(a) B2_a C_bar(a) is eps(a) (B2_a kron 1) in the columns of bar(a), and
+eps(a) C_a B1_bar(a) is eps(a) (1 kron B1_bar(a)^T) in the columns of a; the
+I and J terms follow the same rule.  alpha and beta are assembled by adding
+these blocks into a zero grid.  Blocks add rather than being placed: on a
+loop arrow (s = t) the two alpha blocks land on the same entries, and in
+beta a loop and its reverse each write into the other's columns.
+
+Each matrix is eliminated at most once.  The cached echelon form of alpha
+gives its rank, its kernel (Hom) and its image pivots (the coboundaries);
+the one of beta gives its rank and its kernel (the cocycles).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
 from .errors import DimensionError, QuiverMismatchError
-from .quiver import chi as chi_formula
-from .ratmat import RatMatrix, hstack, image_basis, kernel_basis, rank, rref
+from .quiver import DimVector, DoubledQuiver, chi as chi_formula
+from .ratmat import RatMatrix, hstack, kernel_from_echelon, rref
 from .rep import FramedRep, is_flat
 
 
@@ -38,6 +62,23 @@ class MiddleLayout:
     def __init__(self, slots: tuple[BlockSlot, ...]):
         self.slots = slots
         self.dim = sum(s.size for s in slots)
+        self.offsets = {(s.kind, s.key): s.offset for s in slots}
+
+    @classmethod
+    def of(
+        cls, dq: DoubledQuiver, v1: DimVector, w1: DimVector, v2: DimVector, w2: DimVector
+    ) -> "MiddleLayout":
+        """The middle layout of the complex from (v1, w1) to (v2, w2); it
+        depends on the dimensions alone."""
+        shapes = [("arrow", a.name, v2[a.target], v1[a.source]) for a in dq.arrows]
+        shapes += [("I", i, v2[i], w1[i]) for i in dq.vertices]
+        shapes += [("J", i, w2[i], v1[i]) for i in dq.vertices]
+        slots = []
+        pos = 0
+        for kind, key, r, c in shapes:
+            slots.append(BlockSlot(kind, key, r, c, pos))
+            pos += r * c
+        return cls(tuple(slots))
 
     def pack(
         self,
@@ -117,6 +158,36 @@ class GradedLayout:
         return blocks
 
 
+def _add_kron(
+    grid: list[list[Fraction]], row0: int, col0: int, sign: int, left: RatMatrix, right: RatMatrix
+) -> None:
+    """Add sign * (left kron right^T), the row-major matrix of
+    X -> sign * left X right, into ``grid`` with its top-left entry at
+    (row0, col0)."""
+    width = right.rows  # columns of X
+    height = right.cols  # columns of left X right
+    right_t = right.transpose().data
+    for i, left_row in enumerate(left.data):
+        for j, a in enumerate(left_row):
+            if a == 0:
+                continue
+            if sign < 0:
+                a = -a
+            col = col0 + j * width
+            for k, right_col in enumerate(right_t):
+                row = grid[row0 + i * height + k]
+                for l, b in enumerate(right_col):
+                    if b != 0:
+                        row[col + l] += a * b
+
+
+def _zero_grid(rows: int, cols: int) -> list[list[Fraction]]:
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+_eye = RatMatrix.identity
+
+
 class Complex3:
     """alpha and beta of the complex for a pair of framed representations.
 
@@ -131,26 +202,11 @@ class Complex3:
         self.x1 = x1
         self.x2 = x2
         dq = x1.dq
-        v1, w1 = x1.dim_v, x1.dim_w
-        v2, w2 = x2.dim_v, x2.dim_w
-        slots = []
-        pos = 0
-        for a in dq.arrows:
-            r, c = v2[a.target], v1[a.source]
-            slots.append(BlockSlot("arrow", a.name, r, c, pos))
-            pos += r * c
-        for i in dq.vertices:
-            r, c = v2[i], w1[i]
-            slots.append(BlockSlot("I", i, r, c, pos))
-            pos += r * c
-        for i in dq.vertices:
-            r, c = w2[i], v1[i]
-            slots.append(BlockSlot("J", i, r, c, pos))
-            pos += r * c
-        self.middle = MiddleLayout(tuple(slots))
+        v1, v2 = x1.dim_v, x2.dim_v
+        self.middle = MiddleLayout.of(dq, v1, x1.dim_w, v2, x2.dim_w)
         self.ends = GradedLayout(dq.vertices, {i: (v2[i], v1[i]) for i in dq.vertices})
-        self.alpha = self._build_alpha()
-        self.beta = self._build_beta()
+        self.alpha = self._assemble_alpha()
+        self.beta = self._assemble_beta()
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -160,58 +216,64 @@ class Complex3:
     def flat(self) -> bool:
         return is_flat(self.x1) and is_flat(self.x2)
 
-    def _apply_alpha(self, xi: Mapping[str, RatMatrix]) -> RatMatrix:
+    def _assemble_alpha(self) -> RatMatrix:
         x1, x2, dq = self.x1, self.x2, self.x1.dq
-        C = {
-            a.name: xi[a.target] @ x1.B[a.name] - x2.B[a.name] @ xi[a.source]
-            for a in dq.arrows
-        }
-        D = {i: xi[i] @ x1.I[i] for i in dq.vertices}
-        E = {i: -(x2.J[i] @ xi[i]) for i in dq.vertices}
-        return self.middle.pack(C, D, E)
-
-    def _build_alpha(self) -> RatMatrix:
-        cols = []
-        for k in range(self.ends.dim):
-            unit = RatMatrix.column([1 if t == k else 0 for t in range(self.ends.dim)])
-            cols.append(self._apply_alpha(self.ends.unpack(unit)))
-        return hstack(cols, rows=self.middle.dim)
-
-    def _apply_beta(self, vec: RatMatrix) -> RatMatrix:
-        x1, x2, dq = self.x1, self.x2, self.x1.dq
-        C, D, E = self.middle.unpack(vec)
-        blocks = {}
+        v1, v2 = x1.dim_v, x2.dim_v
+        rows, cols = self.middle.offsets, self.ends.offsets
+        grid = _zero_grid(self.middle.dim, self.ends.dim)
+        for a in dq.arrows:
+            r0 = rows["arrow", a.name]
+            _add_kron(grid, r0, cols[a.target], 1, _eye(v2[a.target]), x1.B[a.name])
+            _add_kron(grid, r0, cols[a.source], -1, x2.B[a.name], _eye(v1[a.source]))
         for i in dq.vertices:
-            acc = RatMatrix.zeros(x2.dim_v[i], x1.dim_v[i])
+            _add_kron(grid, rows["I", i], cols[i], 1, _eye(v2[i]), x1.I[i])
+            _add_kron(grid, rows["J", i], cols[i], -1, x2.J[i], _eye(v1[i]))
+        return RatMatrix(self.middle.dim, self.ends.dim, tuple(map(tuple, grid)))
+
+    def _assemble_beta(self) -> RatMatrix:
+        x1, x2, dq = self.x1, self.x2, self.x1.dq
+        v1, v2 = x1.dim_v, x2.dim_v
+        rows, cols = self.ends.offsets, self.middle.offsets
+        grid = _zero_grid(self.ends.dim, self.middle.dim)
+        for i in dq.vertices:
+            r0 = rows[i]
             for a in dq.arrows_into(i):
-                term = x2.B[a.name] @ C[dq.bar(a.name)] + C[a.name] @ x1.B[dq.bar(a.name)]
-                acc = acc + (term if dq.eps(a.name) == 1 else -term)
-            acc = acc + x2.I[i] @ E[i] + D[i] @ x1.J[i]
-            blocks[i] = acc
-        return self.ends.pack(blocks)
-
-    def _build_beta(self) -> RatMatrix:
-        cols = []
-        for k in range(self.middle.dim):
-            unit = RatMatrix.column([1 if t == k else 0 for t in range(self.middle.dim)])
-            cols.append(self._apply_beta(unit))
-        return hstack(cols, rows=self.ends.dim)
+                eps, bar = dq.eps(a.name), dq.bar(a.name)
+                _add_kron(grid, r0, cols["arrow", bar], eps, x2.B[a.name], _eye(v1[i]))
+                _add_kron(grid, r0, cols["arrow", a.name], eps, _eye(v2[i]), x1.B[bar])
+            _add_kron(grid, r0, cols["J", i], 1, x2.I[i], _eye(v1[i]))
+            _add_kron(grid, r0, cols["I", i], 1, _eye(v2[i]), x1.J[i])
+        return RatMatrix(self.ends.dim, self.middle.dim, tuple(map(tuple, grid)))
 
     @cached_property
+    def _alpha_echelon(self) -> tuple[RatMatrix, tuple[int, ...]]:
+        return rref(self.alpha)
+
+    @cached_property
+    def _beta_echelon(self) -> tuple[RatMatrix, tuple[int, ...]]:
+        return rref(self.beta)
+
+    @property
     def rank_alpha(self) -> int:
-        return rank(self.alpha)
+        return len(self._alpha_echelon[1])
 
-    @cached_property
+    @property
     def rank_beta(self) -> int:
-        return rank(self.beta)
+        return len(self._beta_echelon[1])
 
     @cached_property
     def kernel_alpha(self) -> list[RatMatrix]:
-        return kernel_basis(self.alpha)
+        return kernel_from_echelon(*self._alpha_echelon)
 
     @cached_property
     def kernel_beta(self) -> list[RatMatrix]:
-        return kernel_basis(self.beta)
+        return kernel_from_echelon(*self._beta_echelon)
+
+    @cached_property
+    def image_alpha(self) -> list[RatMatrix]:
+        """The columns of alpha at its echelon pivots: a basis of the
+        coboundaries, as ``ratmat.image_basis`` would return it."""
+        return [self.alpha.column_matrix(j) for j in self._alpha_echelon[1]]
 
     def hom_dim(self) -> int:
         return len(self.kernel_alpha)
@@ -228,11 +290,18 @@ class Complex3:
     def ext1_reps(self) -> list[RatMatrix]:
         """Deterministic cocycle representatives: the kernel-of-beta basis
         vectors that extend an echelon basis of the image of alpha."""
-        im = image_basis(self.alpha)
+        im = self.image_alpha
         ker = self.kernel_beta
         stacked = hstack(im + ker, rows=self.middle.dim)
         _, pivots = rref(stacked)
         return [ker[j - len(im)] for j in pivots if j >= len(im)]
+
+    def euler(self) -> EulerCheck:
+        """ext1 - hom - cohom against the signed dimension count."""
+        x1, x2 = self.x1, self.x2
+        computed = self.ext1_dim() - self.hom_dim() - self.cohom_dim()
+        formula = chi_formula(x1.dq.base, x1.dim_v, x1.dim_w, x2.dim_v, x2.dim_w)
+        return EulerCheck(computed, formula)
 
 
 def build_complex(x1: FramedRep, x2: FramedRep) -> Complex3:
@@ -272,17 +341,14 @@ class EulerCheck:
 def euler_check(x1: FramedRep, x2: FramedRep) -> EulerCheck:
     """ext1 - hom - cohom against the signed dimension count; the two always
     agree by rank-nullity, so a mismatch flags an internal bug."""
-    c = build_complex(x1, x2)
-    computed = c.ext1_dim() - c.hom_dim() - c.cohom_dim()
-    formula = chi_formula(x1.dq.base, x1.dim_v, x1.dim_w, x2.dim_v, x2.dim_w)
-    return EulerCheck(computed, formula)
+    return build_complex(x1, x2).euler()
 
 
 def hom_ext_report(x1: FramedRep, x2: FramedRep) -> dict:
     """Everything the hom-ext CLI emits, including the duality cross-checks."""
     c12 = build_complex(x1, x2)
     c21 = build_complex(x2, x1)
-    euler = euler_check(x1, x2)
+    euler = c12.euler()
     return {
         "hom": c12.hom_dim(),
         "ext1": c12.ext1_dim(),

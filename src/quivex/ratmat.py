@@ -10,7 +10,7 @@ are legal everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DimensionError, InconsistentSystemError
 
@@ -84,9 +84,6 @@ class RatMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.data[i]
 
-    def column_values(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.data)
-
     def column_matrix(self, j: int) -> "RatMatrix":
         return RatMatrix(self.rows, 1, tuple((r[j],) for r in self.data))
 
@@ -143,9 +140,6 @@ class RatMatrix:
             raise DimensionError(f"trace of non-square {self.shape}")
         return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.data]
-
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
 
@@ -175,28 +169,6 @@ def vstack(mats: Sequence[RatMatrix], cols: int | None = None) -> RatMatrix:
             raise DimensionError(f"vstack column mismatch: {m.cols} vs {c}")
     data = tuple(r for m in mats for r in m.data)
     return RatMatrix(sum(m.rows for m in mats), c, data)
-
-
-def block_assemble(rows: int, cols: int, blocks: Mapping[tuple[int, int], RatMatrix]) -> RatMatrix:
-    """Place sub-blocks at (row, col) offsets inside a rows-by-cols zero matrix.
-
-    Overlapping or out-of-range blocks raise a DimensionError naming the
-    offending offset.
-    """
-    grid = [[_ZERO] * cols for _ in range(rows)]
-    taken: set[tuple[int, int]] = set()
-    for (r0, c0), m in sorted(blocks.items()):
-        if r0 < 0 or c0 < 0 or r0 + m.rows > rows or c0 + m.cols > cols:
-            raise DimensionError(
-                f"block at offset ({r0},{c0}) of shape {m.shape} exceeds the {rows}x{cols} frame"
-            )
-        for i in range(m.rows):
-            for j in range(m.cols):
-                if (r0 + i, c0 + j) in taken:
-                    raise DimensionError(f"block at offset ({r0},{c0}) overlaps an earlier block")
-                taken.add((r0 + i, c0 + j))
-                grid[r0 + i][c0 + j] = m.data[i][j]
-    return RatMatrix(rows, cols, tuple(tuple(r) for r in grid))
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
@@ -234,13 +206,17 @@ def rank(m: RatMatrix) -> int:
 def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
     """Canonical right-null-space basis: one column per free column of the
     reduced echelon form, free columns taken in ascending index order."""
-    reduced, pivots = rref(m)
+    return kernel_from_echelon(*rref(m))
+
+
+def kernel_from_echelon(reduced: RatMatrix, pivots: tuple[int, ...]) -> list[RatMatrix]:
+    """``kernel_basis`` of a matrix, read off its ``rref`` output."""
     pivot_set = set(pivots)
     basis = []
-    for free in range(m.cols):
+    for free in range(reduced.cols):
         if free in pivot_set:
             continue
-        vec = [_ZERO] * m.cols
+        vec = [_ZERO] * reduced.cols
         vec[free] = _ONE
         for r, pc in enumerate(pivots):
             vec[pc] = -reduced.data[r][free]

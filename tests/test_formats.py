@@ -6,11 +6,9 @@ import pytest
 from quivex import formats
 from quivex.bundles import a2crystal_bundle, d4_bundle
 from quivex.errors import FormatError
-from quivex.hecke import recovery_classes, reduce_i
-from quivex.homext import build_complex
+from quivex.hecke import class_layout, recovery_classes, reduce_i
 from quivex.quiver import ade_minimal_resolution_setup
 from quivex.ratmat import RatMatrix
-from quivex.rep import simple_rep
 
 
 def test_fraction_round_trip():
@@ -79,7 +77,7 @@ def test_cocycle_layout_hash_round_trip():
     x = a2crystal_bundle().reps["generic"]
     red = reduce_i(x, "2")
     classes = recovery_classes(x, "2", red)
-    layout = build_complex(simple_rep(x.dq, "2"), red.reduced)
+    layout = class_layout(red.reduced, "2")
     payload = formats.classes_to_json(layout, "2", classes)
     decoded = formats.classes_from_json(payload, layout, "2")
     assert decoded == classes

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quivex import formats, homext
 from quivex.bundles import a2crystal_bundle
 from quivex.errors import QuiverMismatchError
+from quivex.hecke import class_layout
 from quivex.homext import (
     build_complex,
     cohom_dim,
@@ -14,7 +16,8 @@ from quivex.homext import (
     hom_dim,
     hom_ext_report,
 )
-from quivex.quiver import DimVector, ade_minimal_resolution_setup, chi, double
+from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, chi, double
+from quivex.ratmat import RatMatrix, hstack
 from quivex.rep import FramedRep, sample_flat, sample_flat_crystal, simple_rep
 
 A2 = ade_minimal_resolution_setup("A2")[0]
@@ -149,3 +152,139 @@ def test_report_on_flat_pair():
     report = hom_ext_report(x, y)
     assert report["duality_ok"] and report["euler_ok"] and report["ext1_symmetric"]
     assert report["hom"] - report["ext1"] + report["cohom"] == -report["chi"]
+
+
+# ---------------------------------------------------- reference assembly
+
+
+def _unit(n, k):
+    return RatMatrix.column([1 if t == k else 0 for t in range(n)])
+
+
+def probe_alpha(c):
+    """alpha column by column: the map applied to each unit vector of the
+    ends, one matmul per block, independently of the Kronecker assembly."""
+    x1, x2, dq = c.x1, c.x2, c.x1.dq
+    cols = []
+    for k in range(c.ends.dim):
+        xi = c.ends.unpack(_unit(c.ends.dim, k))
+        C = {
+            a.name: xi[a.target] @ x1.B[a.name] - x2.B[a.name] @ xi[a.source]
+            for a in dq.arrows
+        }
+        D = {i: xi[i] @ x1.I[i] for i in dq.vertices}
+        E = {i: -(x2.J[i] @ xi[i]) for i in dq.vertices}
+        cols.append(c.middle.pack(C, D, E))
+    return hstack(cols, rows=c.middle.dim)
+
+
+def probe_beta(c):
+    """beta column by column, applied to each unit vector of the middle."""
+    x1, x2, dq = c.x1, c.x2, c.x1.dq
+    cols = []
+    for k in range(c.middle.dim):
+        C, D, E = c.middle.unpack(_unit(c.middle.dim, k))
+        blocks = {}
+        for i in dq.vertices:
+            acc = RatMatrix.zeros(x2.dim_v[i], x1.dim_v[i])
+            for a in dq.arrows_into(i):
+                term = x2.B[a.name] @ C[dq.bar(a.name)] + C[a.name] @ x1.B[dq.bar(a.name)]
+                acc = acc + (term if dq.eps(a.name) == 1 else -term)
+            blocks[i] = acc + x2.I[i] @ E[i] + D[i] @ x1.J[i]
+        cols.append(c.ends.pack(blocks))
+    return hstack(cols, rows=c.ends.dim)
+
+
+D4, D4_V, D4_W = ade_minimal_resolution_setup("D4")
+KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+# the edge loop makes the two alpha blocks of an arrow overlap
+JORDAN = Quiver(["1"], [Arrow("loop", "1", "1")])
+
+# quiver, (dimV, dimW) of the first and of the second representation
+ASSEMBLY_CASES = {
+    "A2": (A2, ({"1": 1, "2": 2}, {"1": 1, "2": 1}), ({"1": 2, "2": 1}, {"1": 1, "2": 2})),
+    "D4": (D4, (D4_V.as_dict(), D4_W.as_dict()), ({"1": 1, "2": 1, "3": 1}, D4_W.as_dict())),
+    "Kronecker": (KRONECKER, ({"1": 2, "2": 1}, {"1": 1}), ({"1": 1, "2": 2}, {"2": 1})),
+    "Jordan": (JORDAN, ({"1": 2}, {"1": 1}), ({"1": 3}, {"1": 1})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_CASES))
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=8)
+def test_assembly_matches_unit_vector_probing(name, seed):
+    q, first, second = ASSEMBLY_CASES[name]
+    dq = double(q)
+    xs, ys = (
+        [
+            sample_flat(dq, DimVector.of(q, v), DimVector.of(q, w), seed + 2 * n + k, half)
+            for k, half in enumerate(("forward", "reverse"))
+        ]
+        for n, (v, w) in enumerate((first, second))
+    )
+    for x in xs:
+        for y in ys:
+            c = build_complex(x, y)
+            assert c.alpha == probe_alpha(c)
+            assert c.beta == probe_beta(c)
+
+
+def test_loop_blocks_add():
+    # one-dimensional Jordan points with loop values 2 and 3: alpha is 2 - 3
+    # on the loop slot, and beta adds 3 and -2 on the reversed loop slot
+    dq = double(JORDAN)
+    one = DimVector.of(JORDAN, {"1": 1})
+    x = FramedRep(dq, one, DimVector.zero(JORDAN), B={"loop": RatMatrix.from_rows([[2]])})
+    y = FramedRep(dq, one, DimVector.zero(JORDAN), B={"loop": RatMatrix.from_rows([[3]])})
+    c = build_complex(x, y)
+    assert c.alpha == RatMatrix.from_rows([[-1], [0]])
+    assert c.beta == RatMatrix.from_rows([[0, 1]])
+
+
+def test_layout_hash_pinned():
+    x, y = flat_pair(3)
+    c = build_complex(x, y)
+    assert c.dims == (4, 13, 4)
+    digest = "8a37db8c5c6c4ed2e1747509f399e6fba9f1410b691b3b4732cec72cd561652c"
+    assert formats.layout_sha256(c.middle) == digest
+    from_simple = build_complex(simple_rep(DQ2, "1"), y).middle
+    assert class_layout(y, "1").descriptor() == from_simple.descriptor()
+
+
+# ------------------------------------------------- elimination counts
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """A flat pair, sampled first, then a tally of the eliminations homext
+    runs and the complexes it builds from here on."""
+    x, y = flat_pair(5)
+    tally = {"rref": 0, "build": 0}
+    rref, init = homext.rref, homext.Complex3.__init__
+
+    def counting_rref(m):
+        tally["rref"] += 1
+        return rref(m)
+
+    def counting_init(self, x1, x2):
+        tally["build"] += 1
+        init(self, x1, x2)
+
+    monkeypatch.setattr(homext, "rref", counting_rref)
+    monkeypatch.setattr(homext.Complex3, "__init__", counting_init)
+    return x, y, tally
+
+
+def test_each_matrix_eliminated_once(counted):
+    x, y, counts = counted
+    c = build_complex(x, y)
+    assert counts == {"rref": 0, "build": 1}
+    c.hom_dim(), c.ext1_dim(), c.cohom_dim()
+    c.hom_basis(), c.kernel_beta, c.image_alpha
+    assert counts == {"rref": 2, "build": 1}
+
+
+def test_report_builds_each_complex_once(counted):
+    x, y, counts = counted
+    hom_ext_report(x, y)
+    assert counts == {"rref": 4, "build": 2}

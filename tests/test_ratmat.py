@@ -8,7 +8,6 @@ from quivex.errors import DimensionError, InconsistentSystemError
 from quivex.ratmat import (
     RatMatrix,
     annihilator_rows,
-    block_assemble,
     column_space_echelon,
     hstack,
     image_basis,
@@ -90,21 +89,6 @@ def test_compose_identity():
 def test_rational_product():
     m = RatMatrix.from_rows([["2/3"]]) @ RatMatrix.from_rows([["3/4"]])
     assert m[0, 0] == Fraction(1, 2)
-
-
-def test_block_assemble_zero_blocks():
-    out = block_assemble(3, 3, {(0, 0): RatMatrix.zeros(2, 2), (2, 2): RatMatrix.zeros(1, 1)})
-    assert out == RatMatrix.zeros(3, 3)
-
-
-def test_block_assemble_out_of_range_names_offender():
-    with pytest.raises(DimensionError, match=r"\(1,2\)"):
-        block_assemble(2, 3, {(1, 2): RatMatrix.identity(2)})
-
-
-def test_block_assemble_overlap_rejected():
-    with pytest.raises(DimensionError, match="overlap"):
-        block_assemble(2, 2, {(0, 0): RatMatrix.identity(2), (1, 1): RatMatrix.identity(1)})
 
 
 def test_shape_mismatch_errors():
