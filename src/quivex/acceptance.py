@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from . import hecke, homext, invariants, kacmoody
 from .bundles import a2crystal_bundle, an_bundle, an_chain_sample
+from .errors import InternalCheckError
 from .quiver import (
     DimVector,
     Quiver,
@@ -135,7 +136,8 @@ def build_corpus(seed: int) -> Corpus:
             crystal = sample_flat_crystal(dq, v, w, next(counter))
             pool.append(crystal if crystal is not None else sample_flat(dq, v, w, next(counter)))
         for x in pool:
-            assert is_flat(x), f"corpus sample on {shape} is not flat"
+            if not is_flat(x):
+                raise InternalCheckError(f"corpus sample on {shape} is not flat")
         pools[shape] = pool
     return Corpus(pools)
 
@@ -259,7 +261,7 @@ def criterion_3() -> CriterionResult:
         _record(failures, f"zero-weight multiplicity {count} != 4")
     if d_of(q, v, w) != 2:
         _record(failures, "moduli dimension != 2")
-    roots = kacmoody.roots_for_quiver(q, v.total() + kacmoody.DEFAULT_CUTOFF_SLACK)
+    roots = kacmoody.roots_for_quiver(q, 2 * v.total())
     session = kacmoody.MultiplicitySession(roots, w.values)
     total = 0
     ranges = [range(0, 2 * m + 1) for m in v.values]

@@ -3,8 +3,8 @@ a machine-readable report on stdout.
 
 The report is byte-identical for identical inputs and seed: no timestamps,
 sorted keys, pinned version string.  Exit codes: 0 success, 1 I/O or parse
-trouble, 2 domain errors (precondition failures).  No mathematical logic
-lives here.
+trouble, 2 domain errors (precondition failures), 3 a failed internal
+consistency check.  No mathematical logic lives here.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__, acceptance, formats, hecke, homext, invariants, kacmoody
 from .bundles import EXAMPLE_NAMES, get_bundle
-from .errors import DomainError, FormatError, QuivexError, UnknownExampleError
+from .errors import DomainError, FormatError, InternalCheckError, UnknownExampleError
 from .quiver import ZetaParam, cb_extend_dim, cb_transform, chi, d_of, dim_bigM
 from .rep import cb_apply, is_flat, moment_map
 from .stability import is_stable, stabilizer_trivial
@@ -31,29 +31,28 @@ class _Inputs:
     def json_arg(self, label: str, value: str):
         """A CLI value that is either a path, '-' for stdin, or inline JSON."""
         text = value.strip()
-        if text.startswith("{") or text.startswith("["):
-            self.records[label] = {"inline": True, "sha256": formats.text_sha256(text)}
-            try:
-                return json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"inline JSON for {label}: {exc}") from exc
         if text == "-":
-            data = sys.stdin.read()
-            self.records[label] = {"stdin": True, "sha256": formats.text_sha256(data)}
-            try:
-                return json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"stdin JSON for {label}: {exc}") from exc
-        path = Path(value)
-        payload = formats.load_json_file(path)
-        self.records[label] = {"path": str(path), "sha256": formats.file_sha256(path)}
-        return payload
+            source, text = "stdin", sys.stdin.read()
+        elif text.startswith(("{", "[")):
+            source = "inline"
+        else:
+            path = Path(value)
+            payload = formats.load_json_file(path)
+            self.records[label] = {"path": str(path), "sha256": formats.file_sha256(path)}
+            return payload
+        self.records[label] = {source: True, "sha256": formats.text_sha256(text)}
+        try:
+            return json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{source} JSON for {label}: {exc}") from exc
 
 
 def _load_rep(inputs: _Inputs, label: str, value: str):
+    """A representation; a relative quiver path inside a file resolves
+    against that file's directory."""
     obj = inputs.json_arg(label, value)
-    base = Path(value).parent if value not in ("-",) and not value.strip().startswith("{") else None
-    return formats.rep_from_json(obj, base_dir=base)
+    path = inputs.records[label].get("path")
+    return formats.rep_from_json(obj, base_dir=Path(path).parent if path else None)
 
 
 def _zeta_for(rep, inputs: _Inputs, value: str) -> ZetaParam:
@@ -64,15 +63,11 @@ def _zeta_for(rep, inputs: _Inputs, value: str) -> ZetaParam:
     return formats.zeta_from_json(rep.dq.base, inputs.json_arg("zeta", value))
 
 
-def _emit(command: str, inputs: _Inputs, result: dict, seed: int | None = None) -> int:
-    report = {
-        "command": command,
-        "version": __version__,
-        "inputs": inputs.records,
-        "result": result,
-    }
-    if seed is not None:
-        report["seed"] = seed
+def _emit(command: str, **fields) -> int:
+    """Print the report envelope: command and version plus ``inputs`` and
+    ``result`` (and ``seed``) on success, or ``error`` on failure.  Returns
+    the success exit code."""
+    report = {"command": command, "version": __version__, **fields}
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -85,14 +80,14 @@ def _cmd_check_moment(args) -> int:
         "flat": mu.is_zero,
         "moment": {i: formats.matrix_to_json(m) for i, m in sorted(mu.blocks.items())},
     }
-    return _emit("check-moment", inputs, result)
+    return _emit("check-moment", inputs=inputs.records, result=result)
 
 
 def _cmd_hom_ext(args) -> int:
     inputs = _Inputs()
     x1 = _load_rep(inputs, "rep1", args.rep1)
     x2 = _load_rep(inputs, "rep2", args.rep2)
-    return _emit("hom-ext", inputs, homext.hom_ext_report(x1, x2))
+    return _emit("hom-ext", inputs=inputs.records, result=homext.hom_ext_report(x1, x2))
 
 
 def _cmd_stability(args) -> int:
@@ -105,7 +100,7 @@ def _cmd_stability(args) -> int:
         "witness_dims": verdict.witness.dims() if verdict.witness else None,
         "stabilizer_trivial": stabilizer_trivial(x),
     }
-    return _emit("stability", inputs, result)
+    return _emit("stability", inputs=inputs.records, result=result)
 
 
 def _cmd_dim(args) -> int:
@@ -114,7 +109,7 @@ def _cmd_dim(args) -> int:
     v = formats.dimvec_from_json(q, inputs.json_arg("dimV", args.dim_v))
     w = formats.dimvec_from_json(q, inputs.json_arg("dimW", args.dim_w))
     result = {"dim_bigM": dim_bigM(q, v, w), "d": d_of(q, v, w)}
-    return _emit("dim", inputs, result)
+    return _emit("dim", inputs=inputs.records, result=result)
 
 
 def _cmd_chi(args) -> int:
@@ -124,7 +119,7 @@ def _cmd_chi(args) -> int:
     w1 = formats.dimvec_from_json(q, inputs.json_arg("w1", args.w1))
     v2 = formats.dimvec_from_json(q, inputs.json_arg("v2", args.v2))
     w2 = formats.dimvec_from_json(q, inputs.json_arg("w2", args.w2))
-    return _emit("chi", inputs, {"chi": chi(q, v1, w1, v2, w2)})
+    return _emit("chi", inputs=inputs.records, result={"chi": chi(q, v1, w1, v2, w2)})
 
 
 def _cmd_invariants(args) -> int:
@@ -137,7 +132,7 @@ def _cmd_invariants(args) -> int:
         "fingerprint": formats.fingerprint_to_json(fingerprint),
         "all_zero": invariants.fingerprint_is_zero(fingerprint),
     }
-    return _emit("invariants", inputs, result)
+    return _emit("invariants", inputs=inputs.records, result=result)
 
 
 def _cmd_reduce(args) -> int:
@@ -153,7 +148,7 @@ def _cmd_reduce(args) -> int:
         "inclusion": {i: formats.matrix_to_json(m) for i, m in sorted(red.inclusion.items())},
         "recovery_classes": formats.classes_to_json(layout, args.vertex, classes),
     }
-    return _emit("reduce", inputs, result)
+    return _emit("reduce", inputs=inputs.records, result=result)
 
 
 def _cmd_extend(args) -> int:
@@ -169,7 +164,7 @@ def _cmd_extend(args) -> int:
         "flat": is_flat(extended),
         "stable": is_stable(extended, ZetaParam.constant(extended.dq, 1)).stable,
     }
-    return _emit("extend", inputs, result)
+    return _emit("extend", inputs=inputs.records, result=result)
 
 
 def _cmd_weight_mult(args) -> int:
@@ -177,8 +172,7 @@ def _cmd_weight_mult(args) -> int:
     q = formats.quiver_from_json(inputs.json_arg("quiver", args.quiver))
     v = formats.dimvec_from_json(q, inputs.json_arg("dimV", args.dim_v))
     w = formats.dimvec_from_json(q, inputs.json_arg("dimW", args.dim_w))
-    height = args.cutoff if args.cutoff is not None else v.total() + kacmoody.DEFAULT_CUTOFF_SLACK
-    roots = kacmoody.roots_for_quiver(q, height)
+    roots = kacmoody.roots_for_quiver(q, v.total())
     mult = kacmoody.weight_multiplicity(roots, kacmoody.WeightSpec(w, v))
     result = {
         "multiplicity": mult,
@@ -186,7 +180,7 @@ def _cmd_weight_mult(args) -> int:
         "finite_type": roots.finite,
         "cutoff": roots.cutoff,
     }
-    return _emit("weight-mult", inputs, result)
+    return _emit("weight-mult", inputs=inputs.records, result=result)
 
 
 def _cmd_cb_transform(args) -> int:
@@ -211,7 +205,7 @@ def _cmd_cb_transform(args) -> int:
         if args.dim_v:
             v = formats.dimvec_from_json(q, inputs.json_arg("dimV", args.dim_v))
             result["dimV_extended"] = cb_extend_dim(v, q2, inf).as_dict()
-    return _emit("cb-transform", inputs, result)
+    return _emit("cb-transform", inputs=inputs.records, result=result)
 
 
 def _cmd_example(args) -> int:
@@ -242,8 +236,9 @@ def _cmd_example(args) -> int:
                 json.dumps(rep, indent=2, sort_keys=True) + "\n"
             )
         written = ["quiver.json"] + [f"rep_{name}.json" for name in payload["reps"]]
-        return _emit("example", inputs, {"bundle": args.name, "written": sorted(written)})
-    return _emit("example", inputs, payload)
+        result = {"bundle": args.name, "written": sorted(written)}
+        return _emit("example", inputs=inputs.records, result=result)
+    return _emit("example", inputs=inputs.records, result=payload)
 
 
 def _cmd_verify(args) -> int:
@@ -272,10 +267,8 @@ def _cmd_verify(args) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    code = _emit("verify", _Inputs(), payload, seed=seed)
-    if not payload["all_passed"]:
-        return 2
-    return code
+    _emit("verify", inputs={}, result=payload, seed=seed)
+    return 0 if payload["all_passed"] else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiver", required=True)
     p.add_argument("--dim-v", required=True)
     p.add_argument("--dim-w", required=True)
-    p.add_argument("--cutoff", type=int, default=None)
     p.set_defaults(func=_cmd_weight_mult)
 
     p = sub.add_parser("cb-transform", help="one-extra-vertex framing rewrite")
@@ -366,50 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = {FormatError: 1, OSError: 1, DomainError: 2, InternalCheckError: 3}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(
-            json.dumps(
-                {
-                    "command": args.command,
-                    "version": __version__,
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 2
-    except (FormatError, OSError) as exc:
-        print(
-            json.dumps(
-                {
-                    "command": args.command,
-                    "version": __version__,
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 1
-    except QuivexError as exc:
-        print(
-            json.dumps(
-                {
-                    "command": args.command,
-                    "version": __version__,
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 2
+    except tuple(_EXIT_CODES) as exc:
+        _emit(args.command, error={"type": type(exc).__name__, "message": str(exc)})
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
-``DomainError`` subclasses map to CLI exit code 2 (a precondition or
-mathematical-domain failure); ``FormatError`` and I/O problems map to exit
-code 1.
+CLI exit codes: ``FormatError`` and I/O problems map to 1, ``DomainError``
+subclasses (a precondition or mathematical-domain failure) to 2, and
+``InternalCheckError`` (an internal consistency check that failed, which is
+a bug in quivex rather than in its input) to 3.
 """
 
 
@@ -16,6 +17,11 @@ class DomainError(QuivexError):
 
 class FormatError(QuivexError):
     """Malformed input file or JSON payload."""
+
+
+class InternalCheckError(QuivexError):
+    """An internal consistency check failed: two computations of the same
+    number disagree, or a construction lost a property it must keep."""
 
 
 class DimensionError(DomainError):

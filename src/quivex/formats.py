@@ -3,6 +3,10 @@
 Matrix entries are integers or strings ``"p/q"`` with positive denominator
 and reduced fraction on output; inputs may be unnormalized.  See
 docs/formats.md for the full schemas.
+
+Decoding is strict: a value of the wrong JSON type is never coerced, and
+every malformed payload raises ``FormatError`` (or ``DomainError`` when it
+is well-formed JSON describing an impossible object).
 """
 
 from __future__ import annotations
@@ -19,6 +23,16 @@ from .homext import MiddleLayout
 from .quiver import Arrow, DimVector, DoubledQuiver, Quiver, ZetaParam, double
 from .ratmat import RatMatrix, as_fraction
 from .rep import FramedRep
+
+
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON array", str: "a string", int: "an integer"}
+
+
+def _read(obj: Any, kind: type, what: str) -> Any:
+    """obj itself if it has the JSON kind (a bool is not an integer)."""
+    if not isinstance(obj, kind) or isinstance(obj, bool):
+        raise FormatError(f"{what} must be {_JSON_KINDS[kind]}, got {obj!r}")
+    return obj
 
 
 def fraction_to_json(value: Fraction) -> int | str:
@@ -67,11 +81,13 @@ def quiver_to_json(q: Quiver) -> dict:
 def quiver_from_json(obj: Any) -> Quiver:
     if not isinstance(obj, dict) or "vertices" not in obj or "arrows" not in obj:
         raise FormatError("quiver needs 'vertices' and 'arrows'")
-    try:
-        arrows = [Arrow(a["name"], a["from"], a["to"]) for a in obj["arrows"]]
-        return Quiver([str(v) for v in obj["vertices"]], arrows)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed quiver: {exc}") from exc
+    vertices = [_read(v, str, "vertex name") for v in _read(obj["vertices"], list, "'vertices'")]
+    arrows = []
+    for a in _read(obj["arrows"], list, "'arrows'"):
+        fields = _read(a, dict, "arrow")
+        ends = (_read(fields.get(k), str, f"arrow {k!r}") for k in ("name", "from", "to"))
+        arrows.append(Arrow(*ends))
+    return Quiver(vertices, arrows)
 
 
 def dimvec_to_json(v: DimVector) -> dict[str, int]:
@@ -81,13 +97,17 @@ def dimvec_to_json(v: DimVector) -> dict[str, int]:
 def dimvec_from_json(q: Quiver | DoubledQuiver, obj: Any) -> DimVector:
     if not isinstance(obj, dict):
         raise FormatError("dimension vector must be a JSON object vertex -> integer")
-    return DimVector.of(q, {str(k): int(val) for k, val in obj.items()})
+    return DimVector.of(
+        q, {_read(k, str, "vertex name"): _read(n, int, f"dimension at {k!r}") for k, n in obj.items()}
+    )
 
 
 def zeta_from_json(q: Quiver | DoubledQuiver, obj: Any) -> ZetaParam:
     if not isinstance(obj, dict):
         raise FormatError("zeta must be a JSON object vertex -> rational")
-    return ZetaParam.of(q, {str(k): fraction_from_json(val) for k, val in obj.items()})
+    return ZetaParam.of(
+        q, {_read(k, str, "vertex name"): fraction_from_json(val) for k, val in obj.items()}
+    )
 
 
 def rep_to_json(x: FramedRep) -> dict:
@@ -128,18 +148,18 @@ def rep_from_json(obj: Any, base_dir: Path | None = None) -> FramedRep:
     dim_w = dimvec_from_json(quiver, obj.get("dimW", {}))
     arrow_names = {a.name: a for a in dq.arrows}
     B = {}
-    for name, m in (obj.get("B") or {}).items():
+    for name, m in _read(obj.get("B", {}), dict, "'B'").items():
         if name not in arrow_names:
             raise FormatError(f"B block for unknown doubled arrow {name!r}")
         a = arrow_names[name]
         B[name] = matrix_from_json(m, dim_v[a.target], dim_v[a.source])
     I = {}
     J = {}
-    for i, m in (obj.get("I") or {}).items():
+    for i, m in _read(obj.get("I", {}), dict, "'I'").items():
         if i not in quiver.vertices:
             raise FormatError(f"I block for unknown vertex {i!r}")
         I[i] = matrix_from_json(m, dim_v[i], dim_w[i])
-    for i, m in (obj.get("J") or {}).items():
+    for i, m in _read(obj.get("J", {}), dict, "'J'").items():
         if i not in quiver.vertices:
             raise FormatError(f"J block for unknown vertex {i!r}")
         J[i] = matrix_from_json(m, dim_w[i], dim_v[i])
@@ -181,7 +201,7 @@ def classes_from_json(obj: Any, layout: MiddleLayout, vertex: str) -> list[RatMa
     if obj.get("layout_sha256") != expected:
         raise FormatError("cocycle layout hash does not match this representation")
     out = []
-    for entry in obj["classes"]:
+    for entry in _read(obj["classes"], list, "'classes'"):
         if not isinstance(entry, list) or len(entry) != layout.dim:
             raise FormatError(f"cocycle vector must have {layout.dim} entries")
         out.append(RatMatrix.column([fraction_from_json(v) for v in entry]))
@@ -206,11 +226,12 @@ def fingerprint_to_json(entries) -> list[list]:
 
 
 def load_json_file(path: Path | str):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    # ValueError: bad JSON, bytes that are not UTF-8, or a NUL in the path
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def file_sha256(path: Path | str) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DependentClassesError, DomainError, QuiverMismatchError
+from .errors import DependentClassesError, DomainError, InternalCheckError, QuiverMismatchError
 from .quiver import DimVector, ZetaParam, chi as chi_formula, d_of
 from .ratmat import (
     RatMatrix,
@@ -42,9 +42,10 @@ def epsilon_i(x: FramedRep, i: str) -> int:
     s = simple_rep(x.dq, i)
     via_kernel = homext.build_complex(x, s).hom_dim()
     via_cokernel = homext.build_complex(s, x).cohom_dim()
-    assert via_kernel == via_cokernel, (
-        f"epsilon_i duality mismatch at {i!r}: {via_kernel} vs {via_cokernel}"
-    )
+    if via_kernel != via_cokernel:
+        raise InternalCheckError(
+            f"epsilon_i duality mismatch at {i!r}: {via_kernel} vs {via_cokernel}"
+        )
     return via_kernel
 
 
@@ -55,12 +56,12 @@ class ReductionResult:
     inclusion: dict[str, RatMatrix]
 
 
-def _assert_d_identity(q, v_big: DimVector, v_small: DimVector, w: DimVector, i: str, r: int) -> None:
+def _check_d_identity(q, v_big: DimVector, v_small: DimVector, w: DimVector, i: str, r: int) -> None:
     chi_small = chi_formula(q, DimVector.unit(q, i), DimVector.zero(q), v_small, w)
     gap = d_of(q, v_big, w) - d_of(q, v_small, w)
-    assert gap == 2 * r * (chi_small - r), (
-        f"dimension identity failed at {i!r}: {gap} vs {2 * r * (chi_small - r)}"
-    )
+    expected = 2 * r * (chi_small - r)
+    if gap != expected:
+        raise InternalCheckError(f"dimension identity failed at {i!r}: {gap} vs {expected}")
 
 
 def reduce_i(x: FramedRep, i: str) -> ReductionResult:
@@ -70,7 +71,7 @@ def reduce_i(x: FramedRep, i: str) -> ReductionResult:
     first (echelon basis, so the construction is a function); all maps are
     restricted or corestricted along it.  The result is flat, has no Hom to
     the simple at i, keeps the quotient-invariant fingerprint, and satisfies
-    the exact dimension identity, which is asserted.
+    the exact dimension identity, which is checked.
     """
     _require_loop_free(x, "reduce_i")
     ensure_flat(x)
@@ -78,7 +79,8 @@ def reduce_i(x: FramedRep, i: str) -> ReductionResult:
         raise DomainError("reduce_i needs a stable input")
     s = simple_rep(x.dq, i)
     c = homext.build_complex(s, x)
-    assert c.hom_dim() == 0, "stable point admits the simple as a submodule"
+    if c.hom_dim() != 0:
+        raise InternalCheckError("stable point admits the simple as a submodule")
     image = column_space_echelon(c.beta)
     r = x.dim_v[i] - image.cols
     inclusion = {
@@ -86,7 +88,7 @@ def reduce_i(x: FramedRep, i: str) -> ReductionResult:
     }
     if r == 0:
         result = ReductionResult(x, 0, inclusion)
-        _assert_d_identity(x.dq.base, x.dim_v, x.dim_v, x.dim_w, i, 0)
+        _check_d_identity(x.dq.base, x.dim_v, x.dim_v, x.dim_w, i, 0)
         return result
     dim_small = x.dim_v.replace(i, image.cols)
     B = {}
@@ -103,9 +105,10 @@ def reduce_i(x: FramedRep, i: str) -> ReductionResult:
     J[i] = x.J[i] @ image
     reduced = FramedRep(x.dq, dim_small, x.dim_w, B, I, J)
     if not is_flat(reduced):
-        raise AssertionError("reduction of a flat representation came out non-flat")
-    assert epsilon_i(reduced, i) == 0, "reduction left Homs to the simple behind"
-    _assert_d_identity(x.dq.base, x.dim_v, dim_small, x.dim_w, i, r)
+        raise InternalCheckError("reduction of a flat representation came out non-flat")
+    if epsilon_i(reduced, i) != 0:
+        raise InternalCheckError("reduction left Homs to the simple behind")
+    _check_d_identity(x.dq.base, x.dim_v, dim_small, x.dim_w, i, r)
     return ReductionResult(reduced, r, inclusion)
 
 
@@ -165,8 +168,8 @@ def extend_i(x: FramedRep, i: str, classes: list[RatMatrix]) -> FramedRep:
     J[i] = hstack([x.J[i]] + [E[i] for _, _, E in decoded])
     out = FramedRep(x.dq, dim_big, x.dim_w, B, I, J)
     if not is_flat(out):
-        raise AssertionError("cocycle extension came out non-flat")
-    _assert_d_identity(x.dq.base, dim_big, x.dim_v, x.dim_w, i, r)
+        raise InternalCheckError("cocycle extension came out non-flat")
+    _check_d_identity(x.dq.base, dim_big, x.dim_v, x.dim_w, i, r)
     return out
 
 
@@ -196,7 +199,8 @@ def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[R
                 pivot_rows.add(row)
                 break
     complement = [row for row in range(x.dim_v[i]) if row not in pivot_rows]
-    assert len(complement) == reduction.r
+    if len(complement) != reduction.r:
+        raise InternalCheckError(f"complement at {i!r} has {len(complement)} rows, not {reduction.r}")
     layout = class_layout(reduction.reduced, i)
     classes = []
     for row in complement:

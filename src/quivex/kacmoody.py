@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CutoffError, DomainError, InvalidCartanError
+from .errors import CutoffError, DomainError, InternalCheckError, InvalidCartanError
 from .quiver import DimVector, Quiver, cartan_matrix, chi
 
 GCM = tuple[tuple[int, ...], ...]
@@ -116,23 +116,27 @@ def _peterson_roots(gcm: GCM, cutoff: int) -> list[tuple[Coeffs, int]]:
                 cr = c.get(rest)
                 if cp and cr:
                     numerator += _dot(gcm, part, rest) * cp * cr
-            denominator = _dot(gcm, beta, beta) - 2 * height
-            if denominator == 0:
-                assert numerator == 0, "Peterson recursion hit a zero pivot with nonzero sum"
-                continue
-            c_beta = numerator / denominator
             divisor_part = Fraction(0)
             for k in range(2, height + 1):
                 if all(b % k == 0 for b in beta):
                     sub = tuple(b // k for b in beta)
                     divisor_part += Fraction(mult.get(sub, 0), k)
+            denominator = _dot(gcm, beta, beta) - 2 * height
+            if denominator:
+                c_beta = numerator / denominator
+            elif numerator:
+                raise InternalCheckError("Peterson recursion hit a zero pivot with nonzero sum")
+            else:
+                # (beta, beta) = 2 ht(beta) >= 4 exceeds the norm of every
+                # root, so mult(beta) = 0 and c_beta is its divisor part alone
+                c_beta = divisor_part
             m = c_beta - divisor_part
-            assert m.denominator == 1 and m >= 0, f"non-integral root multiplicity at {beta}"
+            if m.denominator != 1 or m < 0:
+                raise InternalCheckError(f"non-integral root multiplicity at {beta}")
+            if c_beta:
+                c[beta] = c_beta
             if m:
-                c[beta] = c_beta
                 mult[beta] = int(m)
-            elif c_beta:
-                c[beta] = c_beta
     return sorted(((b, m) for b, m in mult.items() if m > 0), key=lambda t: (sum(t[0]), t[0]))
 
 
@@ -221,10 +225,11 @@ class MultiplicitySession:
                 if m:
                     total += alpha_mult * m * (lam_alpha - drop_alpha + k * norm)
                 k += 1
-        value = Fraction(2 * total, denominator)
-        assert value.denominator == 1 and value >= 0, f"non-integral weight multiplicity at {drop}"
-        self._memo[drop] = int(value)
-        return int(value)
+        value, remainder = divmod(2 * total, denominator)
+        if remainder or value < 0:
+            raise InternalCheckError(f"non-integral weight multiplicity at {drop}")
+        self._memo[drop] = value
+        return value
 
 
 def weight_multiplicity(roots: RootSystemData, spec: WeightSpec) -> int:
@@ -236,9 +241,6 @@ def weight_multiplicity(roots: RootSystemData, spec: WeightSpec) -> int:
     return session.multiplicity(spec.v.values)
 
 
-DEFAULT_CUTOFF_SLACK = 8
-
-
 def roots_for_quiver(q: Quiver, height: int) -> RootSystemData:
     if q.has_edge_loops:
         raise InvalidCartanError("quiver has edge loops; no Kac-Moody algebra attached here")
@@ -247,17 +249,19 @@ def roots_for_quiver(q: Quiver, height: int) -> RootSystemData:
 
 def h_eigenvalue(q: Quiver, v: DimVector, w: DimVector, i: str) -> int:
     """w_i minus the Cartan pairing with v; agrees with the Euler
-    characteristic of the complex against the simple at i (asserted)."""
+    characteristic of the complex against the simple at i (checked)."""
     gcm = cartan_matrix(q)
     idx = q.index(i)
     value = w[i] - sum(gcm[idx][j] * v.values[j] for j in range(len(q.vertices)))
     via_chi = chi(q, DimVector.unit(q, i), DimVector.zero(q), v, w)
-    assert value == via_chi, "H eigenvalue disagrees with the complex Euler characteristic"
+    if value != via_chi:
+        raise InternalCheckError("H eigenvalue disagrees with the complex Euler characteristic")
     return value
 
 
 def predicted_component_count(q: Quiver, v: DimVector, w: DimVector) -> int:
     """What the top-homology geometry would produce: the weight multiplicity
-    at the drop v below the highest weight w."""
-    roots = roots_for_quiver(q, v.total() + DEFAULT_CUTOFF_SLACK)
+    at the drop v below the highest weight w.  Freudenthal at v only uses
+    roots below v, so the root height cutoff is the height of v."""
+    roots = roots_for_quiver(q, v.total())
     return weight_multiplicity(roots, WeightSpec(w, v))

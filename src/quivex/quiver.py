@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .errors import DomainError, FormatError, UnknownExampleError
+from .errors import DomainError, FormatError, InternalCheckError, UnknownExampleError
 from .ratmat import Scalar, as_fraction
 
 REVERSED_SUFFIX = "*"
@@ -380,5 +380,5 @@ def ade_minimal_resolution_setup(label: str) -> tuple[Quiver, DimVector, DimVect
     gcm = cartan_matrix(q)
     for i, vertex in enumerate(names):
         if sum(gcm[i][j] * dim_v.values[j] for j in range(n)) != dim_w.values[i]:
-            raise AssertionError(f"ADE setup {label}: Cartan check failed at {vertex}")
+            raise InternalCheckError(f"ADE setup {label}: Cartan check failed at {vertex}")
     return q, dim_v, dim_w

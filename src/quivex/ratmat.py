@@ -264,7 +264,3 @@ def inverse(m: RatMatrix) -> RatMatrix:
     if not (m @ inv == RatMatrix.identity(m.rows)):
         raise InconsistentSystemError("matrix is singular")
     return inv
-
-
-def is_invertible(m: RatMatrix) -> bool:
-    return m.rows == m.cols and rank(m) == m.rows

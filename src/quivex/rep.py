@@ -27,12 +27,6 @@ class GradedEndo:
     def is_zero(self) -> bool:
         return all(m.is_zero for m in self.blocks.values())
 
-    def trace_sum(self):
-        total = 0
-        for m in self.blocks.values():
-            total = m.trace() + total
-        return total
-
 
 class FramedRep:
     """Matrices B per doubled arrow, I and J per vertex, over exact rationals.

@@ -3,9 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from quivex import formats
 from quivex.bundles import a2crystal_bundle, an_bundle
 from quivex.cli import main
+from quivex.quiver import ade_minimal_resolution_setup, cb_transform
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -81,6 +84,44 @@ def test_weight_mult(capsys):
     assert code == 0
     assert report["result"]["multiplicity"] == 4
     assert report["result"]["finite_type"] is True
+
+
+def test_weight_mult_affine_triangle(capsys):
+    # the framing rewrite of the A2 setup; the root height comes from the drop
+    q, _, w = ade_minimal_resolution_setup("A2")
+    triangle = json.dumps(formats.quiver_to_json(cb_transform(q, w)[0]))
+    code, report = run_cli(
+        capsys, "weight-mult", "--quiver", triangle,
+        "--dim-v", '{"1": 1, "2": 1, "inf": 1}', "--dim-w", '{"inf": 1}',
+    )
+    assert code == 0
+    assert report["result"]["multiplicity"] == 2
+    assert report["result"]["finite_type"] is False
+    assert report["result"]["cutoff"] == 3
+
+
+A2_QUIVER = '{"vertices": ["1", "2"], "arrows": [{"name": "a", "from": "1", "to": "2"}]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--quiver", A2_QUIVER, "--dim-v", '{"1": 2.5}', "--dim-w", "{}"],
+        ["dim", "--quiver", A2_QUIVER, "--dim-v", '{"1": true}', "--dim-w", "{}"],
+        ["dim", "--quiver", A2_QUIVER, "--dim-v", '{"1": "x"}', "--dim-w", "{}"],
+        [
+            "dim", "--quiver", '{"vertices": ["1"], "arrows": [{"name": 5, "from": "1", "to": "1"}]}',
+            "--dim-v", "{}", "--dim-w", "{}",
+        ],
+        ["check-moment", "--rep", '{"quiver": ' + A2_QUIVER + ', "dimV": {"1": 1}, "B": [[1]]}'],
+    ],
+)
+def test_malformed_input_exit_1_in_envelope(capsys, argv):
+    code, report = run_cli(capsys, *argv)
+    assert code == 1
+    assert set(report) == {"command", "version", "error"}
+    assert report["command"] == argv[0]
+    assert report["error"]["type"] == "FormatError"
 
 
 def test_hom_ext(capsys, tmp_path):

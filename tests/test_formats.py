@@ -1,11 +1,14 @@
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivex import formats
 from quivex.bundles import a2crystal_bundle, d4_bundle
-from quivex.errors import FormatError
+from quivex.errors import DomainError, FormatError
 from quivex.hecke import class_layout, recovery_classes, reduce_i
 from quivex.quiver import ade_minimal_resolution_setup
 from quivex.ratmat import RatMatrix
@@ -95,3 +98,118 @@ def test_fingerprint_serialization():
     encoded = formats.fingerprint_to_json(pi_fingerprint(x, 2))
     kinds = {list(label.keys())[0] for label, _ in encoded}
     assert kinds == {"cycle", "path"}
+
+
+def test_dimvec_rejects_non_integers():
+    q = ade_minimal_resolution_setup("A2")[0]
+    assert formats.dimvec_from_json(q, {"1": 2}).as_dict() == {"1": 2, "2": 0}
+    for bad in (2.5, 2.0, True, "2", None, [1]):
+        with pytest.raises(FormatError):
+            formats.dimvec_from_json(q, {"1": bad})
+
+
+def test_quiver_rejects_non_string_names():
+    for vertices, arrow in [
+        ([1, 2], {"name": "a", "from": 1, "to": 2}),
+        (["1", "2"], {"name": 5, "from": "1", "to": "2"}),
+        (["1", "2"], {"name": "a", "from": "1"}),
+        (["1", "2"], "a"),
+    ]:
+        with pytest.raises(FormatError):
+            formats.quiver_from_json({"vertices": vertices, "arrows": [arrow]})
+
+
+# ------------------------------------------------------------ fuzz
+#
+# Every decoder either returns or raises FormatError/DomainError on any JSON.
+# Integers stay small: a large dimV would build zero blocks of that size.
+
+NAMES = ["1", "2", "a", "a*", "1->2", "2->1*", "", "/", "\x00"]
+KEYS = NAMES + [
+    "vertices", "arrows", "name", "from", "to", "quiver", "dimV", "dimW",
+    "B", "I", "J", "vertex", "classes", "layout_sha256",
+]
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.floats()
+    | st.sampled_from(NAMES + ["1/2", "x"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS), children, max_size=4),
+    max_leaves=12,
+)
+FUZZ = settings(deadline=None, max_examples=75)
+
+A2 = ade_minimal_resolution_setup("A2")[0]
+GENERIC = a2crystal_bundle().reps["generic"]
+REDUCTION = reduce_i(GENERIC, "2")
+LAYOUT = class_layout(REDUCTION.reduced, "2")
+VALID = {
+    "quiver": formats.quiver_to_json(A2),
+    "dimvec": {"1": 1, "2": 2},
+    "rep": formats.rep_to_json(GENERIC),
+    "classes": formats.classes_to_json(LAYOUT, "2", recovery_classes(GENERIC, "2", REDUCTION)),
+}
+
+
+def _slots(doc):
+    """Every (container, key) pair inside a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield doc, key
+        yield from _slots(value)
+
+
+@st.composite
+def mutated(draw, kind):
+    """A valid payload with one value replaced by arbitrary JSON or one key dropped."""
+    doc = copy.deepcopy(VALID[kind])
+    container, key = draw(st.sampled_from(list(_slots(doc))))
+    if isinstance(container, dict) and draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = draw(JSON)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    """Where relative quiver paths resolve: they name no file."""
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def decode(kind, obj, base_dir):
+    allowed = (FormatError, DomainError)
+    if kind == "rep" and isinstance(obj, dict) and isinstance(obj.get("quiver"), str):
+        allowed += (OSError,)  # a quiver path that does not name a readable file
+    try:
+        if kind == "quiver":
+            formats.quiver_from_json(obj)
+        elif kind == "dimvec":
+            formats.dimvec_from_json(A2, obj)
+        elif kind == "rep":
+            formats.rep_from_json(obj, base_dir=base_dir)
+        else:
+            formats.classes_from_json(obj, LAYOUT, "2")
+    except allowed:
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(VALID))
+@given(data=st.data())
+@FUZZ
+def test_decoders_on_arbitrary_json(empty_dir, kind, data):
+    decode(kind, data.draw(JSON), empty_dir)
+
+
+@pytest.mark.parametrize("kind", sorted(VALID))
+@given(data=st.data())
+@FUZZ
+def test_decoders_on_mutated_payloads(empty_dir, kind, data):
+    decode(kind, data.draw(mutated(kind)), empty_dir)

@@ -1,0 +1,41 @@
+import ast
+import json
+from pathlib import Path
+
+import quivex
+from quivex import formats, hecke
+from quivex.bundles import a2crystal_bundle
+from quivex.cli import main
+
+PACKAGE = Path(quivex.__file__).resolve().parent
+
+
+def test_no_assert_in_package():
+    # `python -O` strips assert statements; internal checks raise
+    # InternalCheckError instead, so no AssertionError is left either
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "AssertionError"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_failed_internal_check_exit_3(capsys, monkeypatch, tmp_path):
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(formats.rep_to_json(a2crystal_bundle().reps["generic"])))
+    # the flatness post-check of reduce_i now reports a non-flat reduction
+    monkeypatch.setattr(hecke, "is_flat", lambda x: False)
+    code = main(["reduce", "--rep", str(rep), "--vertex", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report == {
+        "command": "reduce",
+        "version": quivex.__version__,
+        "error": {
+            "type": "InternalCheckError",
+            "message": "reduction of a flat representation came out non-flat",
+        },
+    }

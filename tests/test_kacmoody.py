@@ -4,7 +4,6 @@ import pytest
 
 from quivex.errors import CutoffError, InvalidCartanError
 from quivex.kacmoody import (
-    DEFAULT_CUTOFF_SLACK,
     MultiplicitySession,
     WeightSpec,
     h_eigenvalue,
@@ -89,6 +88,37 @@ def test_affine_root_multiplicities_by_peterson():
     assert (2, 0) not in table and (3, 1) not in table
 
 
+def affine_roots_from_norm(gcm, cutoff):
+    """Independent oracle for untwisted affine simply-laced type: positive
+    vectors of norm 2 are the real roots (multiplicity 1), those of norm 0
+    the multiples of delta (multiplicity the rank of the finite type)."""
+    n = len(gcm)
+    roots = {}
+    for beta in itertools.product(range(cutoff + 1), repeat=n):
+        if not any(beta) or sum(beta) > cutoff:
+            continue
+        norm = sum(beta[i] * gcm[i][j] * beta[j] for i in range(n) for j in range(n))
+        if norm in (0, 2):
+            roots[beta] = 1 if norm == 2 else n - 1
+    return roots
+
+
+@pytest.mark.parametrize(
+    "label,cutoff,delta_mults",
+    [("A2", 6, {(1, 1, 1): 2, (2, 2, 2): 2}), ("D4", 8, {(1, 2, 1, 1, 1): 4})],
+)
+def test_affine_roots_past_zero_pivots(label, cutoff, delta_mults):
+    # (beta, beta) = 2 ht(beta) at twice a real root, e.g. 2(alpha_1 + alpha_2)
+    # on the triangle: Peterson's pivot vanishes there and c_beta is the
+    # divisor part alone
+    q, _, w = ade_minimal_resolution_setup(label)
+    affine, _ = cb_transform(q, w)
+    gcm = cartan_matrix(affine)
+    table = dict(root_multiplicities(gcm, cutoff).positive_roots)
+    assert table == affine_roots_from_norm(gcm, cutoff)
+    assert {beta: m for beta, m in table.items() if m > 1} == delta_mults
+
+
 def test_sl2_weight_multiplicities():
     q = ade_minimal_resolution_setup("A1")[0]
     for n in range(0, 7):
@@ -128,7 +158,7 @@ def test_an_adjoint_other_weights_zero_or_one():
 def test_d4_adjoint():
     q, v, w = ade_minimal_resolution_setup("D4")
     assert predicted_component_count(q, v, w) == 4
-    roots = roots_for_quiver(q, v.total() + DEFAULT_CUTOFF_SLACK)
+    roots = roots_for_quiver(q, 2 * v.total())
     session = MultiplicitySession(roots, w.values)
     total = sum(
         session.multiplicity(drop)
