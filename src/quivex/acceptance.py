@@ -4,7 +4,7 @@ a seeded flat corpus, the crystal walk, and the framing-rewrite consistency
 run.
 
 Everything is exact arithmetic, so every check is equality at tolerance
-zero.  The corpus seeds are pinned here; ``run_all`` accepts a different
+zero.  The corpus seeds are pinned here; ``run_suites`` accepts a different
 seed for reproductions.
 """
 
@@ -496,7 +496,3 @@ def run_suites(
         elif number == 8:
             results.append(criterion_8())
     return results
-
-
-def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
-    return run_suites(seed)

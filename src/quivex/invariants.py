@@ -1,19 +1,21 @@
 """Coordinates on the affine quotient: traces of oriented cycles and framed
 path entries, plus the explicit relations of the rank-one and chain setups.
 
-Labels are plain tuples, ordered deterministically, so two fingerprints can
-be compared entry by entry.  Cycle words are deduplicated up to cyclic
-rotation (lexicographically least rotation) but not reversal: a reversed
-cycle is a genuinely different word in the doubled quiver.
+One walker enumerates each walk once, sharing prefix products.  A cycle is
+emitted once per rotation class, as its lexicographically least rotation;
+a reversed cycle is a different word in the doubled quiver.  Labels are
+plain tuples, ordered deterministically, so two fingerprints can be
+compared entry by entry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import WrongSetupError
-from .quiver import DimVector, DoubledQuiver, ade_minimal_resolution_setup
+from .errors import DomainError, WrongSetupError
+from .quiver import ade_minimal_resolution_setup
 from .ratmat import RatMatrix, rank
 from .rep import FramedRep, evaluate_path
 
@@ -26,65 +28,65 @@ def _least_rotation(word: tuple[str, ...]) -> tuple[str, ...]:
     return min(tuple(word[k:] + word[:k]) for k in range(len(word)))
 
 
-def oriented_cycles(dq: DoubledQuiver, max_length: int) -> list[CycleLabel]:
-    """Closed arrow walks of length 1..max_length, one representative per
-    rotation class, sorted by (length, word)."""
-    found: set[CycleLabel] = set()
+def _walks(x: FramedRep, origin: str, max_length: int, wanted: Callable) -> list[tuple]:
+    """(word, end, product) for every walk from origin of length at most
+    max_length that ``wanted(word, end)`` accepts; the product is the path
+    matrix in traversal order, the identity for the empty walk."""
+    if max_length < 0:
+        raise DomainError(f"walk length bound must be nonnegative, got {max_length}")
+    out: list[tuple] = []
+    word: list[str] = []
+    products = [RatMatrix.identity(x.dim_v[origin])]  # products[k]: the first k arrows
 
-    def walk(base: str, here: str, word: list[str]) -> None:
-        if word and here == base:
-            found.add(_least_rotation(tuple(word)))
-        if len(word) == max_length:
-            return
-        for a in dq.arrows_out_of(here):
-            word.append(a.name)
-            walk(base, a.target, word)
-            word.pop()
+    def visit(here: str) -> None:
+        label = tuple(word)
+        if wanted(label, here):
+            for name in word[len(products) - 1 :]:
+                products.append(x.B[name] if len(products) == 1 else x.B[name] @ products[-1])
+            out.append((label, here, products[-1]))
+        if len(word) < max_length:
+            for a in x.dq.arrows_out_of(here):
+                word.append(a.name)
+                visit(a.target)
+                word.pop()
+                del products[len(word) + 1 :]
 
-    for v in dq.vertices:
-        walk(v, v, [])
-    return sorted(found, key=lambda w: (len(w), w))
-
-
-def cycle_traces(x: FramedRep, max_length: int) -> list[tuple[CycleLabel, Fraction]]:
-    out = []
-    for word in oriented_cycles(x.dq, max_length):
-        start = x.dq.arrow(word[0]).source
-        out.append((word, evaluate_path(x, word, start=start).trace()))
+    visit(origin)
     return out
 
 
-def framed_paths(dq: DoubledQuiver, dim_w: DimVector, max_length: int) -> list[tuple[str, tuple[str, ...], str]]:
-    """Walks between framed vertices (both endpoints with positive W),
-    including the empty walk, sorted deterministically."""
-    framed = [v for v in dq.vertices if dim_w[v] > 0]
-    found: list[tuple[str, tuple[str, ...], str]] = []
+def cycle_traces(x: FramedRep, max_length: int) -> list[tuple[CycleLabel, Fraction]]:
+    """Traces of the closed walks of length 1..max_length, one per rotation
+    class, sorted by (length, word)."""
 
-    def walk(origin: str, here: str, word: list[str]) -> None:
-        if dim_w[here] > 0:
-            found.append((origin, tuple(word), here))
-        if len(word) == max_length:
-            return
-        for a in dq.arrows_out_of(here):
-            word.append(a.name)
-            walk(origin, a.target, word)
-            word.pop()
+    def least_closed(word: tuple[str, ...], end: str) -> bool:
+        return bool(word) and end == x.dq.arrow(word[0]).source and word == _least_rotation(word)
 
-    for v in framed:
-        walk(v, v, [])
-    index = {v: k for k, v in enumerate(dq.vertices)}
-    found.sort(key=lambda t: (len(t[1]), index[t[0]], index[t[2]], t[1]))
-    return found
+    out = [
+        (word, product.trace())
+        for v in x.dq.vertices
+        for word, _, product in _walks(x, v, max_length, least_closed)
+    ]
+    return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
 
 def path_invariants(x: FramedRep, max_length: int) -> list[tuple[PathLabel, Fraction]]:
-    """Entries of J_target (path product) I_origin for every framed walk."""
+    """Entries of J_end (path product) I_origin for every walk between framed
+    vertices (both ends with positive W), the empty walk included."""
+    index = {v: k for k, v in enumerate(x.dq.vertices)}
+    walks = [
+        (origin, word, end, product)
+        for origin in x.dq.vertices
+        if x.dim_w[origin] > 0
+        for word, end, product in _walks(x, origin, max_length, lambda _, end: x.dim_w[end] > 0)
+    ]
+    walks.sort(key=lambda t: (len(t[1]), index[t[0]], index[t[2]], t[1]))
     out = []
-    for origin, word, target in framed_paths(x.dq, x.dim_w, max_length):
-        value = x.J[target] @ evaluate_path(x, word, start=origin) @ x.I[origin]
+    for origin, word, end, product in walks:
+        value = x.J[end] @ product @ x.I[origin]
         for r in range(value.rows):
             for c in range(value.cols):
-                out.append(((origin, word, target, r, c), value[r, c]))
+                out.append(((origin, word, end, r, c), value[r, c]))
     return out
 
 

@@ -169,7 +169,7 @@ class DimVector:
         if len(self.vertices) != len(self.values):
             raise DomainError("dimension vector does not match the vertex list")
         for v, n in zip(self.vertices, self.values):
-            if not isinstance(n, int) or n < 0:
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise DomainError(f"dimension at vertex {v!r} must be a nonnegative integer")
 
     @classmethod
@@ -179,11 +179,11 @@ class DimVector:
             unknown = set(entries) - set(vertices)
             if unknown:
                 raise FormatError(f"dimension vector keys not in the quiver: {sorted(unknown)}")
-            values = tuple(int(entries.get(v, 0)) for v in vertices)
+            values = tuple(entries.get(v, 0) for v in vertices)
         else:
             if len(entries) != len(vertices):
                 raise FormatError("dimension list length does not match the vertex count")
-            values = tuple(int(n) for n in entries)
+            values = tuple(entries)
         return cls(vertices, values)
 
     @classmethod

@@ -9,13 +9,13 @@ are legal everywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import DimensionError, InconsistentSystemError
 
 Scalar = Union[int, str, Fraction]
-
 
 def as_fraction(value: Scalar) -> Fraction:
     """Coerce an int, Fraction or ``"p/q"`` string to an exact rational."""
@@ -24,10 +24,10 @@ def as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        num, _, den = value.partition("/")
-        if den:
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        match = re.fullmatch(r"(-?[0-9]+)(?:/(-?[0-9]+))?", value)
+        if match is None:
+            raise ValueError(f"bad rational literal {value!r}")
+        return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import BadPathError, DimensionError, NotFlatError, QuiverMismatchError
-from .quiver import DimVector, DoubledQuiver
+from .quiver import DimVector, DoubledQuiver, cb_extend_dim, cb_transform, double
 from .ratmat import RatMatrix, hstack, inverse, vstack
 
 
@@ -116,9 +116,9 @@ def is_flat(x: FramedRep) -> bool:
     return moment_map(x).is_zero
 
 
-def ensure_flat(x: FramedRep, what: str = "representation") -> None:
+def ensure_flat(x: FramedRep) -> None:
     if not is_flat(x):
-        raise NotFlatError(f"{what} does not satisfy the moment-map equations")
+        raise NotFlatError("representation does not satisfy the moment-map equations")
 
 
 def simple_rep(dq: DoubledQuiver, i: str) -> FramedRep:
@@ -256,13 +256,9 @@ def cb_apply(x: FramedRep, infinity: str = "inf") -> FramedRep:
     fiber and the result is unframed.  Flat inputs map to flat outputs,
     including at the new vertex, because the framing traces cancel.
     """
-    from .quiver import cb_transform, double
-
     q2, inf = cb_transform(x.dq.base, x.dim_w, infinity)
     dq2 = double(q2)
-    dims = x.dim_v.as_dict()
-    dims[inf] = 1
-    dim_v2 = DimVector.of(q2, dims)
+    dim_v2 = cb_extend_dim(x.dim_v, q2, inf)
     B: dict[str, RatMatrix] = {}
     for a in x.dq.arrows:
         B[a.name] = x.B[a.name]

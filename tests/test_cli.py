@@ -142,6 +142,24 @@ def test_invariants_zero_fingerprint(capsys, tmp_path):
     assert report["result"]["max_length"] == 6
 
 
+def test_invariants_negative_bound_exit_2(capsys, tmp_path):
+    rep = write_rep(tmp_path, "rep.json", an_bundle(3).reps["broken_1"])
+    code, report = run_cli(capsys, "invariants", "--rep", rep, "--max-length", "-1")
+    assert code == 2
+    assert set(report) == {"command", "version", "error"}
+    assert report["command"] == "invariants"
+    assert report["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("literal", ["1_0", " 3 ", "+4", "\u0661\u0662/3"])
+def test_loose_rational_literal_exit_1_in_envelope(capsys, literal):
+    rep = {"quiver": json.loads(A2_QUIVER), "dimV": {"1": 1, "2": 1}, "B": {"a": [[literal]]}}
+    code, report = run_cli(capsys, "check-moment", "--rep", json.dumps(rep))
+    assert code == 1
+    assert set(report) == {"command", "version", "error"}
+    assert report["error"]["type"] == "FormatError"
+
+
 def test_reduce_then_extend_round_trip(capsys, tmp_path):
     rep = write_rep(tmp_path, "rep.json", a2crystal_bundle().reps["generic"])
     code, report = run_cli(capsys, "reduce", "--rep", rep, "--vertex", "2")

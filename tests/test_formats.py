@@ -27,6 +27,19 @@ def test_fraction_round_trip():
         formats.fraction_from_json(True)
 
 
+@pytest.mark.parametrize(
+    "literal", ["1_0", " 3 ", "+4", "\u0661\u0662/3", "", "-", "1/", "/2", "1/2/3", "3\n", "1.5", "--1"]
+)
+def test_fraction_rejects_loose_literals(literal):
+    with pytest.raises(FormatError):
+        formats.fraction_from_json(literal)
+
+
+@pytest.mark.parametrize("literal, value", [("1/-2", Fraction(-1, 2)), ("-0", 0), ("007", 7)])
+def test_fraction_accepts_plain_literals(literal, value):
+    assert formats.fraction_from_json(literal) == value
+
+
 def test_matrix_round_trip():
     m = RatMatrix.from_rows([[1, "1/3"], [0, -2]])
     encoded = formats.matrix_to_json(m)

@@ -1,45 +1,189 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivex.bundles import an_bundle, an_chain_sample
-from quivex.errors import WrongSetupError
+from quivex.bundles import an_bundle, an_chain_sample, d4_bundle
+from quivex.errors import DomainError, WrongSetupError
 from quivex.invariants import (
     a1_relations,
     an_xyz,
     cycle_traces,
     default_degree_bound,
     fingerprint_is_zero,
-    oriented_cycles,
     path_invariants,
     pi_fingerprint,
 )
 from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, double
 from quivex.ratmat import RatMatrix
-from quivex.rep import FramedRep, conjugate, is_flat, sample_flat_crystal, simple_rep
+from quivex.rep import (
+    FramedRep,
+    conjugate,
+    evaluate_path,
+    is_flat,
+    sample_flat,
+    sample_flat_crystal,
+    simple_rep,
+)
 
 A1 = ade_minimal_resolution_setup("A1")[0]
 A2 = ade_minimal_resolution_setup("A2")[0]
 DQ1 = double(A1)
 DQ2 = double(A2)
+KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+JORDAN = Quiver(["1"], [Arrow("l", "1", "1")])
+
+
+def _cycle_labels(q: Quiver, max_length: int) -> list[tuple[str, ...]]:
+    x = FramedRep(double(q), DimVector.of(q, {v: 1 for v in q.vertices}), DimVector.zero(q))
+    return [word for word, _ in cycle_traces(x, max_length)]
 
 
 def test_cycle_enumeration_a2():
-    cycles = oriented_cycles(DQ2, 2)
+    cycles = _cycle_labels(A2, 2)
     assert cycles == [("1->2", "1->2*")]
-    cycles4 = oriented_cycles(DQ2, 4)
+    cycles4 = _cycle_labels(A2, 4)
     assert ("1->2", "1->2*", "1->2", "1->2*") in cycles4
     assert len(cycles4) == 2
 
 
 def test_cycle_enumeration_jordan_counts_reversals_separately():
-    dq = double(Quiver(["1"], [Arrow("l", "1", "1")]))
-    cycles = oriented_cycles(dq, 2)
+    cycles = _cycle_labels(JORDAN, 2)
     # two loops of length one, three rotation classes of length two
     assert ("l",) in cycles and ("l*",) in cycles
     assert ("l", "l") in cycles and ("l*", "l*") in cycles and ("l", "l*") in cycles
+
+
+# ------------------------------------------- reference: enumerate, then evaluate
+
+
+def _reference_fingerprint(x: FramedRep, bound: int) -> list:
+    """The two-phase enumeration the walker replaced: list every label with
+    its own DFS, then evaluate each word from scratch with evaluate_path."""
+    dq = x.dq
+
+    def walks(origin, keep):
+        found = []
+
+        def walk(here, word):
+            if keep(word, here):
+                found.append((tuple(word), here))
+            if len(word) == bound:
+                return
+            for a in dq.arrows_out_of(here):
+                walk(a.target, word + [a.name])
+
+        walk(origin, [])
+        return found
+
+    cycles = {
+        min(word[k:] + word[:k] for k in range(len(word)))
+        for v in dq.vertices
+        for word, _ in walks(v, lambda word, here, v=v: word and here == v)
+    }
+    entries = []
+    for word in sorted(cycles, key=lambda w: (len(w), w)):
+        start = dq.arrow(word[0]).source
+        entries.append((("cycle",) + word, evaluate_path(x, word, start=start).trace()))
+    index = {v: k for k, v in enumerate(dq.vertices)}
+    framed = [v for v in dq.vertices if x.dim_w[v] > 0]
+    paths = [
+        (origin, word, end)
+        for origin in framed
+        for word, end in walks(origin, lambda word, here: x.dim_w[here] > 0)
+    ]
+    paths.sort(key=lambda t: (len(t[1]), index[t[0]], index[t[2]], t[1]))
+    for origin, word, end in paths:
+        value = x.J[end] @ evaluate_path(x, word, start=origin) @ x.I[origin]
+        for r in range(value.rows):
+            for c in range(value.cols):
+                entries.append((("path", origin, word, end, r, c), value[r, c]))
+    return entries
+
+
+def _dense(q: Quiver, v: dict, w: dict, seed: int) -> FramedRep:
+    """Random rationals in every block; not flat, so no value is forced to 0."""
+    rng = random.Random(seed)
+    dv, dw = DimVector.of(q, v), DimVector.of(q, w)
+    dq = double(q)
+
+    def block(rows, cols):
+        entries = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
+        return RatMatrix.from_rows(entries, cols=cols)
+
+    B = {a.name: block(dv[a.target], dv[a.source]) for a in dq.arrows}
+    I = {i: block(dv[i], dw[i]) for i in dq.vertices}
+    J = {i: block(dw[i], dv[i]) for i in dq.vertices}
+    return FramedRep(dq, dv, dw, B, I, J)
+
+
+def _flat(label: str, kind: str, seed: int) -> FramedRep:
+    q, v, w = ade_minimal_resolution_setup(label)
+    if kind != "crystal":
+        return sample_flat(double(q), v, w, seed, half=kind)
+    x = None
+    while x is None:
+        x = sample_flat_crystal(double(q), v, w, seed)
+        seed += 1
+    return x
+
+
+REFERENCE_SAMPLES = {
+    **{
+        f"{label}-{kind}": (lambda label=label, kind=kind: _flat(label, kind, 11))
+        for label in ("A2", "A3", "D4")
+        for kind in ("forward", "reverse", "crystal")
+    },
+    "A2-crystal-conjugated": lambda: conjugate(
+        _flat("A2", "crystal", 5),
+        {"1": RatMatrix.from_rows([[2]]), "2": RatMatrix.from_rows([[1]])},
+    ),
+    "Kronecker-dense": lambda: _dense(KRONECKER, {"1": 2, "2": 1}, {"1": 1, "2": 1}, 3),
+    "Kronecker-forward": lambda: sample_flat(
+        double(KRONECKER), DimVector.of(KRONECKER, {"1": 1, "2": 2}), DimVector.of(KRONECKER, {"1": 1}), 4
+    ),
+    "Jordan-dense": lambda: _dense(JORDAN, {"1": 2}, {"1": 1}, 5),
+    "Jordan-forward": lambda: sample_flat(
+        double(JORDAN), DimVector.of(JORDAN, {"1": 3}), DimVector.of(JORDAN, {"1": 1}), 6
+    ),
+    "Jordan-unframed": lambda: _dense(JORDAN, {"1": 2}, {}, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SAMPLES))
+def test_fingerprint_matches_two_phase_reference(name):
+    x = REFERENCE_SAMPLES[name]()
+    for bound in range(7):
+        assert pi_fingerprint(x, bound) == _reference_fingerprint(x, bound)
+
+
+def test_walker_shares_prefix_products(monkeypatch):
+    """Each product the walker computes is a prefix of an emitted word, one
+    matmul per prefix, against L - 1 per word of length L for the reference."""
+    calls = []
+    matmul = RatMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(None)
+        return matmul(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", counted)
+    x = d4_bundle().reps["point"]
+    bound = default_degree_bound(x)
+    expected = _reference_fingerprint(x, bound)
+    reference_calls = len(calls)
+    calls.clear()
+    assert pi_fingerprint(x, bound) == expected
+    assert reference_calls == 4350
+    assert len(calls) < reference_calls
+
+
+def test_negative_bound_rejected():
+    x = d4_bundle().reps["point"]
+    with pytest.raises(DomainError, match="nonnegative"):
+        pi_fingerprint(x, -1)
 
 
 def test_traces_zero_on_zero_B():

@@ -173,6 +173,19 @@ def test_cb_transform_zero_w_isolated_vertex():
     assert len(q2.arrows) == len(q.arrows)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "2", 2.0])
+def test_dimvector_of_does_not_coerce(bad):
+    with pytest.raises(DomainError):
+        DimVector.of(a2(), {"1": bad})
+    with pytest.raises(DomainError):
+        DimVector.of(a2(), [bad, 0])
+
+
+def test_dimvector_rejects_bool_values():
+    with pytest.raises(DomainError):
+        DimVector(("1",), (True,))
+
+
 def test_cb_transform_chain_is_affine_cycle():
     # both chain ends tied to the new vertex closes the diagram into a cycle
     n = 4
