@@ -47,10 +47,7 @@ def fraction_from_json(obj: Any) -> Fraction:
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
-        try:
-            return as_fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad rational literal {obj!r}") from exc
+        return as_fraction(obj)
     raise FormatError(f"expected int or 'p/q' string, got {type(obj).__name__}")
 
 

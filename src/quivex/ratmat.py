@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DimensionError, InconsistentSystemError
+from .errors import DimensionError, FormatError, InconsistentSystemError
 
 Scalar = Union[int, str, Fraction]
 
@@ -25,10 +25,11 @@ def as_fraction(value: Scalar) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         match = re.fullmatch(r"(-?[0-9]+)(?:/(-?[0-9]+))?", value)
-        if match is None:
-            raise ValueError(f"bad rational literal {value!r}")
-        return Fraction(int(match[1]), int(match[2] or 1))
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
+        denominator = int(match[2] or 1) if match else 0
+        if denominator == 0:
+            raise FormatError(f"bad rational literal {value!r}")
+        return Fraction(int(match[1]), denominator)
+    raise FormatError(f"cannot interpret {value!r} as a rational number")
 
 
 _ZERO = Fraction(0)
@@ -236,11 +237,6 @@ def column_space_echelon(m: RatMatrix) -> RatMatrix:
     reduced, pivots = rref(m.transpose())
     cols = [RatMatrix.column(reduced.row(i)) for i in range(len(pivots))]
     return hstack(cols, rows=m.rows)
-
-
-def annihilator_rows(m: RatMatrix) -> RatMatrix:
-    """A matrix whose kernel is exactly the column space of ``m``."""
-    return hstack(kernel_basis(m.transpose()), rows=m.rows).transpose()
 
 
 def solve_exact(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import BadPathError, DimensionError, NotFlatError, QuiverMismatchError
+from .errors import BadPathError, DimensionError, DomainError, NotFlatError, QuiverMismatchError
 from .quiver import DimVector, DoubledQuiver, cb_extend_dim, cb_transform, double
 from .ratmat import RatMatrix, hstack, inverse, vstack
 
@@ -176,6 +176,19 @@ def conjugate(x: FramedRep, g: Mapping[str, RatMatrix]) -> FramedRep:
     return FramedRep(x.dq, x.dim_v, x.dim_w, B, I, J)
 
 
+def transpose(x: FramedRep) -> FramedRep:
+    """The transposed point: B[bar(a)] -> B[a]^T, I -> J^T, J -> I^T.
+
+    An involution whose moment map is the transpose of x's, so flatness is
+    kept; it swaps the two sign-definite stability conditions.
+    """
+    dq = x.dq
+    B = {dq.bar(a.name): x.B[a.name].transpose() for a in dq.arrows}
+    I = {i: x.J[i].transpose() for i in dq.vertices}
+    J = {i: x.I[i].transpose() for i in dq.vertices}
+    return FramedRep(dq, x.dim_v, x.dim_w, B, I, J)
+
+
 def _random_matrix(rng: random.Random, rows: int, cols: int) -> RatMatrix:
     # entries stay in {-3..3} to bound rational growth downstream
     return RatMatrix.from_rows(
@@ -197,7 +210,7 @@ def sample_flat(
     ``half="reverse"`` is the mirror image with random reversed arrows and J.
     """
     if half not in ("forward", "reverse"):
-        raise ValueError(f"unknown half {half!r}")
+        raise DomainError(f"unknown half {half!r}")
     rng = random.Random(seed)
     B: dict[str, RatMatrix] = {}
     for a in dq.arrows:

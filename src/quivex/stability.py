@@ -1,10 +1,13 @@
 """Sign-definite stability for framed representations.
 
-For an all-positive parameter, a flat point is stable exactly when the
-largest invariant graded subspace inside Ker J vanishes; for an all-negative
-parameter, exactly when the smallest invariant graded subspace over Im I is
-everything.  Mixed-sign parameters would require quantifying over invariant
-subspaces of every dimension vector and are rejected as unsupported.
+For an all-negative parameter, a flat point is stable exactly when the
+smallest invariant graded subspace over Im I is everything; one increasing
+fixed point computes it.  For an all-positive parameter, exactly when the
+largest invariant graded subspace inside Ker J vanishes.  That subspace is
+the annihilator of the smallest invariant subspace over Im J^T of the
+transposed point, so the same fixed point decides both signs.  Mixed-sign
+parameters would require quantifying over invariant subspaces of every
+dimension vector and are rejected as unsupported.
 """
 
 from __future__ import annotations
@@ -13,15 +16,8 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedZetaError
 from .quiver import DimVector, ZetaParam
-from .ratmat import (
-    RatMatrix,
-    annihilator_rows,
-    column_space_echelon,
-    hstack,
-    kernel_basis,
-    vstack,
-)
-from .rep import FramedRep, ensure_flat
+from .ratmat import RatMatrix, column_space_echelon, hstack, kernel_basis
+from .rep import FramedRep, ensure_flat, transpose
 from . import homext
 
 
@@ -47,33 +43,20 @@ class GradedSubspace:
 def max_invariant_in_kerJ(x: FramedRep) -> GradedSubspace:
     """Largest graded subspace inside Ker J preserved by every arrow matrix.
 
-    Decreasing fixed-point iteration; each pass intersects with the arrow
-    preimages, and the pass that changes nothing certifies maximality.
+    It is the annihilator of ``min_invariant_over_imI(transpose(x))``:
+    (Ker J)^perp = Im J^T, and (S meet B_a^-1 S')^perp = S^perp + B_a^T S'^perp.
     """
-    dq = x.dq
-    basis = {
-        i: column_space_echelon(hstack(kernel_basis(x.J[i]), rows=x.dim_v[i]))
-        for i in dq.vertices
-    }
-    while True:
-        ann = {i: annihilator_rows(basis[i]) for i in dq.vertices}
-        new_basis = {}
-        changed = False
-        for i in dq.vertices:
-            m = basis[i]
-            constraints = [ann[a.target] @ x.B[a.name] for a in dq.arrows_out_of(i)]
-            if constraints:
-                stacked = vstack(constraints, cols=x.dim_v[i])
-                inner = hstack(kernel_basis(stacked @ m), rows=m.cols)
-                new = column_space_echelon(m @ inner)
-            else:
-                new = m
-            if new.cols != m.cols:
-                changed = True
-            new_basis[i] = new
-        basis = new_basis
-        if not changed:
-            return GradedSubspace(basis)
+    return _annihilator(min_invariant_over_imI(transpose(x)))
+
+
+def _annihilator(t: GradedSubspace) -> GradedSubspace:
+    """The orthogonal complement at each vertex, in canonical echelon form."""
+    return GradedSubspace(
+        {
+            i: column_space_echelon(hstack(kernel_basis(m.transpose()), rows=m.rows))
+            for i, m in t.blocks.items()
+        }
+    )
 
 
 def min_invariant_over_imI(x: FramedRep) -> GradedSubspace:
@@ -115,10 +98,10 @@ def is_stable(x: FramedRep, zeta: ZetaParam) -> StabilityResult:
     ensure_flat(x)
     sign = zeta.sign_class
     if sign == "positive":
-        s = max_invariant_in_kerJ(x)
-        if s.is_zero():
+        t = min_invariant_over_imI(transpose(x))
+        if t.equals_ambient(x.dim_v):
             return StabilityResult(True, None)
-        return StabilityResult(False, s)
+        return StabilityResult(False, _annihilator(t))
     if sign == "negative":
         t = min_invariant_over_imI(x)
         if t.equals_ambient(x.dim_v):

@@ -3,7 +3,7 @@ import json
 from pathlib import Path
 
 import quivex
-from quivex import formats, hecke
+from quivex import errors, formats, hecke
 from quivex.bundles import a2crystal_bundle
 from quivex.cli import main
 
@@ -19,6 +19,21 @@ def test_no_assert_in_package():
             if isinstance(node, ast.Assert) or (
                 isinstance(node, ast.Name) and node.id == "AssertionError"
             ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_package_raises_only_quivex_errors():
+    # a library caller's `except QuivexError` must catch every failure, so
+    # each raise names a QuivexError subclass or re-raises the active one
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(errors, exc.id, None) if isinstance(exc, ast.Name) else None
+            if not (isinstance(cls, type) and issubclass(cls, errors.QuivexError)):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 

@@ -158,6 +158,11 @@ def test_zeta_pair():
     assert ZetaParam.constant(q, -2).sign_class == "negative"
 
 
+def test_zeta_rejects_loose_literal():
+    with pytest.raises(FormatError, match="bad rational literal ' 3 '"):
+        ZetaParam.of(a2(), {"1": " 3 "})
+
+
 def test_cb_transform_a1():
     q = ade_minimal_resolution_setup("A1")[0]
     q2, inf = cb_transform(q, DimVector.of(q, {"1": 2}))

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivex.errors import DimensionError, InconsistentSystemError
+from quivex.errors import DimensionError, FormatError, InconsistentSystemError
 from quivex.ratmat import (
     RatMatrix,
-    annihilator_rows,
+    as_fraction,
     column_space_echelon,
     hstack,
     image_basis,
@@ -144,12 +144,18 @@ def test_column_space_echelon_canonical(m):
     assert column_space_echelon(doubled) == canon
 
 
-@given(matrices())
-@settings(deadline=None)
-def test_annihilator_kernel_is_column_space(m):
-    ann = annihilator_rows(m)
-    assert (ann @ m).is_zero
-    assert rank(ann) == m.rows - rank(m)
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RatMatrix.from_rows([["1_0"]]), "bad rational literal '1_0'"),
+        (lambda: RatMatrix.column(["1/0"]), "bad rational literal '1/0'"),
+        (lambda: as_fraction(2.5), "cannot interpret 2.5"),
+    ],
+    ids=["from_rows", "column", "float"],
+)
+def test_bad_scalars_raise_format_error(build, message):
+    with pytest.raises(FormatError, match=message):
+        build()
 
 
 def test_solve_and_inverse():

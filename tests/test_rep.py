@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivex.bundles import an_bundle
-from quivex.errors import BadPathError, DimensionError, QuiverMismatchError
-from quivex.quiver import DimVector, ade_minimal_resolution_setup, double
+from quivex.errors import BadPathError, DimensionError, DomainError, QuiverMismatchError
+from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, double
 from quivex.ratmat import RatMatrix, rank
 from quivex.rep import (
     FramedRep,
@@ -19,6 +19,7 @@ from quivex.rep import (
     sample_flat,
     sample_flat_crystal,
     simple_rep,
+    transpose,
 )
 
 A1 = ade_minimal_resolution_setup("A1")[0]
@@ -141,6 +142,12 @@ def test_sample_flat_seed_repeatable():
     assert sample_flat(DQ2, v, w, 42) != sample_flat(DQ2, v, w, 43)
 
 
+def test_sample_flat_unknown_half():
+    v = DimVector.of(A2, {"1": 1, "2": 1})
+    with pytest.raises(DomainError, match="unknown half 'x'"):
+        sample_flat(DQ2, v, v, 0, half="x")
+
+
 def test_sample_flat_crystal_flat_with_nonzero_J():
     v = DimVector.of(A2, {"1": 1, "2": 2})
     w = DimVector.of(A2, {"1": 1, "2": 2})
@@ -170,6 +177,32 @@ def test_conjugate_preserves_flatness_and_moment():
     y = conjugate(x, g)
     assert is_flat(y)
     assert y.dim_v == x.dim_v
+
+
+JORDAN = Quiver(["1"], [Arrow("t", "1", "1")])
+
+
+@given(st.integers(0, 10**6), st.sampled_from([A2, JORDAN]), st.data())
+@settings(deadline=None, max_examples=30)
+def test_transpose_involution_and_moment(seed, q, data):
+    # zero fibers included: every block shape (0, n), (n, 0) must survive
+    v = DimVector.of(q, {i: data.draw(st.integers(0, 3)) for i in q.vertices})
+    w = DimVector.of(q, {i: data.draw(st.integers(0, 2)) for i in q.vertices})
+    x = random_rep(double(q), v, w, seed)
+    t = transpose(x)
+    assert (t.dim_v, t.dim_w) == (x.dim_v, x.dim_w)
+    assert transpose(t) == x
+    mu, mu_t = moment_map(x).blocks, moment_map(t).blocks
+    assert all(mu_t[i] == mu[i].transpose() for i in x.dq.vertices)
+
+
+def test_transpose_swaps_framing_and_reverses_arrows():
+    x = sample_flat_crystal(DQ2, DimVector.of(A2, {"1": 1, "2": 2}), DimVector.of(A2, {"1": 1, "2": 2}), 11)
+    t = transpose(x)
+    assert is_flat(t)
+    assert t.B["1->2*"] == x.B["1->2"].transpose()
+    assert t.B["1->2"] == x.B["1->2*"].transpose()
+    assert all(t.I[i] == x.J[i].transpose() and t.J[i] == x.I[i].transpose() for i in DQ2.vertices)
 
 
 def test_cb_apply_zero_rep():

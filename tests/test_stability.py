@@ -1,13 +1,26 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle
+from quivex import acceptance, ratmat
+from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, d4_bundle
 from quivex.errors import NotFlatError, UnsupportedZetaError
-from quivex.quiver import DimVector, ZetaParam, ade_minimal_resolution_setup, double
-from quivex.ratmat import RatMatrix, rank
-from quivex.rep import FramedRep, conjugate, is_flat, sample_flat_crystal, simple_rep
+from quivex.quiver import Arrow, DimVector, Quiver, ZetaParam, ade_minimal_resolution_setup, double
+from quivex.ratmat import RatMatrix, column_space_echelon, hstack, kernel_basis, rank, vstack
+from quivex.rep import (
+    FramedRep,
+    conjugate,
+    is_flat,
+    sample_flat,
+    sample_flat_crystal,
+    simple_rep,
+    transpose,
+)
 from quivex.stability import (
+    GradedSubspace,
     is_stable,
     max_invariant_in_kerJ,
     min_invariant_over_imI,
@@ -82,8 +95,6 @@ def test_max_invariant_output_properties():
 
 
 def rank_of_union(basis, extra):
-    from quivex.ratmat import hstack
-
     return rank(hstack([basis, extra]))
 
 
@@ -137,3 +148,165 @@ def test_stabilizer_not_trivial_on_degenerate_points():
     zero = FramedRep(DQ2, DimVector.of(A2, {"1": 1, "2": 1}), DimVector.zero(A2))
     assert not stabilizer_trivial(zero)
     assert not stabilizer_trivial(simple_rep(DQ2, "1"))
+
+
+# ------------------------------- reference: decreasing fixed point inside Ker J
+
+
+def _reference_max_invariant_in_kerJ(x: FramedRep) -> GradedSubspace:
+    """Intersect Ker J with the arrow preimages until a pass changes nothing."""
+    dq = x.dq
+
+    def annihilator_rows(m):
+        return hstack(kernel_basis(m.transpose()), rows=m.rows).transpose()
+
+    basis = {
+        i: column_space_echelon(hstack(kernel_basis(x.J[i]), rows=x.dim_v[i]))
+        for i in dq.vertices
+    }
+    while True:
+        ann = {i: annihilator_rows(basis[i]) for i in dq.vertices}
+        new_basis = {}
+        changed = False
+        for i in dq.vertices:
+            m = basis[i]
+            constraints = [ann[a.target] @ x.B[a.name] for a in dq.arrows_out_of(i)]
+            if constraints:
+                stacked = vstack(constraints, cols=x.dim_v[i])
+                inner = hstack(kernel_basis(stacked @ m), rows=m.cols)
+                new = column_space_echelon(m @ inner)
+            else:
+                new = m
+            if new.cols != m.cols:
+                changed = True
+            new_basis[i] = new
+        basis = new_basis
+        if not changed:
+            return GradedSubspace(basis)
+
+
+def _reference_verdict(x: FramedRep, sign: int) -> tuple:
+    if sign > 0:
+        s = _reference_max_invariant_in_kerJ(x)
+        return (True, None) if s.is_zero() else (False, s.blocks)
+    t = min_invariant_over_imI(x)
+    return (True, None) if t.equals_ambient(x.dim_v) else (False, t.blocks)
+
+
+JORDAN = Quiver(["1"], [Arrow("t", "1", "1")])
+KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+A3 = ade_minimal_resolution_setup("A3")[0]
+D4 = ade_minimal_resolution_setup("D4")[0]
+
+
+def _seeded_rep(q: Quiver, seed: int, zero_share: float) -> FramedRep:
+    """Random fibers of dimension 0..3 and blocks whose entries are 0 with
+    probability ``zero_share`` (1 gives zero matrices); not flat in general."""
+    rng = random.Random(seed)
+    dq = double(q)
+    v = DimVector.of(q, {i: rng.randint(0, 3) for i in q.vertices})
+    w = DimVector.of(q, {i: rng.randint(0, 2) for i in q.vertices})
+
+    def block(rows, cols):
+        entries = [
+            [0 if rng.random() < zero_share else Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        return RatMatrix.from_rows(entries, cols=cols)
+
+    B = {a.name: block(v[a.target], v[a.source]) for a in dq.arrows}
+    I = {i: block(v[i], w[i]) for i in dq.vertices}
+    J = {i: block(w[i], v[i]) for i in dq.vertices}
+    return FramedRep(dq, v, w, B, I, J)
+
+
+def _seeded_flat(q: Quiver, seed: int) -> list[FramedRep]:
+    rng = random.Random(seed)
+    dq = double(q)
+    v = DimVector.of(q, {i: rng.randint(0, 3) for i in q.vertices})
+    w = DimVector.of(q, {i: rng.randint(0, 2) for i in q.vertices})
+    return [sample_flat(dq, v, w, seed, half=half) for half in ("forward", "reverse")]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return acceptance.build_corpus(acceptance.DEFAULT_SEED).all_samples()
+
+
+QUIVERS = {"Jordan": JORDAN, "Kronecker": KRONECKER, "A3": A3, "D4": D4}
+ZERO_SHARE = {"dense": 0.0, "sparse": 0.7, "zero": 1.0}
+
+
+def _a1_samples() -> list[FramedRep]:
+    out = []
+    for n in range(7):
+        for k in range(n + 1):
+            rng = random.Random(101 * n + k)
+            out.extend(acceptance._a1_flat_sample(n, k, rng) for _ in range(3))
+    return out
+
+
+def _check_against_reference(x: FramedRep) -> None:
+    assert max_invariant_in_kerJ(x).blocks == _reference_max_invariant_in_kerJ(x).blocks
+    if not is_flat(x):
+        return
+    for sign in (1, -1):
+        verdict = is_stable(x, ZetaParam.constant(x.dq, sign))
+        witness = None if verdict.witness is None else verdict.witness.blocks
+        assert (verdict.stable, witness) == _reference_verdict(x, sign)
+
+
+def test_max_invariant_matches_decreasing_reference_on_corpus(corpus):
+    assert len(corpus) == 45
+    for x in corpus:
+        _check_against_reference(x)
+
+
+@pytest.mark.parametrize("kind", [*ZERO_SHARE, "flat"])
+@pytest.mark.parametrize("name", sorted(QUIVERS))
+def test_max_invariant_matches_decreasing_reference_on_seeded_reps(name, kind):
+    q = QUIVERS[name]
+    if kind == "flat":
+        reps = [y for seed in range(6) for y in _seeded_flat(q, seed)]
+    else:
+        reps = [_seeded_rep(q, seed, ZERO_SHARE[kind]) for seed in range(12)]
+    for x in reps:
+        _check_against_reference(x)
+
+
+def test_max_invariant_matches_decreasing_reference_on_a1_samples():
+    samples = _a1_samples()
+    assert {is_stable(x, POS1).stable for x in samples} == {True, False}
+    for x in samples:
+        _check_against_reference(x)
+
+
+def test_transpose_swaps_the_signs(corpus):
+    for x in corpus + [y for b in (a1_bundle(3, 2), an_bundle(4), d4_bundle()) for y in b.reps.values()]:
+        pos, neg = ZetaParam.constant(x.dq, 1), ZetaParam.constant(x.dq, -1)
+        assert is_stable(x, pos).stable == is_stable(transpose(x), neg).stable
+        assert is_stable(x, neg).stable == is_stable(transpose(x), pos).stable
+
+
+def test_kerJ_side_eliminates_less_than_reference(monkeypatch):
+    """Ker J through the transpose: one elimination per vertex per pass plus
+    the annihilator, against three per vertex per pass for the reference."""
+    calls = []
+    rref = ratmat.rref
+
+    def counted(m):
+        calls.append(None)
+        return rref(m)
+
+    monkeypatch.setattr(ratmat, "rref", counted)
+    x = d4_bundle().reps["point"]
+    expected = _reference_max_invariant_in_kerJ(x)
+    reference_calls = len(calls)
+    calls.clear()
+    assert max_invariant_in_kerJ(x) == expected
+    subspace_calls = len(calls)
+    calls.clear()
+    assert is_stable(x, ZetaParam.constant(x.dq, 1)).stable
+    assert reference_calls == 44
+    assert subspace_calls < reference_calls
+    assert len(calls) < subspace_calls
