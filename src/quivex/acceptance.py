@@ -35,7 +35,6 @@ from .rep import (
     cb_apply,
     is_flat,
     sample_flat,
-    sample_flat_crystal,
     simple_rep,
 )
 from .stability import is_stable
@@ -134,7 +133,7 @@ def build_corpus(seed: int) -> Corpus:
             w = DimVector.of(quiver, w_map)
             pool.append(sample_flat(dq, v, w, next(counter), half="forward"))
             pool.append(sample_flat(dq, v, w, next(counter), half="reverse"))
-            crystal = sample_flat_crystal(dq, v, w, next(counter))
+            crystal = hecke.sample_flat_crystal(dq, v, w, next(counter))
             pool.append(crystal if crystal is not None else sample_flat(dq, v, w, next(counter)))
         for x in pool:
             if not is_flat(x):

@@ -19,7 +19,7 @@ from typing import Any
 
 from .bundles import ExampleBundle
 from .errors import FormatError
-from .homext import MiddleLayout
+from .homext import BlockLayout
 from .quiver import Arrow, DimVector, DoubledQuiver, Quiver, ZetaParam, double
 from .ratmat import RatMatrix, as_fraction
 from .rep import FramedRep
@@ -174,12 +174,12 @@ def bundle_to_json(b: ExampleBundle) -> dict:
     }
 
 
-def layout_sha256(layout: MiddleLayout) -> str:
+def layout_sha256(layout: BlockLayout) -> str:
     canonical = json.dumps(layout.descriptor(), separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def classes_to_json(layout: MiddleLayout, vertex: str, classes: list[RatMatrix]) -> dict:
+def classes_to_json(layout: BlockLayout, vertex: str, classes: list[RatMatrix]) -> dict:
     return {
         "vertex": vertex,
         "layout_sha256": layout_sha256(layout),
@@ -187,7 +187,7 @@ def classes_to_json(layout: MiddleLayout, vertex: str, classes: list[RatMatrix])
     }
 
 
-def classes_from_json(obj: Any, layout: MiddleLayout, vertex: str) -> list[RatMatrix]:
+def classes_from_json(obj: Any, layout: BlockLayout, vertex: str) -> list[RatMatrix]:
     if not isinstance(obj, dict) or "classes" not in obj:
         raise FormatError("cocycle file needs a 'classes' array")
     if obj.get("vertex") != vertex:

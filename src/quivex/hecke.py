@@ -1,7 +1,8 @@
 """Reduction and extension of framed representations by one simple module at
 a time: the string datum epsilon_i, the canonical kernel of the projection
-onto copies of the simple at a vertex, and the reverse construction from
-extension classes.
+onto copies of the simple at a vertex, the reverse construction from
+extension classes, and the seeded sampler that builds flat points by such
+extensions.
 
 Extension classes live in the middle term of the complex built against the
 simple module at the vertex, packed in that complex's block layout.
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DependentClassesError, DomainError, InternalCheckError, QuiverMismatchError
-from .quiver import DimVector, ZetaParam, chi as chi_formula, d_of
+from .quiver import DimVector, DoubledQuiver, ZetaParam, chi as chi_formula, d_of
 from .ratmat import (
     RatMatrix,
     column_space_echelon,
@@ -33,15 +34,21 @@ def _require_loop_free(x: FramedRep, what: str) -> None:
         raise DomainError(f"{what} assumes a quiver without edge loops")
 
 
+def _against_simple(x: FramedRep, i: str, what: str) -> homext.Complex3:
+    """The complex with the simple at vertex i first and x second, once x
+    has passed the checks every operation of this module shares."""
+    _require_loop_free(x, what)
+    ensure_flat(x)
+    return homext.build_complex(simple_rep(x.dq, i), x)
+
+
 def epsilon_i(x: FramedRep, i: str) -> int:
     """Dimension of the Hom space to the simple module at vertex i, computed
     two ways (kernel against the simple, cokernel with the simple first) and
     cross-checked; disagreement would be a duality bug."""
-    _require_loop_free(x, "epsilon_i")
-    ensure_flat(x)
-    s = simple_rep(x.dq, i)
-    via_kernel = homext.build_complex(x, s).hom_dim()
-    via_cokernel = homext.build_complex(s, x).cohom_dim()
+    c = _against_simple(x, i, "epsilon_i")
+    via_kernel = homext.build_complex(x, c.x1).hom_dim()
+    via_cokernel = c.cohom_dim()
     if via_kernel != via_cokernel:
         raise InternalCheckError(
             f"epsilon_i duality mismatch at {i!r}: {via_kernel} vs {via_cokernel}"
@@ -73,12 +80,9 @@ def reduce_i(x: FramedRep, i: str) -> ReductionResult:
     the simple at i, keeps the quotient-invariant fingerprint, and satisfies
     the exact dimension identity, which is checked.
     """
-    _require_loop_free(x, "reduce_i")
-    ensure_flat(x)
+    c = _against_simple(x, i, "reduce_i")
     if not is_stable(x, ZetaParam.constant(x.dq, 1)).stable:
         raise DomainError("reduce_i needs a stable input")
-    s = simple_rep(x.dq, i)
-    c = homext.build_complex(s, x)
     if c.hom_dim() != 0:
         raise InternalCheckError("stable point admits the simple as a submodule")
     image = column_space_echelon(c.beta)
@@ -120,9 +124,7 @@ def ext_space_i(x: FramedRep, i: str) -> list[RatMatrix]:
     by extension additionally wants epsilon_i(x) = 0, which callers on the
     induction path check themselves.
     """
-    _require_loop_free(x, "ext_space_i")
-    ensure_flat(x)
-    return homext.build_complex(simple_rep(x.dq, i), x).ext1_reps()
+    return _against_simple(x, i, "ext_space_i").ext1_reps()
 
 
 def extend_i(x: FramedRep, i: str, classes: list[RatMatrix]) -> FramedRep:
@@ -134,12 +136,15 @@ def extend_i(x: FramedRep, i: str, classes: list[RatMatrix]) -> FramedRep:
     condition is exactly flatness of the result and is verified; classes
     must be independent modulo the coboundaries.
     """
-    _require_loop_free(x, "extend_i")
-    ensure_flat(x)
+    return _extend(_against_simple(x, i, "extend_i"), i, classes)
+
+
+def _extend(c: homext.Complex3, i: str, classes: list[RatMatrix]) -> FramedRep:
+    """``extend_i`` of c.x2 on c, its complex against the simple at i."""
+    x = c.x2
     r = len(classes)
     if r == 0:
         return x
-    c = homext.build_complex(simple_rep(x.dq, i), x)
     for vec in classes:
         if vec.shape != (c.middle.dim, 1):
             raise DomainError(
@@ -157,7 +162,7 @@ def extend_i(x: FramedRep, i: str, classes: list[RatMatrix]) -> FramedRep:
     for a in x.dq.arrows:
         m = x.B[a.name]
         if a.source == i:
-            new_cols = [C[a.name] for C, _, _ in decoded]
+            new_cols = [blocks["arrow"][a.name] for blocks in decoded]
             m = hstack([m] + new_cols)
         if a.target == i:
             m = vstack([m, RatMatrix.zeros(r, m.cols)])
@@ -165,7 +170,7 @@ def extend_i(x: FramedRep, i: str, classes: list[RatMatrix]) -> FramedRep:
     I = dict(x.I)
     J = dict(x.J)
     I[i] = vstack([x.I[i], RatMatrix.zeros(r, x.dim_w[i])])
-    J[i] = hstack([x.J[i]] + [E[i] for _, _, E in decoded])
+    J[i] = hstack([x.J[i]] + [blocks["J"][i] for blocks in decoded])
     out = FramedRep(x.dq, dim_big, x.dim_w, B, I, J)
     if not is_flat(out):
         raise InternalCheckError("cocycle extension came out non-flat")
@@ -173,11 +178,46 @@ def extend_i(x: FramedRep, i: str, classes: list[RatMatrix]) -> FramedRep:
     return out
 
 
-def class_layout(x: FramedRep, i: str) -> homext.MiddleLayout:
+def sample_flat_crystal(
+    dq: DoubledQuiver,
+    dim_v: DimVector,
+    dim_w: DimVector,
+    seed: int,
+) -> FramedRep | None:
+    """A flat point built by extension steps from the empty representation.
+
+    Grows one fiber dimension at a time, at seeded vertices, by picking an
+    extension class against the simple module there; this produces points
+    with nonzero J.  Each step reads the classes off one complex and extends
+    on that same complex.  Returns None when some step has no extensions
+    left (the caller should fall back to ``rep.sample_flat``).
+    """
+    rng = random.Random(seed)
+    order = [v for v in dq.vertices for _ in range(dim_v[v])]
+    rng.shuffle(order)
+    x = FramedRep(dq, DimVector.zero(dq), dim_w)
+    for vertex in order:
+        c = homext.build_complex(simple_rep(dq, vertex), x)
+        reps = c.ext1_reps()
+        if not reps:
+            return None
+        coeffs = [rng.randint(-2, 2) for _ in reps]
+        if all(k == 0 for k in coeffs):
+            coeffs[rng.randrange(len(coeffs))] = 1
+        cls = reps[0].scale(coeffs[0])
+        for k, r in zip(coeffs[1:], reps[1:]):
+            cls = cls + r.scale(k)
+        # extend_i's checks; x is flat, being empty or a checked extension
+        _require_loop_free(x, "extend_i")
+        x = _extend(c, vertex, [cls])
+    return x
+
+
+def class_layout(x: FramedRep, i: str) -> homext.BlockLayout:
     """The middle layout of the complex with the simple at vertex i first
     and x second: the layout extension classes of x at i are packed in."""
     unit = DimVector.unit(x.dq, i)
-    return homext.MiddleLayout.of(x.dq, unit, DimVector.zero(x.dq), x.dim_v, x.dim_w)
+    return homext.BlockLayout.middle(x.dq, unit, DimVector.zero(x.dq), x.dim_v, x.dim_w)
 
 
 def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[RatMatrix]:
@@ -207,7 +247,7 @@ def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[R
         unit = RatMatrix.column([1 if t == row else 0 for t in range(x.dim_v[i])])
         C = {a.name: x.B[a.name] @ unit for a in x.dq.arrows_out_of(i)}
         E = {i: x.J[i] @ unit}
-        classes.append(layout.pack(C=C, E=E))
+        classes.append(layout.pack(arrow=C, J=E))
     return classes
 
 
@@ -231,8 +271,8 @@ def are_isomorphic(x: FramedRep, y: FramedRep) -> bool:
     if x.dim_v != y.dim_v or x.dim_w != y.dim_w:
         return False
     c = homext.build_complex(x, y)
-    target = c.middle.pack(D={i: y.I[i] for i in x.dq.vertices},
-                           E={i: -x.J[i] for i in x.dq.vertices})
+    target = c.middle.pack(I={i: y.I[i] for i in x.dq.vertices},
+                           J={i: -x.J[i] for i in x.dq.vertices})
     try:
         particular = solve_exact(c.alpha, target)
     except DomainError:
@@ -240,7 +280,7 @@ def are_isomorphic(x: FramedRep, y: FramedRep) -> bool:
     kernel = c.kernel_alpha
 
     def invertible(vec: RatMatrix) -> bool:
-        blocks = c.ends.unpack(vec)
+        blocks = c.ends.unpack(vec)["xi"]
         return all(rank(m) == m.rows for m in blocks.values())
 
     if invertible(particular):

@@ -9,11 +9,13 @@ J2 those of x2,
 * beta(C, D, E)_i = sum over arrows a into i of
   eps(a) (B2_a C_bar(a) + C_a B1_bar(a)), plus I2_i E_i + D_i J1_i.
 
-Block order in the middle term is canonical: arrow blocks in doubled-quiver
-declared order, then the W1->V2 blocks by vertex order, then the V1->W2
-blocks.  Each block, here and in the ends, is vectorized row-major: entry
-(r, c) of a block with n columns sits at its offset plus r*n + c.  This
-layout is what cocycle files and the reduce/extend machinery decode against.
+One ``BlockLayout`` serves both terms: a fixed sequence of named blocks,
+each vectorized row-major, so entry (r, c) of a block with n columns sits at
+its offset plus r*n + c.  The ends hold one xi_i block per vertex in vertex
+order.  Block order in the middle term is canonical: arrow blocks in
+doubled-quiver declared order, then the W1->V2 blocks by vertex order, then
+the V1->W2 blocks.  The middle layout is what cocycle files and the
+reduce/extend machinery decode against.
 
 Row-major vectorization turns X -> A X B into the Kronecker product
 vec(A X B) = (A kron B^T) vec(X), so each term above is one signed block:
@@ -25,9 +27,10 @@ these blocks into a zero grid.  Blocks add rather than being placed: on a
 loop arrow (s = t) the two alpha blocks land on the same entries, and in
 beta a loop and its reverse each write into the other's columns.
 
-Each matrix is eliminated at most once.  The cached echelon form of alpha
-gives its rank, its kernel (Hom) and its image pivots (the coboundaries);
-the one of beta gives its rank and its kernel (the cocycles).
+Each matrix is assembled on first use and eliminated at most once.  The
+cached echelon form of alpha gives its rank, its kernel (Hom) and its image
+pivots (the coboundaries); the one of beta gives its rank and its kernel
+(the cocycles).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import DimensionError, QuiverMismatchError
 from .quiver import DimVector, DoubledQuiver, chi as chi_formula
@@ -45,7 +48,7 @@ from .rep import FramedRep, is_flat
 
 @dataclass(frozen=True)
 class BlockSlot:
-    kind: str  # "arrow", "I" or "J"
+    kind: str  # "arrow", "I" or "J" in the middle, "xi" in the ends
     key: str
     rows: int
     cols: int
@@ -56,41 +59,45 @@ class BlockSlot:
         return self.rows * self.cols
 
 
-class MiddleLayout:
-    """Packing and unpacking of (C, D, E) block data to flat column vectors."""
+class BlockLayout:
+    """Packing and unpacking of named blocks to flat column vectors, one
+    slot per (kind, key), each block row-major at its slot's offset."""
 
-    def __init__(self, slots: tuple[BlockSlot, ...]):
-        self.slots = slots
-        self.dim = sum(s.size for s in slots)
-        self.offsets = {(s.kind, s.key): s.offset for s in slots}
-
-    @classmethod
-    def of(
-        cls, dq: DoubledQuiver, v1: DimVector, w1: DimVector, v2: DimVector, w2: DimVector
-    ) -> "MiddleLayout":
-        """The middle layout of the complex from (v1, w1) to (v2, w2); it
-        depends on the dimensions alone."""
-        shapes = [("arrow", a.name, v2[a.target], v1[a.source]) for a in dq.arrows]
-        shapes += [("I", i, v2[i], w1[i]) for i in dq.vertices]
-        shapes += [("J", i, w2[i], v1[i]) for i in dq.vertices]
+    def __init__(self, shapes: Iterable[tuple[str, str, int, int]]):
         slots = []
         pos = 0
         for kind, key, r, c in shapes:
             slots.append(BlockSlot(kind, key, r, c, pos))
             pos += r * c
-        return cls(tuple(slots))
+        self.slots = tuple(slots)
+        self.dim = pos
+        self.offsets = {(s.kind, s.key): s.offset for s in self.slots}
 
-    def pack(
-        self,
-        C: Mapping[str, RatMatrix] | None = None,
-        D: Mapping[str, RatMatrix] | None = None,
-        E: Mapping[str, RatMatrix] | None = None,
-    ) -> RatMatrix:
-        C, D, E = C or {}, D or {}, E or {}
-        tables = {"arrow": C, "I": D, "J": E}
+    @classmethod
+    def middle(
+        cls, dq: DoubledQuiver, v1: DimVector, w1: DimVector, v2: DimVector, w2: DimVector
+    ) -> "BlockLayout":
+        """The middle layout of the complex from (v1, w1) to (v2, w2); it
+        depends on the dimensions alone."""
+        shapes = [("arrow", a.name, v2[a.target], v1[a.source]) for a in dq.arrows]
+        shapes += [("I", i, v2[i], w1[i]) for i in dq.vertices]
+        shapes += [("J", i, w2[i], v1[i]) for i in dq.vertices]
+        return cls(shapes)
+
+    @classmethod
+    def ends(cls, dq: DoubledQuiver, v1: DimVector, v2: DimVector) -> "BlockLayout":
+        """The layout of the graded maps xi_i: V1_i -> V2_i, kind "xi"."""
+        return cls(("xi", i, v2[i], v1[i]) for i in dq.vertices)
+
+    def pack(self, **blocks_by_kind: Mapping[str, RatMatrix]) -> RatMatrix:
+        """The vector holding the given blocks; absent blocks are zero."""
+        for kind, blocks in blocks_by_kind.items():
+            for key in blocks:
+                if (kind, key) not in self.offsets:
+                    raise DimensionError(f"no {kind} block {key!r} in this layout")
         values = []
         for slot in self.slots:
-            block = tables[slot.kind].get(slot.key)
+            block = blocks_by_kind.get(slot.kind, {}).get(slot.key)
             if block is None:
                 values.extend([0] * slot.size)
                 continue
@@ -103,59 +110,22 @@ class MiddleLayout:
                 values.extend(block.row(r))
         return RatMatrix.column(values)
 
-    def unpack(self, vec: RatMatrix):
+    def unpack(self, vec: RatMatrix) -> dict[str, dict[str, RatMatrix]]:
+        """Every block of ``vec``, keyed by kind and then by key."""
         if vec.shape != (self.dim, 1):
-            raise DimensionError(f"middle vector has shape {vec.shape}, expected ({self.dim}, 1)")
-        C: dict[str, RatMatrix] = {}
-        D: dict[str, RatMatrix] = {}
-        E: dict[str, RatMatrix] = {}
-        for slot in self.slots:
-            rows = [
-                [vec[slot.offset + r * slot.cols + c, 0] for c in range(slot.cols)]
-                for r in range(slot.rows)
-            ]
-            block = RatMatrix.from_rows(rows, cols=slot.cols)
-            {"arrow": C, "I": D, "J": E}[slot.kind][slot.key] = block
-        return C, D, E
+            raise DimensionError(f"block vector has shape {vec.shape}, expected ({self.dim}, 1)")
+        flat = [row[0] for row in vec.data]
+        blocks: dict[str, dict[str, RatMatrix]] = {}
+        for s in self.slots:
+            data = tuple(
+                tuple(flat[s.offset + r * s.cols : s.offset + (r + 1) * s.cols])
+                for r in range(s.rows)
+            )
+            blocks.setdefault(s.kind, {})[s.key] = RatMatrix(s.rows, s.cols, data)
+        return blocks
 
     def descriptor(self) -> list[list]:
         return [[s.kind, s.key, s.rows, s.cols] for s in self.slots]
-
-
-class GradedLayout:
-    """Flat layout of one V1_i -> V2_i block per vertex, row-major."""
-
-    def __init__(self, vertices: tuple[str, ...], shapes: dict[str, tuple[int, int]]):
-        self.vertices = vertices
-        self.shapes = shapes
-        self.offsets: dict[str, int] = {}
-        pos = 0
-        for v in vertices:
-            self.offsets[v] = pos
-            r, c = shapes[v]
-            pos += r * c
-        self.dim = pos
-
-    def pack(self, blocks: Mapping[str, RatMatrix]) -> RatMatrix:
-        values = []
-        for v in self.vertices:
-            r, c = self.shapes[v]
-            block = blocks.get(v, RatMatrix.zeros(r, c))
-            if block.shape != (r, c):
-                raise DimensionError(f"graded block at {v!r} has shape {block.shape}, expected {(r, c)}")
-            for i in range(r):
-                values.extend(block.row(i))
-        return RatMatrix.column(values)
-
-    def unpack(self, vec: RatMatrix) -> dict[str, RatMatrix]:
-        blocks = {}
-        for v in self.vertices:
-            r, c = self.shapes[v]
-            off = self.offsets[v]
-            blocks[v] = RatMatrix.from_rows(
-                [[vec[off + i * c + j, 0] for j in range(c)] for i in range(r)], cols=c
-            )
-        return blocks
 
 
 def _add_kron(
@@ -192,8 +162,8 @@ class Complex3:
     """alpha and beta of the complex for a pair of framed representations.
 
     The cohomological readings (Hom, Ext^1, dual Hom) are valid only when
-    both inputs are flat; the ``flat`` flag records that, while the matrix
-    ranks themselves are computed unconditionally.
+    both inputs are flat; the matrix ranks themselves are computed
+    unconditionally.  Each matrix is assembled on first use.
     """
 
     def __init__(self, x1: FramedRep, x2: FramedRep):
@@ -202,41 +172,36 @@ class Complex3:
         self.x1 = x1
         self.x2 = x2
         dq = x1.dq
-        v1, v2 = x1.dim_v, x2.dim_v
-        self.middle = MiddleLayout.of(dq, v1, x1.dim_w, v2, x2.dim_w)
-        self.ends = GradedLayout(dq.vertices, {i: (v2[i], v1[i]) for i in dq.vertices})
-        self.alpha = self._assemble_alpha()
-        self.beta = self._assemble_beta()
+        self.middle = BlockLayout.middle(dq, x1.dim_v, x1.dim_w, x2.dim_v, x2.dim_w)
+        self.ends = BlockLayout.ends(dq, x1.dim_v, x2.dim_v)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.ends.dim, self.middle.dim, self.ends.dim)
 
     @cached_property
-    def flat(self) -> bool:
-        return is_flat(self.x1) and is_flat(self.x2)
-
-    def _assemble_alpha(self) -> RatMatrix:
+    def alpha(self) -> RatMatrix:
         x1, x2, dq = self.x1, self.x2, self.x1.dq
         v1, v2 = x1.dim_v, x2.dim_v
         rows, cols = self.middle.offsets, self.ends.offsets
         grid = _zero_grid(self.middle.dim, self.ends.dim)
         for a in dq.arrows:
             r0 = rows["arrow", a.name]
-            _add_kron(grid, r0, cols[a.target], 1, _eye(v2[a.target]), x1.B[a.name])
-            _add_kron(grid, r0, cols[a.source], -1, x2.B[a.name], _eye(v1[a.source]))
+            _add_kron(grid, r0, cols["xi", a.target], 1, _eye(v2[a.target]), x1.B[a.name])
+            _add_kron(grid, r0, cols["xi", a.source], -1, x2.B[a.name], _eye(v1[a.source]))
         for i in dq.vertices:
-            _add_kron(grid, rows["I", i], cols[i], 1, _eye(v2[i]), x1.I[i])
-            _add_kron(grid, rows["J", i], cols[i], -1, x2.J[i], _eye(v1[i]))
+            _add_kron(grid, rows["I", i], cols["xi", i], 1, _eye(v2[i]), x1.I[i])
+            _add_kron(grid, rows["J", i], cols["xi", i], -1, x2.J[i], _eye(v1[i]))
         return RatMatrix(self.middle.dim, self.ends.dim, tuple(map(tuple, grid)))
 
-    def _assemble_beta(self) -> RatMatrix:
+    @cached_property
+    def beta(self) -> RatMatrix:
         x1, x2, dq = self.x1, self.x2, self.x1.dq
         v1, v2 = x1.dim_v, x2.dim_v
         rows, cols = self.ends.offsets, self.middle.offsets
         grid = _zero_grid(self.ends.dim, self.middle.dim)
         for i in dq.vertices:
-            r0 = rows[i]
+            r0 = rows["xi", i]
             for a in dq.arrows_into(i):
                 eps, bar = dq.eps(a.name), dq.bar(a.name)
                 _add_kron(grid, r0, cols["arrow", bar], eps, x2.B[a.name], _eye(v1[i]))
@@ -272,7 +237,7 @@ class Complex3:
     @cached_property
     def image_alpha(self) -> list[RatMatrix]:
         """The columns of alpha at its echelon pivots: a basis of the
-        coboundaries, as ``ratmat.image_basis`` would return it."""
+        coboundaries."""
         return [self.alpha.column_matrix(j) for j in self._alpha_echelon[1]]
 
     def hom_dim(self) -> int:
@@ -285,7 +250,7 @@ class Complex3:
         return self.ends.dim - self.rank_beta
 
     def hom_basis(self) -> list[dict[str, RatMatrix]]:
-        return [self.ends.unpack(v) for v in self.kernel_alpha]
+        return [self.ends.unpack(v)["xi"] for v in self.kernel_alpha]
 
     def ext1_reps(self) -> list[RatMatrix]:
         """Deterministic cocycle representatives: the kernel-of-beta basis

@@ -18,10 +18,11 @@ from .errors import DimensionError, FormatError, InconsistentSystemError
 Scalar = Union[int, str, Fraction]
 
 def as_fraction(value: Scalar) -> Fraction:
-    """Coerce an int, Fraction or ``"p/q"`` string to an exact rational."""
+    """Coerce an int, Fraction or ``"p/q"`` string to an exact rational; a
+    bool is not an int here."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         match = re.fullmatch(r"(-?[0-9]+)(?:/(-?[0-9]+))?", value)
@@ -223,12 +224,6 @@ def kernel_from_echelon(reduced: RatMatrix, pivots: tuple[int, ...]) -> list[Rat
             vec[pc] = -reduced.data[r][free]
         basis.append(RatMatrix.column(vec))
     return basis
-
-
-def image_basis(m: RatMatrix) -> list[RatMatrix]:
-    """Original columns of ``m`` sitting at the echelon pivot indices."""
-    _, pivots = rref(m)
-    return [m.column_matrix(j) for j in pivots]
 
 
 def column_space_echelon(m: RatMatrix) -> RatMatrix:

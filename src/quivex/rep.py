@@ -228,39 +228,6 @@ def sample_flat(
     return FramedRep(dq, dim_v, dim_w, B, I, J)
 
 
-def sample_flat_crystal(
-    dq: DoubledQuiver,
-    dim_v: DimVector,
-    dim_w: DimVector,
-    seed: int,
-) -> FramedRep | None:
-    """A flat point built by extension steps from the empty representation.
-
-    Grows one fiber dimension at a time, at seeded vertices, by picking an
-    extension class against the simple module there; this produces points
-    with nonzero J.  Returns None when some step has no extensions left
-    (the caller should fall back to ``sample_flat``).
-    """
-    from . import hecke, homext  # local import: hecke sits a layer above rep
-
-    rng = random.Random(seed)
-    order = [v for v in dq.vertices for _ in range(dim_v[v])]
-    rng.shuffle(order)
-    x = FramedRep(dq, DimVector.zero(dq), dim_w)
-    for vertex in order:
-        reps = homext.ext1_reps(simple_rep(dq, vertex), x)
-        if not reps:
-            return None
-        coeffs = [rng.randint(-2, 2) for _ in reps]
-        if all(c == 0 for c in coeffs):
-            coeffs[rng.randrange(len(coeffs))] = 1
-        cls = reps[0].scale(coeffs[0])
-        for c, r in zip(coeffs[1:], reps[1:]):
-            cls = cls + r.scale(c)
-        x = hecke.extend_i(x, vertex, [cls])
-    return x
-
-
 def cb_apply(x: FramedRep, infinity: str = "inf") -> FramedRep:
     """Rewrite the framing as arrow matrices of the one-vertex-extended quiver.
 

@@ -11,11 +11,12 @@ from quivex.hecke import (
     extend_i,
     recovery_classes,
     reduce_i,
+    sample_flat_crystal,
 )
 from quivex.invariants import pi_fingerprint
 from quivex.quiver import Arrow, DimVector, Quiver, ZetaParam, ade_minimal_resolution_setup, chi, d_of, double
 from quivex.ratmat import RatMatrix
-from quivex.rep import FramedRep, conjugate, is_flat, sample_flat_crystal, simple_rep
+from quivex.rep import FramedRep, conjugate, is_flat, simple_rep
 from quivex.stability import is_stable
 
 A2 = ade_minimal_resolution_setup("A2")[0]
@@ -47,6 +48,15 @@ def test_epsilon_rejects_loops():
     dq = double(Quiver(["1"], [Arrow("l", "1", "1")]))
     with pytest.raises(DomainError):
         epsilon_i(simple_rep(dq, "1"), "1")
+
+
+def test_crystal_sampler_meets_the_loop_check():
+    # a step extends like extend_i, so the first step that has a class fails
+    q = Quiver(["1"], [Arrow("l", "1", "1")])
+    one = DimVector.of(q, {"1": 1})
+    with pytest.raises(DomainError, match="^extend_i assumes a quiver without edge loops$"):
+        sample_flat_crystal(double(q), one, one, 0)
+    assert sample_flat_crystal(double(q), one, DimVector.zero(q), 0) is None
 
 
 def test_reduce_noop_when_no_homs(crystal):

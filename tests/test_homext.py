@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 
 from quivex import formats, homext
 from quivex.bundles import a2crystal_bundle
-from quivex.errors import QuiverMismatchError
-from quivex.hecke import class_layout
+from quivex.errors import DimensionError, QuiverMismatchError
+from quivex.hecke import class_layout, sample_flat_crystal
 from quivex.homext import (
+    BlockLayout,
     build_complex,
     cohom_dim,
     euler_check,
@@ -17,8 +18,8 @@ from quivex.homext import (
     hom_ext_report,
 )
 from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, chi, double
-from quivex.ratmat import RatMatrix, hstack
-from quivex.rep import FramedRep, sample_flat, sample_flat_crystal, simple_rep
+from quivex.ratmat import RatMatrix, hstack, rank, solve_exact
+from quivex.rep import FramedRep, sample_flat, simple_rep
 
 A2 = ade_minimal_resolution_setup("A2")[0]
 DQ2 = double(A2)
@@ -141,8 +142,6 @@ def test_nonflat_inputs_flagged():
         DimVector.zero(A2),
         B={"1->2": RatMatrix.from_rows([[1]]), "1->2*": RatMatrix.from_rows([[1]])},
     )
-    c = build_complex(bad, bad)
-    assert not c.flat
     report = hom_ext_report(bad, bad)
     assert report["flat"] == [False, False]
 
@@ -167,14 +166,14 @@ def probe_alpha(c):
     x1, x2, dq = c.x1, c.x2, c.x1.dq
     cols = []
     for k in range(c.ends.dim):
-        xi = c.ends.unpack(_unit(c.ends.dim, k))
+        xi = c.ends.unpack(_unit(c.ends.dim, k))["xi"]
         C = {
             a.name: xi[a.target] @ x1.B[a.name] - x2.B[a.name] @ xi[a.source]
             for a in dq.arrows
         }
         D = {i: xi[i] @ x1.I[i] for i in dq.vertices}
         E = {i: -(x2.J[i] @ xi[i]) for i in dq.vertices}
-        cols.append(c.middle.pack(C, D, E))
+        cols.append(c.middle.pack(arrow=C, I=D, J=E))
     return hstack(cols, rows=c.middle.dim)
 
 
@@ -183,15 +182,16 @@ def probe_beta(c):
     x1, x2, dq = c.x1, c.x2, c.x1.dq
     cols = []
     for k in range(c.middle.dim):
-        C, D, E = c.middle.unpack(_unit(c.middle.dim, k))
-        blocks = {}
+        blocks = c.middle.unpack(_unit(c.middle.dim, k))
+        C, D, E = blocks["arrow"], blocks["I"], blocks["J"]
+        xi = {}
         for i in dq.vertices:
             acc = RatMatrix.zeros(x2.dim_v[i], x1.dim_v[i])
             for a in dq.arrows_into(i):
                 term = x2.B[a.name] @ C[dq.bar(a.name)] + C[a.name] @ x1.B[dq.bar(a.name)]
                 acc = acc + (term if dq.eps(a.name) == 1 else -term)
-            blocks[i] = acc + x2.I[i] @ E[i] + D[i] @ x1.J[i]
-        cols.append(c.ends.pack(blocks))
+            xi[i] = acc + x2.I[i] @ E[i] + D[i] @ x1.J[i]
+        cols.append(c.ends.pack(xi=xi))
     return hstack(cols, rows=c.ends.dim)
 
 
@@ -288,3 +288,58 @@ def test_report_builds_each_complex_once(counted):
     x, y, counts = counted
     hom_ext_report(x, y)
     assert counts == {"rref": 4, "build": 2}
+
+
+def test_sampler_builds_one_complex_per_step(counted):
+    # each step eliminates alpha, beta and the cocycle stack of one complex
+    _, _, counts = counted
+    v = DimVector.of(A2, {"1": 1, "2": 2})
+    assert sample_flat_crystal(DQ2, v, v, 7) is not None
+    assert counts == {"rref": 3 * v.total(), "build": v.total()}
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=20)
+def test_image_alpha_spans(seed):
+    x, y = flat_pair(seed)
+    c = build_complex(x, y)
+    basis = c.image_alpha
+    assert len(basis) == rank(c.alpha)
+    if basis:
+        stacked = hstack(basis)
+        for j in range(c.alpha.cols):
+            solve_exact(stacked, c.alpha.column_matrix(j))
+
+
+# ------------------------------------------------------- block layout
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_CASES))
+@given(st.data())
+@settings(deadline=None, max_examples=20)
+def test_block_layout_round_trip(name, data):
+    q = ASSEMBLY_CASES[name][0]
+    fibers = st.fixed_dictionaries({i: st.integers(0, 2) for i in q.vertices})
+    v1, w1, v2, w2 = (DimVector.of(q, data.draw(fibers)) for _ in range(4))
+    dq = double(q)
+    for layout in (BlockLayout.middle(dq, v1, w1, v2, w2), BlockLayout.ends(dq, v1, v2)):
+        entries = st.lists(st.integers(-3, 3), min_size=layout.dim, max_size=layout.dim)
+        vec = RatMatrix.column(data.draw(entries))
+        assert layout.pack(**layout.unpack(vec)) == vec
+
+
+def test_pack_rejects_unknown_blocks():
+    layout = build_complex(*flat_pair(3)).middle
+    block = RatMatrix.zeros(1, 1)
+    with pytest.raises(DimensionError, match="no C block '1->2' in this layout"):
+        layout.pack(C={"1->2": block})
+    with pytest.raises(DimensionError, match="no I block '3' in this layout"):
+        layout.pack(I={"3": block})
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_unpack_checks_the_length(extra):
+    c = build_complex(*flat_pair(3))
+    for layout in (c.middle, c.ends):
+        with pytest.raises(DimensionError):
+            layout.unpack(RatMatrix.column([0] * (layout.dim + extra)))

@@ -38,6 +38,19 @@ def test_package_raises_only_quivex_errors():
     assert offenders == []
 
 
+def test_imports_only_at_module_level():
+    # a function-level import is how a module reaches a layer above it
+    # without a cycle showing at import time; keep every import at the top
+    offenders = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for inner in ast.walk(node):
+                    if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                        offenders.add(f"{path.name}:{inner.lineno}")
+    assert sorted(offenders) == []
+
+
 def test_failed_internal_check_exit_3(capsys, monkeypatch, tmp_path):
     rep = tmp_path / "rep.json"
     rep.write_text(json.dumps(formats.rep_to_json(a2crystal_bundle().reps["generic"])))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quivex.bundles import an_bundle, an_chain_sample, d4_bundle
 from quivex.errors import DomainError, WrongSetupError
+from quivex.hecke import sample_flat_crystal
 from quivex.invariants import (
     a1_relations,
     an_xyz,
@@ -24,7 +25,6 @@ from quivex.rep import (
     evaluate_path,
     is_flat,
     sample_flat,
-    sample_flat_crystal,
     simple_rep,
 )
 

@@ -163,6 +163,11 @@ def test_zeta_rejects_loose_literal():
         ZetaParam.of(a2(), {"1": " 3 "})
 
 
+def test_zeta_rejects_bool():
+    with pytest.raises(FormatError, match="cannot interpret True"):
+        ZetaParam.of(a2(), {"1": True})
+
+
 def test_cb_transform_a1():
     q = ade_minimal_resolution_setup("A1")[0]
     q2, inf = cb_transform(q, DimVector.of(q, {"1": 2}))

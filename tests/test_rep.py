@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from quivex.bundles import an_bundle
 from quivex.errors import BadPathError, DimensionError, DomainError, QuiverMismatchError
+from quivex.hecke import sample_flat_crystal
 from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, double
 from quivex.ratmat import RatMatrix, rank
 from quivex.rep import (
@@ -17,7 +18,6 @@ from quivex.rep import (
     is_flat,
     moment_map,
     sample_flat,
-    sample_flat_crystal,
     simple_rep,
     transpose,
 )

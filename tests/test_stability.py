@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quivex import acceptance, ratmat
 from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, d4_bundle
 from quivex.errors import NotFlatError, UnsupportedZetaError
+from quivex.hecke import sample_flat_crystal
 from quivex.quiver import Arrow, DimVector, Quiver, ZetaParam, ade_minimal_resolution_setup, double
 from quivex.ratmat import RatMatrix, column_space_echelon, hstack, kernel_basis, rank, vstack
 from quivex.rep import (
@@ -15,7 +16,6 @@ from quivex.rep import (
     conjugate,
     is_flat,
     sample_flat,
-    sample_flat_crystal,
     simple_rep,
     transpose,
 )
@@ -185,11 +185,25 @@ def _reference_max_invariant_in_kerJ(x: FramedRep) -> GradedSubspace:
             return GradedSubspace(basis)
 
 
+def _reference_min_invariant_over_imI(x: FramedRep) -> GradedSubspace:
+    """Recompute every vertex from the previous pass until none grows."""
+    dq = x.dq
+    basis = {i: column_space_echelon(x.I[i]) for i in dq.vertices}
+    while True:
+        new_basis = {}
+        for i in dq.vertices:
+            pieces = [basis[i]] + [x.B[a.name] @ basis[a.source] for a in dq.arrows_into(i)]
+            new_basis[i] = column_space_echelon(hstack(pieces, rows=x.dim_v[i]))
+        if all(new_basis[i].cols == basis[i].cols for i in dq.vertices):
+            return GradedSubspace(new_basis)
+        basis = new_basis
+
+
 def _reference_verdict(x: FramedRep, sign: int) -> tuple:
     if sign > 0:
         s = _reference_max_invariant_in_kerJ(x)
         return (True, None) if s.is_zero() else (False, s.blocks)
-    t = min_invariant_over_imI(x)
+    t = _reference_min_invariant_over_imI(x)
     return (True, None) if t.equals_ambient(x.dim_v) else (False, t.blocks)
 
 
@@ -248,6 +262,7 @@ def _a1_samples() -> list[FramedRep]:
 
 def _check_against_reference(x: FramedRep) -> None:
     assert max_invariant_in_kerJ(x).blocks == _reference_max_invariant_in_kerJ(x).blocks
+    assert min_invariant_over_imI(x).blocks == _reference_min_invariant_over_imI(x).blocks
     if not is_flat(x):
         return
     for sign in (1, -1):
@@ -310,3 +325,24 @@ def test_kerJ_side_eliminates_less_than_reference(monkeypatch):
     assert reference_calls == 44
     assert subspace_calls < reference_calls
     assert len(calls) < subspace_calls
+
+
+def test_fixed_point_recomputes_only_stale_vertices(monkeypatch):
+    """A pass recomputes a vertex only after an in-neighbour grew, so a
+    point without arrows is decided by its one initial elimination."""
+    calls = []
+    rref = ratmat.rref
+
+    def counted(m):
+        calls.append(None)
+        return rref(m)
+
+    monkeypatch.setattr(ratmat, "rref", counted)
+
+    def positive_verdict_calls(x):
+        calls.clear()
+        assert is_stable(x, ZetaParam.constant(x.dq, 1)).stable
+        return len(calls)
+
+    assert positive_verdict_calls(a1_bundle(3, 1).reps["stable"]) == 1
+    assert positive_verdict_calls(d4_bundle().reps["point"]) <= 12
