@@ -2,11 +2,15 @@
 attached to a loop-free quiver.
 
 Positive roots come from exact reflection enumeration in finite type and
-from the Peterson recursion up to a height cutoff otherwise; weight
-multiplicities of the integrable highest-weight module come from the
-Freudenthal recursion.  Conventions: simple roots are coordinate vectors,
-the bilinear form is the Cartan matrix itself, and the Weyl functional
-pairs to 1 against every simple root.  All arithmetic is exact.
+from the Peterson recursion up to a height cutoff otherwise.  Weight
+multiplicities of the integrable highest-weight module come from
+Freudenthal's formula on dominant weights only: multiplicities are invariant
+under the Weyl group, so each drop is reduced to the dominant drop of its
+orbit, and the dominant drops a query needs are evaluated from a worklist in
+order of height, with no recursion.  Conventions: simple roots are
+coordinate vectors, the bilinear form is the Cartan matrix itself, and the
+Weyl functional pairs to 1 against every simple root.  All arithmetic is
+exact.
 
 Sessions own their memo tables; share a session across threads only with
 external locking (one session per thread is the supported pattern).
@@ -59,6 +63,11 @@ def is_finite_type(gcm: GCM) -> bool:
 
 def _dot(gcm: GCM, a: Coeffs, b: Coeffs) -> int:
     return sum(a[i] * gcm[i][j] * b[j] for i in range(len(a)) for j in range(len(a)))
+
+
+def _pair(gcm: GCM, a: Coeffs) -> list[int]:
+    """The pairings (a, alpha_i) with every simple root."""
+    return [sum(g * x for g, x in zip(row, a)) for row in gcm]
 
 
 def _finite_positive_roots(gcm: GCM) -> list[tuple[Coeffs, int]]:
@@ -177,11 +186,22 @@ class WeightSpec:
 
 
 class MultiplicitySession:
-    """Freudenthal recursion with a per-session memo table."""
+    """Freudenthal's formula with a per-session memo keyed by dominant drops.
+
+    Multiplicities are invariant under the Weyl group, so every drop is first
+    reduced to the dominant drop of its orbit, and only dominant drops are
+    memoised.  A query collects the dominant drops it needs on a worklist and
+    evaluates them in order of height, lowest first; every term of
+    Freudenthal's sum reduces to a strictly lower dominant drop, so each one
+    is evaluated after everything it depends on, with no recursion.
+    """
 
     def __init__(self, roots: RootSystemData, highest: Coeffs):
         if len(highest) != roots.rank:
             raise DomainError("highest weight has the wrong rank")
+        for h in highest:
+            if not isinstance(h, int) or isinstance(h, bool) or h < 0:
+                raise DomainError(f"highest weight entry {h!r} is not a nonnegative integer")
         self.roots = roots
         self.highest = highest
         self._memo: dict[Coeffs, int] = {(0,) * roots.rank: 1}
@@ -197,38 +217,79 @@ class MultiplicitySession:
                 f"weight at height {height} exceeds the root cutoff {self.roots.cutoff}; "
                 "rebuild the root system with a larger cutoff"
             )
-        return self._mult(drop)
-
-    def _mult(self, drop: Coeffs) -> int:
-        cached = self._memo.get(drop)
-        if cached is not None:
-            return cached
-        gcm = self.roots.gcm
-        w = self.highest
-        denominator = 2 * sum(d * (wi + 1) for d, wi in zip(drop, w)) - _dot(gcm, drop, drop)
-        if denominator <= 0:
-            self._memo[drop] = 0
+        target = self._dominant(drop, self._coroot_values(drop))
+        if target is None:
             return 0
-        total = 0
+        pending: dict[Coeffs, dict[Coeffs, int]] = {}
+        worklist = [target]
+        while worklist:
+            needed = worklist.pop()
+            if needed not in self._memo and needed not in pending:
+                pending[needed] = self._freudenthal_terms(needed)
+                worklist.extend(pending[needed])
+        for needed in sorted(pending, key=sum):
+            self._memo[needed] = self._evaluate(needed, pending[needed])
+        return self._memo[target]
+
+    def _coroot_values(self, drop: Coeffs) -> list[int]:
+        """c_i = w_i - (C drop)_i, the value of the weight on the coroot i."""
+        return [h - p for h, p in zip(self.highest, _pair(self.roots.gcm, drop))]
+
+    def _dominant(self, drop: Coeffs, values: list[int]) -> Coeffs | None:
+        """The dominant drop in the Weyl orbit of the weight, or None when a
+        simple reflection takes the weight out of the cone below the highest
+        weight (multiplicity 0).  Each reflection lowers the height, so the
+        loop ends.  ``values`` holds the coroot values of ``drop`` and is
+        updated in place."""
+        gcm = self.roots.gcm
+        reduced = list(drop)
+        while True:
+            i = next((i for i, c in enumerate(values) if c < 0), None)
+            if i is None:
+                return tuple(reduced)
+            c = values[i]
+            reduced[i] += c
+            if reduced[i] < 0:
+                return None
+            for j, row in enumerate(gcm):
+                values[j] -= row[i] * c
+
+    def _freudenthal_terms(self, drop: Coeffs) -> dict[Coeffs, int]:
+        """Freudenthal's sum at a dominant drop as {dominant drop: coefficient};
+        a term whose weight reflects out of the cone below the highest weight
+        has multiplicity 0 and is left out."""
+        values = self._coroot_values(drop)
+        terms: dict[Coeffs, int] = {}
         for alpha, alpha_mult in self.roots.positive_roots:
             if any(a > d for a, d in zip(alpha, drop)):
                 continue
-            norm = _dot(gcm, alpha, alpha)
-            lam_alpha = sum(a * wi for a, wi in zip(alpha, w))
-            drop_alpha = _dot(gcm, drop, alpha)
+            alpha_pair = _pair(self.roots.gcm, alpha)
+            norm = sum(a * p for a, p in zip(alpha, alpha_pair))
+            highest_alpha = sum(a * h for a, h in zip(alpha, self.highest))
+            drop_alpha = sum(d * p for d, p in zip(drop, alpha_pair))
             k = 1
             while True:
                 shifted = tuple(d - k * a for d, a in zip(drop, alpha))
                 if any(s < 0 for s in shifted):
                     break
-                m = self._mult(shifted)
-                if m:
-                    total += alpha_mult * m * (lam_alpha - drop_alpha + k * norm)
+                key = self._dominant(shifted, [c + k * p for c, p in zip(values, alpha_pair)])
+                if key is not None:
+                    coefficient = alpha_mult * (highest_alpha - drop_alpha + k * norm)
+                    terms[key] = terms.get(key, 0) + coefficient
                 k += 1
+        return terms
+
+    def _evaluate(self, drop: Coeffs, terms: dict[Coeffs, int]) -> int:
+        # (highest + rho)^2 - (weight + rho)^2, positive at every dominant drop
+        denominator = 2 * sum(d * (h + 1) for d, h in zip(drop, self.highest)) - _dot(
+            self.roots.gcm, drop, drop
+        )
+        if denominator <= 0:
+            raise InternalCheckError(f"nonpositive Freudenthal denominator at {drop}")
+        total = sum(coefficient * self._memo[key] for key, coefficient in terms.items())
         value, remainder = divmod(2 * total, denominator)
         if remainder or value < 0:
             raise InternalCheckError(f"non-integral weight multiplicity at {drop}")
-        self._memo[drop] = value
         return value
 
 

@@ -63,25 +63,26 @@ def min_invariant_over_imI(x: FramedRep) -> GradedSubspace:
     """Smallest graded subspace containing every Im I and preserved by B;
     increasing fixed-point iteration.
 
-    The first pass recomputes every vertex with an arrow in; each later pass
-    only those with an arrow in from a vertex that grew on the pass before.
-    Each basis is the canonical echelon form of its span, so the fixed point
-    does not depend on the order of the updates.
+    Passes run over the vertices in order and recompute the stale ones. At
+    first every vertex with an arrow in is stale; a vertex becomes stale again
+    only when an in-neighbour grows after its last recomputation, so a loop
+    arrow i -> i keeps a grown i stale.  Each basis is the canonical echelon
+    form of its span, so the fixed point does not depend on the order of the
+    updates.
     """
     dq = x.dq
     basis = {i: column_space_echelon(x.I[i]) for i in dq.vertices}
     stale = {a.target for a in dq.arrows}
     while stale:
-        grown = set()
         for i in dq.vertices:
             if i not in stale:
                 continue
+            stale.discard(i)
             pieces = [basis[i]] + [x.B[a.name] @ basis[a.source] for a in dq.arrows_into(i)]
             new = column_space_echelon(hstack(pieces, rows=x.dim_v[i]))
             if new.cols != basis[i].cols:
-                grown.add(i)
+                stale.update(a.target for a in dq.arrows_out_of(i))
             basis[i] = new
-        stale = {a.target for a in dq.arrows if a.source in grown}
     return GradedSubspace(basis)
 
 

@@ -1,8 +1,9 @@
 import itertools
+import sys
 
 import pytest
 
-from quivex.errors import CutoffError, InvalidCartanError
+from quivex.errors import CutoffError, DomainError, InvalidCartanError
 from quivex.kacmoody import (
     MultiplicitySession,
     WeightSpec,
@@ -234,3 +235,128 @@ def test_cutoff_error_is_loud():
     )
     with pytest.raises(CutoffError):
         weight_multiplicity(roots, spec)
+
+
+class RecursiveReference:
+    """The recursive Freudenthal evaluation, memoising every drop it meets:
+    the reference for the dominant-drop worklist in ``MultiplicitySession``."""
+
+    def __init__(self, roots, highest):
+        self.roots = roots
+        self.highest = highest
+        self.memo = {(0,) * roots.rank: 1}
+
+    def multiplicity(self, drop):
+        if any(d < 0 for d in drop):
+            return 0
+        return self._mult(drop)
+
+    def _mult(self, drop):
+        cached = self.memo.get(drop)
+        if cached is not None:
+            return cached
+        gcm = self.roots.gcm
+        w = self.highest
+        denominator = 2 * sum(d * (wi + 1) for d, wi in zip(drop, w)) - form(gcm, drop, drop)
+        if denominator <= 0:
+            self.memo[drop] = 0
+            return 0
+        total = 0
+        for alpha, alpha_mult in self.roots.positive_roots:
+            if any(a > d for a, d in zip(alpha, drop)):
+                continue
+            lam_alpha = sum(a * wi for a, wi in zip(alpha, w))
+            drop_alpha = form(gcm, drop, alpha)
+            k = 1
+            while True:
+                shifted = tuple(d - k * a for d, a in zip(drop, alpha))
+                if any(s < 0 for s in shifted):
+                    break
+                m = self._mult(shifted)
+                if m:
+                    total += alpha_mult * m * (lam_alpha - drop_alpha + k * form(gcm, alpha, alpha))
+                k += 1
+        value, remainder = divmod(2 * total, denominator)
+        assert not remainder and value >= 0, drop
+        self.memo[drop] = value
+        return value
+
+
+def form(gcm, a, b):
+    return sum(a[i] * gcm[i][j] * b[j] for i in range(len(a)) for j in range(len(b)))
+
+
+def assert_dominant_memo(session):
+    gcm, w = session.roots.gcm, session.highest
+    for key in session._memo:
+        values = [w[i] - sum(gcm[i][j] * key[j] for j in range(len(key))) for i in range(len(key))]
+        assert min(values) >= 0, key
+
+
+@pytest.mark.parametrize(
+    "label,scale,size", [("D4", 2, 135), ("A4", 2, 81), ("E6", 1, 432)]
+)
+def test_dominant_drops_match_recursive_reference(label, scale, size):
+    q, v, w = ade_minimal_resolution_setup(label)
+    roots = roots_for_quiver(q, scale * v.total())
+    drops = list(itertools.product(*(range(scale * m + 1) for m in v.values)))
+    assert len(drops) == size
+    session = MultiplicitySession(roots, w.values)
+    reference = RecursiveReference(roots, w.values)
+    assert [session.multiplicity(d) for d in drops] == [reference.multiplicity(d) for d in drops]
+    assert_dominant_memo(session)
+
+
+@pytest.mark.parametrize("label", ["A2", "D4"])
+def test_affine_rewrites_match_recursive_reference(label):
+    # W-invariance holds for every integrable highest-weight module, so the
+    # affine rewrites are checked at every highest weight in {0, 1}^n
+    q, _, w = ade_minimal_resolution_setup(label)
+    affine, _ = cb_transform(q, w)
+    roots = roots_for_quiver(affine, 8)
+    n = len(affine.vertices)
+    drops = [d for d in itertools.product(range(3), repeat=n) if sum(d) <= 8]
+    for highest in itertools.product(range(2), repeat=n):
+        session = MultiplicitySession(roots, highest)
+        reference = RecursiveReference(roots, highest)
+        values = [session.multiplicity(d) for d in drops]
+        assert values == [reference.multiplicity(d) for d in drops], highest
+        assert_dominant_memo(session)
+
+
+def test_e6_adjoint_box_sum_is_the_dimension():
+    q, v, w = ade_minimal_resolution_setup("E6")
+    roots = roots_for_quiver(q, 2 * v.total())
+    session = MultiplicitySession(roots, w.values)
+    drops = itertools.product(*(range(2 * m + 1) for m in v.values))
+    assert sum(session.multiplicity(d) for d in drops) == 78
+
+
+@pytest.mark.parametrize("label,rank", [("E6", 6), ("E7", 7), ("E8", 8)])
+def test_adjoint_zero_weight_is_the_rank(label, rank):
+    q, v, w = ade_minimal_resolution_setup(label)
+    session = MultiplicitySession(roots_for_quiver(q, v.total()), w.values)
+    assert session.multiplicity(v.values) == rank
+    # every root is W-conjugate to the highest root, so the zero weight
+    # needs only the highest weight and itself
+    assert sorted(session._memo) == [(0,) * rank, v.values]
+
+
+@pytest.mark.parametrize("highest", [(-1,), (True,)])
+def test_highest_weight_must_be_dominant_integral(highest):
+    roots = roots_for_quiver(ade_minimal_resolution_setup("A1")[0], 2)
+    with pytest.raises(DomainError, match="highest weight"):
+        MultiplicitySession(roots, highest)
+
+
+def test_deep_drops_need_no_recursion():
+    # a recursive evaluation nests 500 calls here, beyond the lowered limit
+    q = ade_minimal_resolution_setup("A1")[0]
+    v = DimVector.of(q, {"1": 500})
+    w = DimVector.of(q, {"1": 1000})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        assert predicted_component_count(q, v, w) == 1
+    finally:
+        sys.setrecursionlimit(limit)

@@ -10,11 +10,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str) -> str:
+def run_script(name: str, *args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -27,6 +27,13 @@ def test_minimal_resolution_report():
     # A2..A5 by default: 2 + 3 + 4 + 5 broken-chain points
     assert zero == ["True"] * 14
     assert out.count("x*y == z^") == 4 and ": False" not in out
+
+
+def test_minimal_resolution_report_exceptional_counts():
+    out = run_script("minimal_resolution_report.py", "--labels", "E6", "E7", "E8")
+    counts = re.findall(r"^\s+(E\d)\s+\d+\s+-?\d+\s+(\d+)$", out, re.MULTILINE)
+    # the zero weight of the adjoint module has multiplicity the rank
+    assert counts == [("E6", "6"), ("E7", "7"), ("E8", "8")]
 
 
 def test_crystal_walk():
