@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,28 +24,15 @@ from .stability import is_stable, stabilizer_trivial
 
 
 class _Inputs:
-    """Collects path -> sha256 records for the report envelope."""
+    """Collects label -> source and sha256 records for the report envelope."""
 
     def __init__(self):
         self.records: dict[str, dict] = {}
 
     def json_arg(self, label: str, value: str):
         """A CLI value that is either a path, '-' for stdin, or inline JSON."""
-        text = value.strip()
-        if text == "-":
-            source, text = "stdin", sys.stdin.read()
-        elif text.startswith(("{", "[")):
-            source = "inline"
-        else:
-            path = Path(value)
-            payload = formats.load_json_file(path)
-            self.records[label] = {"path": str(path), "sha256": formats.file_sha256(path)}
-            return payload
-        self.records[label] = {source: True, "sha256": formats.text_sha256(text)}
-        try:
-            return json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"{source} JSON for {label}: {exc}") from exc
+        payload, self.records[label] = formats.read_input(label, value)
+        return payload
 
 
 def _load_rep(inputs: _Inputs, label: str, value: str):
@@ -365,10 +353,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except tuple(_EXIT_CODES) as exc:
-        _emit(args.command, error={"type": type(exc).__name__, "message": str(exc)})
-        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        try:
+            code = args.func(args)
+        except tuple(_EXIT_CODES) as exc:
+            _emit(args.command, error={"type": type(exc).__name__, "message": str(exc)})
+            code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nobody reads stdout, so no report can reach them; send what is still
+        # buffered to devnull, or the flush at exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

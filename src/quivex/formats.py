@@ -1,4 +1,5 @@
-"""JSON schemas shared by the CLI and the file formats.
+"""JSON schemas shared by the CLI and the file formats, and the one reader
+of CLI inputs.
 
 Matrix entries are integers or strings ``"p/q"`` with positive denominator
 and reduced fraction on output; inputs may be unnormalized.  See
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -21,7 +23,7 @@ from .bundles import ExampleBundle
 from .errors import FormatError
 from .homext import BlockLayout
 from .quiver import Arrow, DimVector, DoubledQuiver, Quiver, ZetaParam, double
-from .ratmat import RatMatrix, as_fraction
+from .ratmat import RatMatrix
 from .rep import FramedRep
 
 
@@ -41,16 +43,6 @@ def fraction_to_json(value: Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def fraction_from_json(obj: Any) -> Fraction:
-    if isinstance(obj, bool):
-        raise FormatError(f"expected a rational, got {obj!r}")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        return as_fraction(obj)
-    raise FormatError(f"expected int or 'p/q' string, got {type(obj).__name__}")
-
-
 def matrix_to_json(m: RatMatrix) -> list[list[int | str]]:
     return [[fraction_to_json(v) for v in row] for row in m.data]
 
@@ -60,12 +52,10 @@ def matrix_from_json(obj: Any, rows: int, cols: int) -> RatMatrix:
         raise FormatError("matrix must be a JSON array of rows")
     if len(obj) != rows:
         raise FormatError(f"matrix has {len(obj)} rows, expected {rows}")
-    data = []
     for row in obj:
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError(f"matrix row has wrong width, expected {cols}")
-        data.append([fraction_from_json(v) for v in row])
-    return RatMatrix.from_rows(data, cols=cols)
+    return RatMatrix.from_rows(obj, cols=cols)
 
 
 def quiver_to_json(q: Quiver) -> dict:
@@ -102,9 +92,7 @@ def dimvec_from_json(q: Quiver | DoubledQuiver, obj: Any) -> DimVector:
 def zeta_from_json(q: Quiver | DoubledQuiver, obj: Any) -> ZetaParam:
     if not isinstance(obj, dict):
         raise FormatError("zeta must be a JSON object vertex -> rational")
-    return ZetaParam.of(
-        q, {_read(k, str, "vertex name"): fraction_from_json(val) for k, val in obj.items()}
-    )
+    return ZetaParam.of(q, {_read(k, str, "vertex name"): val for k, val in obj.items()})
 
 
 def rep_to_json(x: FramedRep) -> dict:
@@ -132,12 +120,8 @@ def rep_from_json(obj: Any, base_dir: Path | None = None) -> FramedRep:
         raise FormatError("representation must be a JSON object")
     quiver_field = obj.get("quiver")
     if isinstance(quiver_field, str):
-        path = Path(quiver_field)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        quiver = quiver_from_json(load_json_file(path))
-    else:
-        quiver = quiver_from_json(quiver_field)
+        quiver_field, _ = read_input("quiver", Path(base_dir or "", quiver_field))
+    quiver = quiver_from_json(quiver_field)
     dq = double(quiver)
     if "dimV" not in obj:
         raise FormatError("representation needs 'dimV'")
@@ -201,7 +185,7 @@ def classes_from_json(obj: Any, layout: BlockLayout, vertex: str) -> list[RatMat
     for entry in _read(obj["classes"], list, "'classes'"):
         if not isinstance(entry, list) or len(entry) != layout.dim:
             raise FormatError(f"cocycle vector must have {layout.dim} entries")
-        out.append(RatMatrix.column([fraction_from_json(v) for v in entry]))
+        out.append(RatMatrix.column(entry))
     return out
 
 
@@ -222,19 +206,27 @@ def fingerprint_to_json(entries) -> list[list]:
     return out
 
 
-def load_json_file(path: Path | str):
+def read_input(label: str, value: str | Path) -> tuple[Any, dict[str, Any]]:
+    """Read an input once: its JSON payload and its report record, which
+    names the source and the sha256 of exactly the bytes decoded.
+
+    A string is a CLI value (``-`` for stdin, inline JSON if it starts with
+    ``{`` or ``[``, else a path); a ``Path`` is a path.  A path that cannot
+    be read raises its ``OSError``.
+    """
+    text = value.strip() if isinstance(value, str) else ""
+    source = "stdin" if text == "-" else "inline" if text.startswith(("{", "[")) else "path"
+    where = str(Path(value)) if source == "path" else f"{source} JSON for {label}"
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    # ValueError: bad JSON, bytes that are not UTF-8, or a NUL in the path
+        if source == "path":
+            data = Path(value).read_bytes()
+        elif source == "stdin":
+            data = sys.stdin.buffer.read()
+        else:
+            data = text.encode()
+        payload = json.loads(data.decode("utf-8"))
+    # ValueError: bad JSON or UTF-8, a too long integer, or a NUL in the path
     except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def file_sha256(path: Path | str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
-def text_sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+        raise FormatError(f"{where}: invalid JSON ({exc})") from exc
+    digest = hashlib.sha256(data).hexdigest()
+    return payload, {source: where if source == "path" else True, "sha256": digest}

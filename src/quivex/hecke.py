@@ -19,6 +19,7 @@ from .ratmat import (
     RatMatrix,
     column_space_echelon,
     hstack,
+    kernel_basis,
     rank,
     rref,
     solve_exact,
@@ -244,9 +245,8 @@ def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[R
     layout = class_layout(reduction.reduced, i)
     classes = []
     for row in complement:
-        unit = RatMatrix.column([1 if t == row else 0 for t in range(x.dim_v[i])])
-        C = {a.name: x.B[a.name] @ unit for a in x.dq.arrows_out_of(i)}
-        E = {i: x.J[i] @ unit}
+        C = {a.name: x.B[a.name].column_matrix(row) for a in x.dq.arrows_out_of(i)}
+        E = {i: x.J[i].column_matrix(row)}
         classes.append(layout.pack(arrow=C, J=E))
     return classes
 
@@ -273,11 +273,14 @@ def are_isomorphic(x: FramedRep, y: FramedRep) -> bool:
     c = homext.build_complex(x, y)
     target = c.middle.pack(I={i: y.I[i] for i in x.dq.vertices},
                            J={i: -x.J[i] for i in x.dq.vertices})
-    try:
-        particular = solve_exact(c.alpha, target)
-    except DomainError:
+    # one elimination: the kernel of [alpha | -target] ends in a vector with
+    # last coordinate 1 exactly when the system is solvable; cut to alpha's
+    # columns, that one is the canonical solution and the others span Ker alpha
+    n = c.alpha.cols
+    basis = kernel_basis(hstack([c.alpha, -target]))
+    if not basis or basis[-1][n, 0] != 1:
         return False
-    kernel = c.kernel_alpha
+    *kernel, particular = [RatMatrix(n, 1, v.data[:n]) for v in basis]
 
     def invertible(vec: RatMatrix) -> bool:
         blocks = c.ends.unpack(vec)["xi"]

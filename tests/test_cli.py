@@ -1,6 +1,10 @@
+import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -249,3 +253,65 @@ def test_pipeline_example_into_stability():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["result"]["verdict"] == "stable"
+
+
+@pytest.mark.parametrize("source", ["path", "stdin", "inline"])
+def test_input_record_hashes_the_bytes_given(capsys, monkeypatch, tmp_path, source):
+    data = json.dumps(formats.rep_to_json(an_bundle(2).reps["broken_1"])).encode()
+    value = {"path": str(tmp_path / "rep.json"), "stdin": "-", "inline": data.decode()}[source]
+    (tmp_path / "rep.json").write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, report = run_cli(capsys, "check-moment", "--rep", value)
+    assert code == 0
+    assert report["inputs"]["rep"] == {
+        source: value if source == "path" else True,
+        "sha256": hashlib.sha256(data).hexdigest(),
+    }
+
+
+def _cli_on_rep_path(path, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "quivex.cli", "check-moment", "--rep", path],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, timeout=60, **kwargs,
+    )
+
+
+def test_named_fifo_input_is_read_once(tmp_path):
+    data = json.dumps(formats.rep_to_json(an_bundle(2).reps["broken_1"])).encode()
+    fifo = tmp_path / "rep.fifo"
+    os.mkfifo(fifo)
+    # opening the write end blocks until the CLI opens the read end
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    proc = _cli_on_rep_path(str(fifo))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)["inputs"]["rep"]
+    assert record == {"path": str(fifo), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def test_dev_fd_pipe_input_records_the_bytes_read():
+    data = json.dumps(formats.rep_to_json(an_bundle(2).reps["broken_1"])).encode()
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)
+    os.close(write_end)
+    try:
+        proc = _cli_on_rep_path(f"/dev/fd/{read_end}", pass_fds=(read_end,))
+    finally:
+        os.close(read_end)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["inputs"]["rep"]["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_closed_stdout_exit_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quivex.cli", "example", "d4"],
+            env={**os.environ, "PYTHONPATH": SRC}, stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -14,30 +14,41 @@ from quivex.quiver import ade_minimal_resolution_setup
 from quivex.ratmat import RatMatrix
 
 
+A1 = ade_minimal_resolution_setup("A1")[0]
+# a JSON rational is read as a matrix entry and as a zeta value
+READS = [
+    lambda obj: formats.matrix_from_json([[obj]], 1, 1)[0, 0],
+    lambda obj: formats.zeta_from_json(A1, {"1": obj})["1"],
+]
+
+
 def test_fraction_round_trip():
     assert formats.fraction_to_json(Fraction(3)) == 3
     assert formats.fraction_to_json(Fraction(-1, 2)) == "-1/2"
-    assert formats.fraction_from_json("2/4") == Fraction(1, 2)
-    assert formats.fraction_from_json(-7) == Fraction(-7)
-    with pytest.raises(FormatError):
-        formats.fraction_from_json("1/0")
-    with pytest.raises(FormatError):
-        formats.fraction_from_json(1.5)
-    with pytest.raises(FormatError):
-        formats.fraction_from_json(True)
+    for read in READS:
+        assert read("2/4") == Fraction(1, 2)
+        assert read(-7) == Fraction(-7)
+        with pytest.raises(FormatError):
+            read("1/0")
+        with pytest.raises(FormatError, match="1.5"):
+            read(1.5)
+        with pytest.raises(FormatError, match="True"):
+            read(True)
 
 
 @pytest.mark.parametrize(
     "literal", ["1_0", " 3 ", "+4", "\u0661\u0662/3", "", "-", "1/", "/2", "1/2/3", "3\n", "1.5", "--1"]
 )
 def test_fraction_rejects_loose_literals(literal):
-    with pytest.raises(FormatError):
-        formats.fraction_from_json(literal)
+    for read in READS:
+        with pytest.raises(FormatError):
+            read(literal)
 
 
 @pytest.mark.parametrize("literal, value", [("1/-2", Fraction(-1, 2)), ("-0", 0), ("007", 7)])
 def test_fraction_accepts_plain_literals(literal, value):
-    assert formats.fraction_from_json(literal) == value
+    for read in READS:
+        assert read(literal) == value
 
 
 def test_matrix_round_trip():

@@ -51,6 +51,28 @@ def test_imports_only_at_module_level():
     assert sorted(offenders) == []
 
 
+def test_only_formats_reads_inputs():
+    # one reader: formats reads each input once and hashes the bytes it
+    # parsed, so no other module opens, reads or decodes an input itself
+    readers = {"open", "json.load", "json.loads", "sys.stdin", ".read_bytes", ".read_text"}
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "formats.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {ast.unparse(node), f".{node.attr}"}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            if names & readers:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_failed_internal_check_exit_3(capsys, monkeypatch, tmp_path):
     rep = tmp_path / "rep.json"
     rep.write_text(json.dumps(formats.rep_to_json(a2crystal_bundle().reps["generic"])))
