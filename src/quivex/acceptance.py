@@ -321,10 +321,10 @@ def criterion_5(corpus: Corpus) -> CriterionResult:
             if not is_stable(x, zeta).stable:
                 continue
             stable_count += 1
-            if homext.hom_dim(x, x) != 0:
+            if homext.build_complex(x, x).hom_dim() != 0:
                 _record(failures, f"{shape}[{idx}]: stable point with self-Homs")
             for i in x.dq.vertices:
-                if homext.hom_dim(simple_rep(x.dq, i), x) != 0:
+                if homext.build_complex(simple_rep(x.dq, i), x).hom_dim() != 0:
                     _record(failures, f"{shape}[{idx}]: Hom from simple at {i} nonzero")
     return CriterionResult(
         5,

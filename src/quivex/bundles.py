@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import UnknownExampleError
+from .errors import FormatError, UnknownExampleError
 from .quiver import DimVector, DoubledQuiver, ade_minimal_resolution_setup, double
 from .ratmat import RatMatrix
 from .rep import FramedRep
@@ -198,17 +198,27 @@ def a2crystal_bundle() -> ExampleBundle:
     )
 
 
+# name -> (factory, its parameters with their defaults)
+BUNDLES = {
+    "a1": (a1_bundle, {"n": 2, "k": 1}),
+    "an": (an_bundle, {"n": 2}),
+    "d4": (d4_bundle, {}),
+    "a2crystal": (a2crystal_bundle, {}),
+}
+
+EXAMPLE_NAMES = tuple(BUNDLES)
+
+
 def get_bundle(name: str, **params) -> ExampleBundle:
-    key = name.lower()
-    if key == "a1":
-        return a1_bundle(int(params.get("n", 2)), int(params.get("k", 1)))
-    if key == "an":
-        return an_bundle(int(params.get("n", 2)))
-    if key == "d4":
-        return d4_bundle()
-    if key == "a2crystal":
-        return a2crystal_bundle()
-    raise UnknownExampleError(f"unknown example {name!r}")
-
-
-EXAMPLE_NAMES = ("a1", "an", "d4", "a2crystal")
+    """The named bundle; a parameter it does not take is a ``FormatError``."""
+    try:
+        factory, defaults = BUNDLES[name.lower()]
+    except KeyError:
+        raise UnknownExampleError(f"unknown example {name!r}") from None
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise FormatError(
+            f"example {name!r} does not take {', '.join(unknown)}; "
+            f"it takes: {', '.join(defaults) or 'none'}"
+        )
+    return factory(**{key: int(value) for key, value in {**defaults, **params}.items()})

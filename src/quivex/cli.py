@@ -36,11 +36,13 @@ class _Inputs:
 
 
 def _load_rep(inputs: _Inputs, label: str, value: str):
-    """A representation; a relative quiver path inside a file resolves
-    against that file's directory."""
+    """A representation; a relative quiver path inside a regular file
+    resolves against that file's directory, and inside a pipe, a FIFO,
+    stdin or an inline value against the working directory."""
     obj = inputs.json_arg(label, value)
     path = inputs.records[label].get("path")
-    return formats.rep_from_json(obj, base_dir=Path(path).parent if path else None)
+    base_dir = Path(path).parent if path and Path(path).is_file() else None
+    return formats.rep_from_json(obj, base_dir=base_dir)
 
 
 def _zeta_for(rep, inputs: _Inputs, value: str) -> ZetaParam:
@@ -161,9 +163,8 @@ def _cmd_weight_mult(args) -> int:
     v = formats.dimvec_from_json(q, inputs.json_arg("dimV", args.dim_v))
     w = formats.dimvec_from_json(q, inputs.json_arg("dimW", args.dim_w))
     roots = kacmoody.roots_for_quiver(q, v.total())
-    mult = kacmoody.weight_multiplicity(roots, kacmoody.WeightSpec(w, v))
     result = {
-        "multiplicity": mult,
+        "multiplicity": kacmoody.MultiplicitySession(roots, w.values).multiplicity(v.values),
         "weight": {"highest": w.as_dict(), "drop": v.as_dict()},
         "finite_type": roots.finite,
         "cutoff": roots.cutoff,
@@ -175,6 +176,10 @@ def _cmd_cb_transform(args) -> int:
     inputs = _Inputs()
     result: dict
     if args.rep:
+        given = {"--quiver": args.quiver, "--dim-w": args.dim_w, "--dim-v": args.dim_v}
+        ignored = [flag for flag, value in given.items() if value is not None]
+        if ignored:
+            raise FormatError(f"cb-transform --rep takes no {', '.join(ignored)}")
         x = _load_rep(inputs, "rep", args.rep)
         transformed = cb_apply(x)
         result = {
@@ -203,6 +208,8 @@ def _cmd_example(args) -> int:
         params["n"] = args.n
     if args.k is not None:
         params["k"] = args.k
+    if args.member is not None and args.out is not None:
+        raise FormatError("example takes --member or --out, not both")
     bundle = get_bundle(args.name, **params)
     payload = formats.bundle_to_json(bundle)
     if args.member:

@@ -28,9 +28,10 @@ loop arrow (s = t) the two alpha blocks land on the same entries, and in
 beta a loop and its reverse each write into the other's columns.
 
 Each matrix is assembled on first use and eliminated at most once.  The
-cached echelon form of alpha gives its rank, its kernel (Hom) and its image
-pivots (the coboundaries); the one of beta gives its rank and its kernel
-(the cocycles).
+dimensions come from the two ranks by rank-nullity: hom = ends - rank alpha,
+cohom = ends - rank beta, ext1 = middle - rank beta - rank alpha.  Kernel
+vectors are built only for ``hom_basis`` (the kernel of alpha) and
+``ext1_reps`` (the kernel of beta, against the image pivots of alpha).
 """
 
 from __future__ import annotations
@@ -241,10 +242,10 @@ class Complex3:
         return [self.alpha.column_matrix(j) for j in self._alpha_echelon[1]]
 
     def hom_dim(self) -> int:
-        return len(self.kernel_alpha)
+        return self.ends.dim - self.rank_alpha
 
     def ext1_dim(self) -> int:
-        return len(self.kernel_beta) - self.rank_alpha
+        return self.middle.dim - self.rank_beta - self.rank_alpha
 
     def cohom_dim(self) -> int:
         return self.ends.dim - self.rank_beta
@@ -262,7 +263,8 @@ class Complex3:
         return [ker[j - len(im)] for j in pivots if j >= len(im)]
 
     def euler(self) -> EulerCheck:
-        """ext1 - hom - cohom against the signed dimension count."""
+        """ext1 - hom - cohom against the signed dimension count; the two
+        always agree by rank-nullity, so a mismatch flags an internal bug."""
         x1, x2 = self.x1, self.x2
         computed = self.ext1_dim() - self.hom_dim() - self.cohom_dim()
         formula = chi_formula(x1.dq.base, x1.dim_v, x1.dim_w, x2.dim_v, x2.dim_w)
@@ -270,27 +272,8 @@ class Complex3:
 
 
 def build_complex(x1: FramedRep, x2: FramedRep) -> Complex3:
+    """The complex from x1 to x2; ask it every Hom/Ext question on the pair."""
     return Complex3(x1, x2)
-
-
-def hom_dim(x1: FramedRep, x2: FramedRep) -> int:
-    return build_complex(x1, x2).hom_dim()
-
-
-def hom_basis(x1: FramedRep, x2: FramedRep) -> list[dict[str, RatMatrix]]:
-    return build_complex(x1, x2).hom_basis()
-
-
-def ext1_dim(x1: FramedRep, x2: FramedRep) -> int:
-    return build_complex(x1, x2).ext1_dim()
-
-
-def ext1_reps(x1: FramedRep, x2: FramedRep) -> list[RatMatrix]:
-    return build_complex(x1, x2).ext1_reps()
-
-
-def cohom_dim(x1: FramedRep, x2: FramedRep) -> int:
-    return build_complex(x1, x2).cohom_dim()
 
 
 @dataclass(frozen=True)
@@ -301,12 +284,6 @@ class EulerCheck:
     @property
     def equal(self) -> bool:
         return self.computed == self.formula
-
-
-def euler_check(x1: FramedRep, x2: FramedRep) -> EulerCheck:
-    """ext1 - hom - cohom against the signed dimension count; the two always
-    agree by rank-nullity, so a mismatch flags an internal bug."""
-    return build_complex(x1, x2).euler()
 
 
 def hom_ext_report(x1: FramedRep, x2: FramedRep) -> dict:

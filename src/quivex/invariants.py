@@ -156,7 +156,7 @@ def an_xyz(x: FramedRep) -> AnXYZ:
     if x.dq.base != expected_q or x.dim_v != expected_v or x.dim_w != expected_w:
         raise WrongSetupError("an_xyz needs the chain minimal-resolution setup")
     forward = [f"{k}->{k + 1}" for k in range(1, n)]
-    backward = [f"{k}->{k + 1}*" for k in range(n - 1, 0, -1)]
+    backward = [x.dq.bar(a) for a in reversed(forward)]
     first, last = "1", str(n)
     xv = (x.J[last] @ evaluate_path(x, forward, start=first) @ x.I[first])[0, 0]
     yv = -(x.J[first] @ evaluate_path(x, backward, start=last) @ x.I[last])[0, 0]

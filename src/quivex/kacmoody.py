@@ -176,15 +176,6 @@ def root_multiplicities(gcm: GCM, cutoff: int = 1) -> RootSystemData:
     return RootSystemData(gcm, tuple(_peterson_roots(gcm, cutoff)), False, cutoff)
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Highest weight given by the framing dimensions, target weight given by
-    the drop in simple-root coordinates."""
-
-    w: DimVector
-    v: DimVector
-
-
 class MultiplicitySession:
     """Freudenthal's formula with a per-session memo keyed by dominant drops.
 
@@ -293,15 +284,6 @@ class MultiplicitySession:
         return value
 
 
-def weight_multiplicity(roots: RootSystemData, spec: WeightSpec) -> int:
-    """Multiplicity of (highest weight) minus (drop in simple roots) in the
-    integrable highest-weight module."""
-    if spec.w.vertices != spec.v.vertices:
-        raise DomainError("weight spec over mismatched vertex sets")
-    session = MultiplicitySession(roots, spec.w.values)
-    return session.multiplicity(spec.v.values)
-
-
 def roots_for_quiver(q: Quiver, height: int) -> RootSystemData:
     if q.has_edge_loops:
         raise InvalidCartanError("quiver has edge loops; no Kac-Moody algebra attached here")
@@ -325,4 +307,6 @@ def predicted_component_count(q: Quiver, v: DimVector, w: DimVector) -> int:
     at the drop v below the highest weight w.  Freudenthal at v only uses
     roots below v, so the root height cutoff is the height of v."""
     roots = roots_for_quiver(q, v.total())
-    return weight_multiplicity(roots, WeightSpec(w, v))
+    if w.vertices != v.vertices:
+        raise DomainError("highest weight and drop over mismatched vertex sets")
+    return MultiplicitySession(roots, w.values).multiplicity(v.values)

@@ -214,7 +214,7 @@ def sample_flat(
     rng = random.Random(seed)
     B: dict[str, RatMatrix] = {}
     for a in dq.arrows:
-        reversed_arrow = a.name.endswith("*")
+        reversed_arrow = dq.eps(a.name) < 0
         live = reversed_arrow if half == "reverse" else not reversed_arrow
         if live:
             B[a.name] = _random_matrix(rng, dim_v[a.target], dim_v[a.source])
@@ -246,5 +246,5 @@ def cb_apply(x: FramedRep, infinity: str = "inf") -> FramedRep:
         for k in range(x.dim_w[i]):
             name = f"{inf}->{i}#{k}"
             B[name] = x.I[i].column_matrix(k)
-            B[name + "*"] = RatMatrix.from_rows([list(x.J[i].row(k))], cols=x.dim_v[i])
+            B[dq2.bar(name)] = RatMatrix.from_rows([list(x.J[i].row(k))], cols=x.dim_v[i])
     return FramedRep(dq2, dim_v2, DimVector.zero(q2), B)

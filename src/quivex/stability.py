@@ -125,4 +125,4 @@ def stabilizer_trivial(x: FramedRep) -> bool:
     """True when the framed self-Hom space vanishes, which is what kills the
     group stabilizer of the point."""
     ensure_flat(x)
-    return homext.hom_dim(x, x) == 0
+    return homext.build_complex(x, x).hom_dim() == 0

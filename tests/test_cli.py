@@ -214,6 +214,37 @@ def test_example_out_dir(capsys, tmp_path):
     assert (out / "rep_broken_1.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["example", "d4", "--n", "3", "--k", "9"],
+            "example 'd4' does not take k, n; it takes: none",
+        ),
+        (["example", "an", "--k", "2"], "example 'an' does not take k; it takes: n"),
+        (
+            ["example", "a1", "--member", "stable", "--out", "unused"],
+            "example takes --member or --out, not both",
+        ),
+        (
+            ["cb-transform", "--rep", "unread.json", "--quiver", "not-a-file", "--dim-w", '{"zz":1}'],
+            "cb-transform --rep takes no --quiver, --dim-w",
+        ),
+        (
+            ["cb-transform", "--rep", "unread.json", "--dim-v", "{}"],
+            "cb-transform --rep takes no --dim-v",
+        ),
+    ],
+    ids=["d4-n-k", "an-k", "member-out", "rep-quiver-dim-w", "rep-dim-v"],
+)
+def test_ignored_options_exit_1(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, report = run_cli(capsys, *argv)
+    assert code == 1
+    assert report["error"] == {"type": "FormatError", "message": message}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_example_unknown_member_exit_2(capsys):
     code, report = run_cli(capsys, "example", "d4", "--member", "nope")
     assert code == 2
@@ -300,6 +331,22 @@ def test_dev_fd_pipe_input_records_the_bytes_read():
         os.close(read_end)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["inputs"]["rep"]["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_quiver_path_in_a_piped_rep_resolves_against_the_working_directory(tmp_path):
+    # a pipe has no directory of its own, so it reads like stdin
+    rep = formats.rep_to_json(an_bundle(2).reps["broken_1"])
+    (tmp_path / "quiver.json").write_text(json.dumps(rep["quiver"]))
+    data = json.dumps({**rep, "quiver": "quiver.json"}).encode()
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)
+    os.close(write_end)
+    try:
+        proc = _cli_on_rep_path(f"/dev/fd/{read_end}", pass_fds=(read_end,), cwd=tmp_path)
+    finally:
+        os.close(read_end)
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["result"]["flat"] is True
 
 
 def test_closed_stdout_exit_1_without_traceback():

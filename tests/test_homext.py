@@ -6,17 +6,7 @@ from quivex import formats, homext
 from quivex.bundles import a2crystal_bundle
 from quivex.errors import DimensionError, QuiverMismatchError
 from quivex.hecke import class_layout, sample_flat_crystal
-from quivex.homext import (
-    BlockLayout,
-    build_complex,
-    cohom_dim,
-    euler_check,
-    ext1_dim,
-    ext1_reps,
-    hom_basis,
-    hom_dim,
-    hom_ext_report,
-)
+from quivex.homext import BlockLayout, build_complex, hom_ext_report
 from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, chi, double
 from quivex.ratmat import RatMatrix, hstack, rank, solve_exact
 from quivex.rep import FramedRep, sample_flat, simple_rep
@@ -40,18 +30,18 @@ def test_simple_self_complex():
     c = build_complex(s, s)
     assert c.dims == (1, 0, 1)
     assert c.alpha.is_zero and c.beta.is_zero
-    assert hom_dim(s, s) == 1
-    assert ext1_dim(s, s) == 0
-    assert cohom_dim(s, s) == 1
+    assert c.hom_dim() == 1
+    assert c.ext1_dim() == 0
+    assert c.cohom_dim() == 1
 
 
 def test_simple_to_other_simple():
     s1, s2 = simple_rep(DQ2, "1"), simple_rep(DQ2, "2")
     c = build_complex(s1, s2)
     assert c.dims == (0, 1, 0)
-    assert hom_dim(s1, s2) == 0
-    assert ext1_dim(s1, s2) == 1
-    assert ext1_dim(s2, s1) == 1
+    assert c.hom_dim() == 0
+    assert c.ext1_dim() == 1
+    assert build_complex(s2, s1).ext1_dim() == 1
 
 
 def test_crystal_point_against_simple_shape():
@@ -92,18 +82,20 @@ def test_beta_alpha_zero_on_flat_pairs(seed):
 @settings(deadline=None, max_examples=30)
 def test_duality_and_symmetry(seed):
     x, y = flat_pair(seed)
-    assert cohom_dim(x, y) == hom_dim(y, x)
-    assert cohom_dim(y, x) == hom_dim(x, y)
-    assert ext1_dim(x, y) == ext1_dim(y, x)
+    c_xy, c_yx = build_complex(x, y), build_complex(y, x)
+    assert c_xy.cohom_dim() == c_yx.hom_dim()
+    assert c_yx.cohom_dim() == c_xy.hom_dim()
+    assert c_xy.ext1_dim() == c_yx.ext1_dim()
 
 
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=30)
 def test_euler_identity(seed):
     x, y = flat_pair(seed)
-    check = euler_check(x, y)
+    c = build_complex(x, y)
+    check = c.euler()
     assert check.equal
-    end1, middle, end2 = build_complex(x, y).dims
+    end1, middle, end2 = c.dims
     assert check.formula == middle - end1 - end2
 
 
@@ -111,7 +103,7 @@ def test_euler_identity(seed):
 @settings(deadline=None, max_examples=20)
 def test_hom_basis_intertwines(seed):
     x, y = flat_pair(seed)
-    for xi in hom_basis(x, y):
+    for xi in build_complex(x, y).hom_basis():
         for a in DQ2.arrows:
             lhs = xi[a.target] @ x.B[a.name]
             rhs = y.B[a.name] @ xi[a.source]
@@ -126,7 +118,7 @@ def test_hom_basis_intertwines(seed):
 def test_ext1_reps_are_independent_cocycles(seed):
     x, y = flat_pair(seed)
     c = build_complex(x, y)
-    reps = ext1_reps(x, y)
+    reps = c.ext1_reps()
     assert len(reps) == c.ext1_dim()
     for vec in reps:
         assert (c.beta @ vec).is_zero
@@ -281,6 +273,15 @@ def test_each_matrix_eliminated_once(counted):
     assert counts == {"rref": 0, "build": 1}
     c.hom_dim(), c.ext1_dim(), c.cohom_dim()
     c.hom_basis(), c.kernel_beta, c.image_alpha
+    assert counts == {"rref": 2, "build": 1}
+
+
+def test_dimensions_build_no_kernel(counted):
+    # hom, ext1 and cohom are read off the two ranks
+    x, y, counts = counted
+    c = build_complex(x, y)
+    c.hom_dim(), c.ext1_dim(), c.cohom_dim(), c.euler()
+    assert "kernel_alpha" not in vars(c) and "kernel_beta" not in vars(c)
     assert counts == {"rref": 2, "build": 1}
 
 

@@ -51,6 +51,21 @@ def test_imports_only_at_module_level():
     assert sorted(offenders) == []
 
 
+def test_all_lists_exactly_the_public_imports():
+    # every name in quivex.__all__ resolves, and every public name that
+    # __init__ imports is listed there
+    assert [name for name in quivex.__all__ if not hasattr(quivex, name)] == []
+    assert len(set(quivex.__all__)) == len(quivex.__all__)
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert sorted(n for n in imported if not n.startswith("_") and n not in quivex.__all__) == []
+
+
 def test_only_formats_reads_inputs():
     # one reader: formats reads each input once and hashes the bytes it
     # parsed, so no other module opens, reads or decodes an input itself

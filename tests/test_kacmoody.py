@@ -6,14 +6,12 @@ import pytest
 from quivex.errors import CutoffError, DomainError, InvalidCartanError
 from quivex.kacmoody import (
     MultiplicitySession,
-    WeightSpec,
     h_eigenvalue,
     is_finite_type,
     predicted_component_count,
     root_multiplicities,
     roots_for_quiver,
     validate_gcm,
-    weight_multiplicity,
 )
 from quivex.quiver import (
     Arrow,
@@ -229,12 +227,17 @@ def test_cutoff_error_is_loud():
     q = ade_minimal_resolution_setup("A1")[0]
     affine, _ = cb_transform(q, DimVector.of(q, {"1": 2}))
     roots = roots_for_quiver(affine, 3)
-    spec = WeightSpec(
-        DimVector.of(affine, {"1": 1, "inf": 1}),
-        DimVector.of(affine, {"1": 3, "inf": 2}),
-    )
+    session = MultiplicitySession(roots, DimVector.of(affine, {"1": 1, "inf": 1}).values)
     with pytest.raises(CutoffError):
-        weight_multiplicity(roots, spec)
+        session.multiplicity(DimVector.of(affine, {"1": 3, "inf": 2}).values)
+
+
+def test_mismatched_vertex_sets_rejected():
+    q = ade_minimal_resolution_setup("A2")[0]
+    v = DimVector.of(q, {"1": 1})
+    w = DimVector(("1", "3"), (1, 1))
+    with pytest.raises(DomainError, match="mismatched vertex sets"):
+        predicted_component_count(q, v, w)
 
 
 class RecursiveReference:
