@@ -210,7 +210,8 @@ EXAMPLE_NAMES = tuple(BUNDLES)
 
 
 def get_bundle(name: str, **params) -> ExampleBundle:
-    """The named bundle; a parameter it does not take is a ``FormatError``."""
+    """The named bundle; a parameter it does not take, or one that is not an
+    ``int`` (a bool is not an int here), is a ``FormatError``."""
     try:
         factory, defaults = BUNDLES[name.lower()]
     except KeyError:
@@ -221,4 +222,7 @@ def get_bundle(name: str, **params) -> ExampleBundle:
             f"example {name!r} does not take {', '.join(unknown)}; "
             f"it takes: {', '.join(defaults) or 'none'}"
         )
-    return factory(**{key: int(value) for key, value in {**defaults, **params}.items()})
+    for key, value in params.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise FormatError(f"example {name!r} parameter {key} must be an integer, got {value!r}")
+    return factory(**{**defaults, **params})

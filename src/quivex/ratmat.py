@@ -5,12 +5,29 @@ operations are pure functions, and every echelon computation pivots on the
 first nonzero entry scanning down a column with pivots normalized to 1, so
 results are bit-identical across runs.  Zero-row and zero-column matrices
 are legal everywhere.
+
+Elimination and products run on integers inside, with one ``Fraction`` per
+output entry.  Each row (or column) is scaled to integers by the lcm of its
+denominators.  ``rref`` is fraction-free Gauss-Jordan elimination (Bareiss
+1968, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22): with pivot p in the pivot row and p_prev the
+pivot of the step before (1 at the first step), every other row, above and
+below, becomes (p r - f r_pivot) / p_prev, f being its entry in the pivot
+column.  The division is exact by Sylvester's identity, since every entry is
+then a minor of the scaled matrix.  After the last step all pivots equal the
+last p, and dividing each pivot row by it once gives the reduced form; the
+reduced row echelon form is unique, so this is the same matrix a Fraction
+elimination gives.  ``rank`` counts the pivots without that division.  A
+product entry is one integer dot product over the row scale times the
+column scale.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import DimensionError, FormatError, InconsistentSystemError
@@ -35,6 +52,15 @@ def as_fraction(value: Scalar) -> Fraction:
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integers n and the scale d, the lcm of the denominators, with
+    values[j] = n[j] / d."""
+    scale = lcm(*(v.denominator for v in values))
+    if scale == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 class RatMatrix:
@@ -103,14 +129,21 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot compose {self.shape} with {other.shape}")
-        other_cols = list(zip(*other.data)) if other.data else [()] * other.cols
         if other.rows == 0:
             return RatMatrix.zeros(self.rows, other.cols)
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in other_cols)
-            for row in self.data
-        )
-        return RatMatrix(self.rows, other.cols, data)
+        cols = [_integer_row(c) for c in zip(*other.data)]
+        data = []
+        for row in self.data:
+            nums, row_scale = _integer_row(row)
+            if not any(nums):
+                data.append((_ZERO,) * other.cols)
+                continue
+            out = []
+            for col_nums, col_scale in cols:
+                dot = sum(map(mul, nums, col_nums))
+                out.append(Fraction(dot, row_scale * col_scale) if dot else _ZERO)
+            data.append(tuple(out))
+        return RatMatrix(self.rows, other.cols, tuple(data))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
@@ -173,36 +206,47 @@ def vstack(mats: Sequence[RatMatrix], cols: int | None = None) -> RatMatrix:
     return RatMatrix(sum(m.rows for m in mats), c, data)
 
 
-def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot column indices."""
-    grid = [list(r) for r in m.data]
+def _integer_echelon(m: RatMatrix) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan elimination of ``m`` (see the module
+    docstring): the integer rows, whose pivot entries all equal the last
+    pivot and whose rows past the rank are zero, and the pivot columns."""
+    grid = [_integer_row(r)[0] for r in m.data]
     pivots: list[int] = []
+    prev = 1
     pr = 0
     for pc in range(m.cols):
-        target = None
-        for r in range(pr, m.rows):
-            if grid[r][pc] != 0:
-                target = r
-                break
+        target = next((r for r in range(pr, m.rows) if grid[r][pc]), None)
         if target is None:
             continue
         grid[pr], grid[target] = grid[target], grid[pr]
-        pv = grid[pr][pc]
-        if pv != 1:
-            grid[pr] = [v / pv for v in grid[pr]]
-        for r in range(m.rows):
-            if r != pr and grid[r][pc] != 0:
-                f = grid[r][pc]
-                grid[r] = [a - f * b for a, b in zip(grid[r], grid[pr])]
+        pivot_row = grid[pr]
+        p = pivot_row[pc]
+        for r, row in enumerate(grid):
+            if r == pr:
+                continue
+            f = row[pc]
+            if f:
+                grid[r] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            elif p != prev:
+                grid[r] = [p * a // prev for a in row]
+        prev = p
         pivots.append(pc)
         pr += 1
         if pr == m.rows:
             break
-    return RatMatrix(m.rows, m.cols, tuple(tuple(r) for r in grid)), tuple(pivots)
+    return grid, tuple(pivots)
+
+
+def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and the tuple of pivot column indices."""
+    grid, pivots = _integer_echelon(m)
+    last = grid[len(pivots) - 1][pivots[-1]] if pivots else 1
+    data = tuple(tuple(Fraction(a, last) if a else _ZERO for a in row) for row in grid)
+    return RatMatrix(m.rows, m.cols, data), pivots
 
 
 def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_integer_echelon(m)[1])
 
 
 def kernel_basis(m: RatMatrix) -> list[RatMatrix]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivex import formats
-from quivex.bundles import a2crystal_bundle, d4_bundle
+from quivex.bundles import a2crystal_bundle, d4_bundle, get_bundle
 from quivex.errors import DomainError, FormatError
 from quivex.hecke import class_layout, recovery_classes, reduce_i
 from quivex.quiver import ade_minimal_resolution_setup
@@ -130,6 +130,20 @@ def test_dimvec_rejects_non_integers():
     for bad in (2.5, 2.0, True, "2", None, [1]):
         with pytest.raises(FormatError):
             formats.dimvec_from_json(q, {"1": bad})
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"n": 2.7}, "parameter n must be an integer, got 2.7"),
+        ({"k": True}, "parameter k must be an integer, got True"),
+        ({"n": "3"}, "parameter n must be an integer, got '3'"),
+    ],
+    ids=["float", "bool", "str"],
+)
+def test_get_bundle_rejects_non_integer_parameters(params, message):
+    with pytest.raises(FormatError, match=message):
+        get_bundle("a1", **params)
 
 
 def test_quiver_rejects_non_string_names():

@@ -1,10 +1,15 @@
+import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quivex.bundles import get_bundle
 from quivex.errors import DimensionError, FormatError, InconsistentSystemError
+from quivex.homext import build_complex
+from quivex.invariants import pi_fingerprint
 from quivex.ratmat import (
     RatMatrix,
     as_fraction,
@@ -36,6 +41,175 @@ def matrices(draw, max_dim=4):
         )
     )
     return RatMatrix.from_rows(data, cols=cols)
+
+
+def reference_rref(m):
+    """Gauss-Jordan elimination entry by entry in ``Fraction``s: the same
+    pivot choice as ``rref``, each pivot row divided by its pivot at once."""
+    grid = [list(r) for r in m.data]
+    pivots = []
+    pr = 0
+    for pc in range(m.cols):
+        target = None
+        for r in range(pr, m.rows):
+            if grid[r][pc] != 0:
+                target = r
+                break
+        if target is None:
+            continue
+        grid[pr], grid[target] = grid[target], grid[pr]
+        pv = grid[pr][pc]
+        if pv != 1:
+            grid[pr] = [v / pv for v in grid[pr]]
+        for r in range(m.rows):
+            if r != pr and grid[r][pc] != 0:
+                f = grid[r][pc]
+                grid[r] = [a - f * b for a, b in zip(grid[r], grid[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.rows:
+            break
+    return RatMatrix(m.rows, m.cols, tuple(tuple(r) for r in grid)), tuple(pivots)
+
+
+def reference_matmul(a, b):
+    """The product as a sum of ``Fraction`` products per entry."""
+    b_cols = list(zip(*b.data)) if b.data else [()] * b.cols
+    if b.rows == 0:
+        return RatMatrix.zeros(a.rows, b.cols)
+    data = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in b_cols) for row in a.data
+    )
+    return RatMatrix(a.rows, b.cols, data)
+
+
+# Denominators that drive entry growth in integer elimination: a large prime
+# next to products of small primes.
+large_entries = st.builds(
+    Fraction,
+    st.integers(-(10**12), 10**12),
+    st.sampled_from([1, 2, 6, 30, 210, 2310, 30030, 2**31 - 1, 10**9 + 7, 10**9 + 9]),
+)
+
+
+@st.composite
+def wide_or_tall(draw, max_rows=10, max_cols=14, entries=entries):
+    """A matrix of up to 10x14 whose later rows may be combinations of the
+    earlier ones, so that its rank can fall short of both dimensions."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    data = []
+    for _ in range(rows):
+        if data and draw(st.booleans()):
+            picked = draw(st.lists(st.sampled_from(data), min_size=1, max_size=3))
+            coefs = draw(st.lists(entries, min_size=len(picked), max_size=len(picked)))
+            data.append(
+                [sum((c * r[j] for c, r in zip(coefs, picked)), Fraction(0)) for j in range(cols)]
+            )
+        else:
+            data.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
+    return RatMatrix.from_rows(data, cols=cols)
+
+
+any_matrix = st.one_of(
+    matrices(),
+    wide_or_tall(),
+    wide_or_tall(entries=large_entries),
+    wide_or_tall(max_rows=6, max_cols=6, entries=st.sampled_from([0, 0, 0, 1, -1, 2])),
+)
+
+
+def assert_canonical_entries(m):
+    for row in m.data:
+        for v in row:
+            assert type(v) is Fraction
+            assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+@given(any_matrix)
+@example(RatMatrix.zeros(0, 3))
+@example(RatMatrix.zeros(3, 0))
+@settings(deadline=None, max_examples=150)
+def test_rref_equals_fraction_reference(m):
+    reduced, pivots = rref(m)
+    assert (reduced, pivots) == reference_rref(m)
+    assert reduced.shape == m.shape
+    assert_canonical_entries(reduced)
+    for r, pc in enumerate(pivots):
+        assert reduced[r, pc] == 1
+    assert rank(m) == len(pivots)
+
+
+@st.composite
+def factor_pairs(draw):
+    inner = draw(st.integers(0, 14))
+    left_rows = draw(st.integers(0, 10))
+    right_cols = draw(st.integers(0, 10))
+    pool = draw(st.sampled_from([entries, large_entries, st.sampled_from([0, 0, 1, -1])]))
+
+    def grid(rows, cols):
+        return st.lists(st.lists(pool, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+    left = draw(grid(left_rows, inner))
+    right = draw(grid(inner, right_cols))
+    return RatMatrix.from_rows(left, cols=inner), RatMatrix.from_rows(right, cols=right_cols)
+
+
+@given(factor_pairs())
+@example((RatMatrix.zeros(2, 0), RatMatrix.zeros(0, 3)))
+@example((RatMatrix.zeros(0, 2), RatMatrix.zeros(2, 3)))
+@example((RatMatrix.zeros(3, 2), RatMatrix.zeros(2, 0)))
+@settings(deadline=None, max_examples=150)
+def test_matmul_equals_fraction_reference(pair):
+    a, b = pair
+    product = a @ b
+    assert product == reference_matmul(a, b)
+    assert product.shape == (a.rows, b.cols)
+    assert_canonical_entries(product)
+
+
+def kernel_digest() -> str:
+    """sha256 over the str of every entry and pivot of rref(alpha),
+    rref(beta), ext1_reps and hom_basis for each ordered pair of members of
+    the d4 and a2crystal bundles, then of the d4 point's fingerprint at
+    bound 8."""
+    h = hashlib.sha256()
+
+    def put(value):
+        h.update(str(value).encode() + b"\n")
+
+    def put_matrix(m):
+        put(m.shape)
+        for row in m.data:
+            for v in row:
+                put(v)
+
+    for name in ("d4", "a2crystal"):
+        reps = get_bundle(name).reps
+        for a in reps:
+            for b in reps:
+                c = build_complex(reps[a], reps[b])
+                for m in (c.alpha, c.beta):
+                    reduced, pivots = rref(m)
+                    put_matrix(reduced)
+                    for p in pivots:
+                        put(p)
+                for v in c.ext1_reps():
+                    put_matrix(v)
+                for blocks in c.hom_basis():
+                    for key, m in blocks.items():
+                        put(key)
+                        put_matrix(m)
+    for label, value in pi_fingerprint(get_bundle("d4").reps["point"], 8):
+        put(label)
+        put(value)
+    return h.hexdigest()
+
+
+def test_kernel_outputs_pinned_digest():
+    """Any kernel behind rref and @ must reproduce these outputs bit for bit;
+    the digest was taken from the entry-by-entry Fraction kernel."""
+    assert kernel_digest() == "edcab4340aed40a22d554e9d5417e9feb8d1e3a7a9550818834e893a1d2bc490"
 
 
 def test_rank_identity():
