@@ -1,16 +1,21 @@
 """Coordinates on the affine quotient: traces of oriented cycles and framed
 path entries, plus the explicit relations of the rank-one and chain setups.
 
-One walker enumerates each walk once, sharing prefix products.  A cycle is
-emitted once per rotation class, as its lexicographically least rotation;
-a reversed cycle is a different word in the doubled quiver.  Labels are
-plain tuples, ordered deterministically, so two fingerprints can be
-compared entry by entry.
+One walker enumerates the walks that give an entry, sharing prefix products.
+A cycle is emitted once per rotation class, as its least rotation: the walker
+keeps the prenecklace period p, takes no arrow named below ``word[n - p]``
+and emits a closed walk when p divides n (the FKM necklace test; Ruskey,
+Savage and Wang 1992, "Generating necklaces", J. Algorithms 13).  A reversed
+cycle is a different word in the doubled quiver.  A branch is cut when its
+breadth-first distance to the origin (cycles) or to the nearest framed vertex
+(paths) exceeds the arrows left.  A zero prefix product is kept as None and
+gives an exact 0 with no further matmul.  Path products start from I_origin,
+so each path entry is J_end times one.  Labels are plain tuples, ordered
+deterministically, so two fingerprints can be compared entry by entry.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,49 +28,86 @@ CycleLabel = tuple[str, ...]
 PathLabel = tuple[str, tuple[str, ...], str, int, int]
 FingerprintEntry = tuple[tuple, Fraction]
 
+# Most walks one cycle_traces or path_invariants call may visit, counted before
+# any matmul: exactly for paths, from above for cycles (the count skips the
+# necklace cut).  The E6 setup passes up to bound 19; its default 22 needs 13.5M.
+WALK_BUDGET = 2_000_000
 
-def _least_rotation(word: tuple[str, ...]) -> tuple[str, ...]:
-    return min(tuple(word[k:] + word[:k]) for k in range(len(word)))
+
+def _distances(x: FramedRep, targets: list[str]) -> dict[str, int]:
+    """Fewest arrows from each vertex to a target; absent if none is reached."""
+    dist, queue = dict.fromkeys(targets, 0), list(targets)
+    for v in queue:
+        for a in x.dq.arrows_into(v):
+            if a.source not in dist:
+                dist[a.source] = dist[v] + 1
+                queue.append(a.source)
+    return dist
 
 
-def _walks(x: FramedRep, origin: str, max_length: int, wanted: Callable) -> list[tuple]:
-    """(word, end, product) for every walk from origin of length at most
-    max_length that ``wanted(word, end)`` accepts; the product is the path
-    matrix in traversal order, the identity for the empty walk."""
+def _check_bound(x: FramedRep, starts: list[tuple], max_length: int) -> None:
+    """Reject a negative bound, or one at which the distance-cut walks from
+    the (origin, seed, dist) starts number more than WALK_BUDGET."""
     if max_length < 0:
         raise DomainError(f"walk length bound must be nonnegative, got {max_length}")
+    visits = [0] * (max_length + 1)  # visits[L]: walks the distance cut lets through at bound L
+    for origin, _, dist in starts:
+        counts = dict.fromkeys(dist, 1)  # counts[v]: those from v with `left` arrows left
+        visits[0] += 1
+        for left in range(1, max_length + 1):
+            grown = dict.fromkeys(dist, 1)
+            for a in x.dq.arrows:
+                if dist.get(a.target, left) < left:
+                    grown[a.source] += counts[a.target]
+            counts = grown
+            visits[left] += counts[origin]
+    if visits[-1] > WALK_BUDGET:
+        best = max(bound for bound, count in enumerate(visits) if count <= WALK_BUDGET)
+        raise DomainError(
+            f"walks up to length {max_length} need up to {visits[-1]} visits, over the "
+            f"budget of {WALK_BUDGET}; the largest bound under it is {best}"
+        )
+
+
+def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) -> list[tuple]:
+    """(origin, word, end, product) for every walk of length at most
+    max_length from an (origin, seed, dist) start that ends at distance 0,
+    with ``necklaces`` only the nonempty closed necklaces.  The product is
+    the path matrix times seed, or None when it is zero."""
+    _check_bound(x, starts, max_length)
     out: list[tuple] = []
     word: list[str] = []
-    products = [RatMatrix.identity(x.dim_v[origin])]  # products[k]: the first k arrows
 
-    def visit(here: str) -> None:
-        label = tuple(word)
-        if wanted(label, here):
+    def visit(here: str, period: int) -> None:  # for the current origin, dist and products
+        n = len(word)
+        if dist[here] == 0 and (not necklaces or (n and n % period == 0)):
             for name in word[len(products) - 1 :]:
-                products.append(x.B[name] if len(products) == 1 else x.B[name] @ products[-1])
-            out.append((label, here, products[-1]))
-        if len(word) < max_length:
-            for a in x.dq.arrows_out_of(here):
+                step = None if products[-1] is None else x.B[name] @ products[-1]
+                products.append(None if step is None or step.is_zero else step)
+            out.append((origin, tuple(word), here, products[-1]))
+        if n == max_length:
+            return
+        least = word[n - period] if necklaces and n else ""  # "" sorts below every name
+        for a in x.dq.arrows_out_of(here):
+            if a.name >= least and dist.get(a.target, max_length) < max_length - n:
                 word.append(a.name)
-                visit(a.target)
+                visit(a.target, period if a.name == least else n + 1)
                 word.pop()
-                del products[len(word) + 1 :]
+                del products[n + 1 :]
 
-    visit(origin)
+    for origin, seed, dist in starts:
+        products = [None if seed.is_zero else seed]  # products[k]: seed times the first k arrows
+        visit(origin, 1)
     return out
 
 
 def cycle_traces(x: FramedRep, max_length: int) -> list[tuple[CycleLabel, Fraction]]:
     """Traces of the closed walks of length 1..max_length, one per rotation
     class, sorted by (length, word)."""
-
-    def least_closed(word: tuple[str, ...], end: str) -> bool:
-        return bool(word) and end == x.dq.arrow(word[0]).source and word == _least_rotation(word)
-
+    starts = [(v, RatMatrix.identity(x.dim_v[v]), _distances(x, [v])) for v in x.dq.vertices]
     out = [
-        (word, product.trace())
-        for v in x.dq.vertices
-        for word, _, product in _walks(x, v, max_length, least_closed)
+        (word, Fraction(0) if product is None else product.trace())
+        for _, word, _, product in _walks(x, starts, max_length, necklaces=True)
     ]
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
@@ -74,16 +116,16 @@ def path_invariants(x: FramedRep, max_length: int) -> list[tuple[PathLabel, Frac
     """Entries of J_end (path product) I_origin for every walk between framed
     vertices (both ends with positive W), the empty walk included."""
     index = {v: k for k, v in enumerate(x.dq.vertices)}
-    walks = [
-        (origin, word, end, product)
-        for origin in x.dq.vertices
-        if x.dim_w[origin] > 0
-        for word, end, product in _walks(x, origin, max_length, lambda _, end: x.dim_w[end] > 0)
-    ]
+    framed = [v for v in x.dq.vertices if x.dim_w[v] > 0]
+    dist = _distances(x, framed)
+    walks = _walks(x, [(v, x.I[v], dist) for v in framed], max_length, necklaces=False)
     walks.sort(key=lambda t: (len(t[1]), index[t[0]], index[t[2]], t[1]))
     out = []
     for origin, word, end, product in walks:
-        value = x.J[end] @ product @ x.I[origin]
+        if product is None:
+            value = RatMatrix.zeros(x.dim_w[end], x.dim_w[origin])
+        else:
+            value = x.J[end] @ product
         for r in range(value.rows):
             for c in range(value.cols):
                 out.append(((origin, word, end, r, c), value[r, c]))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from quivex import formats
 from quivex.bundles import a2crystal_bundle, an_bundle
 from quivex.cli import main
-from quivex.quiver import ade_minimal_resolution_setup, cb_transform
+from quivex.quiver import ade_minimal_resolution_setup, cb_transform, double
+from quivex.rep import FramedRep
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -153,6 +155,21 @@ def test_invariants_negative_bound_exit_2(capsys, tmp_path):
     assert set(report) == {"command", "version", "error"}
     assert report["command"] == "invariants"
     assert report["error"]["type"] == "DomainError"
+
+
+def test_invariants_over_walk_budget_exit_2(capsys, tmp_path):
+    q, v, w = ade_minimal_resolution_setup("E6")
+    rep = write_rep(tmp_path, "e6.json", FramedRep(double(q), v, w))
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "invariants", "--rep", rep)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["error"]["type"] == "DomainError"
+    assert "up to length 22 need up to 13472166 visits" in report["error"]["message"]
+    assert "largest bound under it is 19" in report["error"]["message"]
+    code, report = run_cli(capsys, "invariants", "--rep", rep, "--max-length", "6")
+    assert code == 0
+    assert report["result"]["all_zero"] is True
 
 
 @pytest.mark.parametrize("literal", ["1_0", " 3 ", "+4", "\u0661\u0662/3"])

@@ -1,11 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivex.bundles import an_bundle, an_chain_sample, d4_bundle
+from quivex import invariants
+from quivex.bundles import a1_bundle, an_bundle, an_chain_sample, d4_bundle
 from quivex.errors import DomainError, WrongSetupError
 from quivex.hecke import sample_flat_crystal
 from quivex.invariants import (
@@ -17,7 +19,7 @@ from quivex.invariants import (
     path_invariants,
     pi_fingerprint,
 )
-from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, double
+from quivex.quiver import Arrow, DimVector, DoubledQuiver, Quiver, ade_minimal_resolution_setup, double
 from quivex.ratmat import RatMatrix
 from quivex.rep import (
     FramedRep,
@@ -30,6 +32,7 @@ from quivex.rep import (
 
 A1 = ade_minimal_resolution_setup("A1")[0]
 A2 = ade_minimal_resolution_setup("A2")[0]
+D4 = ade_minimal_resolution_setup("D4")[0]
 DQ1 = double(A1)
 DQ2 = double(A2)
 KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
@@ -149,14 +152,39 @@ REFERENCE_SAMPLES = {
         double(JORDAN), DimVector.of(JORDAN, {"1": 3}), DimVector.of(JORDAN, {"1": 1}), 6
     ),
     "Jordan-unframed": lambda: _dense(JORDAN, {"1": 2}, {}, 7),
+    # Away from the zero fiber: chain points with x, y and z all nonzero, the
+    # rank-one stable point, and a dense star whose one zero block makes
+    # prefixes zero partway along a walk while sibling branches stay nonzero.
+    **{
+        f"A{n}-chain-{seed}": (lambda n=n, seed=seed: an_chain_sample(n, seed))
+        for n in (3, 4)
+        for seed in (0, 1)
+    },
+    "a1-stable": lambda: a1_bundle(2, 1).reps["stable"],
+    "D4-dense-one-zero-block": lambda: _with_zero_block(
+        _dense(D4, {"1": 1, "2": 2, "3": 1, "4": 1}, {"1": 1, "2": 1}, 8), "3->2*"
+    ),
 }
+
+
+def _with_zero_block(x: FramedRep, arrow: str) -> FramedRep:
+    B = {**x.B, arrow: RatMatrix.zeros(*x.B[arrow].shape)}
+    return FramedRep(x.dq, x.dim_v, x.dim_w, B, x.I, x.J)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_SAMPLES))
 def test_fingerprint_matches_two_phase_reference(name):
     x = REFERENCE_SAMPLES[name]()
-    for bound in range(7):
+    for bound in range(9):
         assert pi_fingerprint(x, bound) == _reference_fingerprint(x, bound)
+
+
+def test_new_reference_samples_are_away_from_the_zero_fiber():
+    for name in ("A3-chain-0", "A3-chain-1", "A4-chain-0", "A4-chain-1"):
+        res = an_xyz(REFERENCE_SAMPLES[name]())
+        assert res.x != 0 and res.y != 0 and res.z != 0
+    for name in ("a1-stable", "D4-dense-one-zero-block"):
+        assert not fingerprint_is_zero(pi_fingerprint(REFERENCE_SAMPLES[name](), 4))
 
 
 def test_walker_shares_prefix_products(monkeypatch):
@@ -178,6 +206,69 @@ def test_walker_shares_prefix_products(monkeypatch):
     assert pi_fingerprint(x, bound) == expected
     assert reference_calls == 4350
     assert len(calls) < reference_calls
+
+
+def test_walker_visits_only_walks_that_can_end_within_the_bound(monkeypatch):
+    """arrows_out_of is called once per visit that may still extend its walk.
+    Filtering after visiting took 2182 cycle visits and 727 path visits on
+    this point at bound 10, 1210 and 484 of them extending.  No path visit
+    can be cut here: every vertex is one arrow from the framed centre."""
+    calls = []
+    arrows_out_of = DoubledQuiver.arrows_out_of
+
+    def counted(self, vertex):
+        calls.append(vertex)
+        return arrows_out_of(self, vertex)
+
+    monkeypatch.setattr(DoubledQuiver, "arrows_out_of", counted)
+    x = d4_bundle().reps["point"]
+    assert len(cycle_traces(x, 10)) == 95
+    cycle_visits = len(calls)
+    calls.clear()
+    path_invariants(x, 10)
+    path_visits = len(calls)
+    assert (cycle_visits, path_visits) == (274, 484)
+    assert cycle_visits < 2182 and path_visits < 727
+
+
+def test_walker_multiplies_only_nonzero_prefixes(monkeypatch):
+    """J = 0 and the reversed arrows vanish on a forward sample, so most
+    prefixes become zero; none of them is multiplied again."""
+    x = REFERENCE_SAMPLES["D4-forward"]()
+    right_operands = []
+    matmul = RatMatrix.__matmul__
+
+    def recorded(self, other):
+        right_operands.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", recorded)
+    entries = pi_fingerprint(x, 6)
+    assert right_operands and not any(m.is_zero for m in right_operands)
+    monkeypatch.undo()
+    assert entries == _reference_fingerprint(x, 6)
+
+
+def test_walk_budget_stops_the_e6_default_bound_before_any_matmul(monkeypatch):
+    monkeypatch.setattr(RatMatrix, "__matmul__", lambda self, other: pytest.fail("matmul before the budget"))
+    q, v, w = ade_minimal_resolution_setup("E6")
+    x = FramedRep(double(q), v, w)
+    assert default_degree_bound(x) == 22
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"need up to 13472166 visits.* largest bound under it is 19$"):
+        pi_fingerprint(x)
+    assert time.perf_counter() - start < 1
+
+
+def test_walk_budget_counts_path_visits_exactly(monkeypatch):
+    """Every walk from the d4 point's framed centre can return, so the path
+    count is all 727 walks of length at most 10 from it."""
+    monkeypatch.setattr(invariants, "WALK_BUDGET", 726)
+    x = d4_bundle().reps["point"]
+    with pytest.raises(DomainError, match=r"need up to 727 visits.* largest bound under it is 9$"):
+        path_invariants(x, 10)
+    monkeypatch.setattr(invariants, "WALK_BUDGET", 727)
+    path_invariants(x, 10)
 
 
 def test_negative_bound_rejected():
