@@ -17,15 +17,16 @@ doubled-quiver declared order, then the W1->V2 blocks by vertex order, then
 the V1->W2 blocks.  The middle layout is what cocycle files and the
 reduce/extend machinery decode against.
 
-Row-major vectorization turns X -> A X B into the Kronecker product
-vec(A X B) = (A kron B^T) vec(X), so each term above is one signed block:
-xi_t B1_a is (1 kron B1_a^T) and -B2_a xi_s is -(B2_a kron 1); beta's
-eps(a) B2_a C_bar(a) is eps(a) (B2_a kron 1) in the columns of bar(a), and
-eps(a) C_a B1_bar(a) is eps(a) (1 kron B1_bar(a)^T) in the columns of a; the
-I and J terms follow the same rule.  alpha and beta are assembled by adding
-these blocks into a zero grid.  Blocks add rather than being placed: on a
-loop arrow (s = t) the two alpha blocks land on the same entries, and in
-beta a loop and its reverse each write into the other's columns.
+Row-major vectorization makes every term one-sided, and each one is added
+into a zero grid with no Kronecker product and no identity matrix.  For X
+with n columns, X -> M X is (M kron 1_n): each nonzero entry of M runs down a
+stride-n diagonal.  For X with n rows, X -> X M is (1_n kron M^T): one copy
+of M^T per row of X, down the block diagonal.  The terms xi B1_a, xi I1,
+C_a B1_bar(a) and D J1 are right placements; B2_a xi, J2 xi, B2_a C_bar(a)
+and I2 E are left ones, signed as above.  Blocks add rather than being
+placed: on a loop arrow (s = t) the two alpha blocks land on the same
+entries, and in beta a loop and its reverse each write into the other's
+columns.
 
 Each matrix is assembled on first use and eliminated at most once.  The
 dimensions come from the two ranks by rank-nullity: hom = ends - rank alpha,
@@ -129,34 +130,32 @@ class BlockLayout:
         return [[s.kind, s.key, s.rows, s.cols] for s in self.slots]
 
 
-def _add_kron(
-    grid: list[list[Fraction]], row0: int, col0: int, sign: int, left: RatMatrix, right: RatMatrix
+def _add_left(
+    grid: list[list[Fraction]], row0: int, col0: int, sign: int, m: RatMatrix, n: int
 ) -> None:
-    """Add sign * (left kron right^T), the row-major matrix of
-    X -> sign * left X right, into ``grid`` with its top-left entry at
-    (row0, col0)."""
-    width = right.rows  # columns of X
-    height = right.cols  # columns of left X right
-    right_t = right.transpose().data
-    for i, left_row in enumerate(left.data):
-        for j, a in enumerate(left_row):
-            if a == 0:
-                continue
-            if sign < 0:
-                a = -a
-            col = col0 + j * width
-            for k, right_col in enumerate(right_t):
-                row = grid[row0 + i * height + k]
-                for l, b in enumerate(right_col):
-                    if b != 0:
-                        row[col + l] += a * b
+    """Add sign * (m kron 1_n), the row-major matrix of X -> sign * m X for X
+    with n columns, into ``grid`` with its top-left entry at (row0, col0)."""
+    for i, m_row in enumerate(m.data):
+        for j, a in enumerate(m_row):
+            if a:
+                a = a if sign > 0 else -a
+                r, c = row0 + i * n, col0 + j * n
+                for k in range(n):
+                    grid[r + k][c + k] += a
 
 
-def _zero_grid(rows: int, cols: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-_eye = RatMatrix.identity
+def _add_right(
+    grid: list[list[Fraction]], row0: int, col0: int, sign: int, n: int, m: RatMatrix
+) -> None:
+    """Add sign * (1_n kron m^T), the row-major matrix of X -> sign * X m for
+    X with n rows, into ``grid`` with its top-left entry at (row0, col0)."""
+    p, q = m.rows, m.cols
+    for j, m_row in enumerate(m.data):
+        for l, a in enumerate(m_row):
+            if a:
+                a = a if sign > 0 else -a
+                for k in range(n):
+                    grid[row0 + k * q + l][col0 + k * p + j] += a
 
 
 class Complex3:
@@ -185,14 +184,14 @@ class Complex3:
         x1, x2, dq = self.x1, self.x2, self.x1.dq
         v1, v2 = x1.dim_v, x2.dim_v
         rows, cols = self.middle.offsets, self.ends.offsets
-        grid = _zero_grid(self.middle.dim, self.ends.dim)
+        grid = [[Fraction(0)] * self.ends.dim for _ in range(self.middle.dim)]
         for a in dq.arrows:
             r0 = rows["arrow", a.name]
-            _add_kron(grid, r0, cols["xi", a.target], 1, _eye(v2[a.target]), x1.B[a.name])
-            _add_kron(grid, r0, cols["xi", a.source], -1, x2.B[a.name], _eye(v1[a.source]))
+            _add_right(grid, r0, cols["xi", a.target], 1, v2[a.target], x1.B[a.name])
+            _add_left(grid, r0, cols["xi", a.source], -1, x2.B[a.name], v1[a.source])
         for i in dq.vertices:
-            _add_kron(grid, rows["I", i], cols["xi", i], 1, _eye(v2[i]), x1.I[i])
-            _add_kron(grid, rows["J", i], cols["xi", i], -1, x2.J[i], _eye(v1[i]))
+            _add_right(grid, rows["I", i], cols["xi", i], 1, v2[i], x1.I[i])
+            _add_left(grid, rows["J", i], cols["xi", i], -1, x2.J[i], v1[i])
         return RatMatrix(self.middle.dim, self.ends.dim, tuple(map(tuple, grid)))
 
     @cached_property
@@ -200,15 +199,15 @@ class Complex3:
         x1, x2, dq = self.x1, self.x2, self.x1.dq
         v1, v2 = x1.dim_v, x2.dim_v
         rows, cols = self.ends.offsets, self.middle.offsets
-        grid = _zero_grid(self.ends.dim, self.middle.dim)
+        grid = [[Fraction(0)] * self.middle.dim for _ in range(self.ends.dim)]
         for i in dq.vertices:
             r0 = rows["xi", i]
             for a in dq.arrows_into(i):
                 eps, bar = dq.eps(a.name), dq.bar(a.name)
-                _add_kron(grid, r0, cols["arrow", bar], eps, x2.B[a.name], _eye(v1[i]))
-                _add_kron(grid, r0, cols["arrow", a.name], eps, _eye(v2[i]), x1.B[bar])
-            _add_kron(grid, r0, cols["J", i], 1, x2.I[i], _eye(v1[i]))
-            _add_kron(grid, r0, cols["I", i], 1, _eye(v2[i]), x1.J[i])
+                _add_left(grid, r0, cols["arrow", bar], eps, x2.B[a.name], v1[i])
+                _add_right(grid, r0, cols["arrow", a.name], eps, v2[i], x1.B[bar])
+            _add_left(grid, r0, cols["J", i], 1, x2.I[i], v1[i])
+            _add_right(grid, r0, cols["I", i], 1, v2[i], x1.J[i])
         return RatMatrix(self.ends.dim, self.middle.dim, tuple(map(tuple, grid)))
 
     @cached_property

@@ -2,16 +2,18 @@
 path entries, plus the explicit relations of the rank-one and chain setups.
 
 One walker enumerates the walks that give an entry, sharing prefix products.
-A cycle is emitted once per rotation class, as its least rotation: the walker
-keeps the prenecklace period p, takes no arrow named below ``word[n - p]``
-and emits a closed walk when p divides n (the FKM necklace test; Ruskey,
-Savage and Wang 1992, "Generating necklaces", J. Algorithms 13).  A reversed
-cycle is a different word in the doubled quiver.  A branch is cut when its
-breadth-first distance to the origin (cycles) or to the nearest framed vertex
-(paths) exceeds the arrows left.  A zero prefix product is kept as None and
-gives an exact 0 with no further matmul.  Path products start from I_origin,
-so each path entry is J_end times one.  Labels are plain tuples, ordered
-deterministically, so two fingerprints can be compared entry by entry.
+It searches depth first on an explicit stack, so no bound meets the
+interpreter's recursion limit.  A cycle is emitted once per rotation class,
+as its least rotation: the walker keeps the prenecklace period p, takes no
+arrow named below ``word[n - p]`` and emits a closed walk when p divides n
+(the FKM necklace test; Ruskey, Savage and Wang 1992, "Generating
+necklaces", J. Algorithms 13).  A reversed cycle is a different word in the
+doubled quiver.  A branch is cut when its breadth-first distance to the
+origin (cycles) or to the nearest framed vertex (paths) exceeds the arrows
+left.  A zero prefix product is kept as None and gives an exact 0 with no
+further matmul.  Path products start from I_origin, so each path entry is
+J_end times one.  Labels are plain tuples, ordered deterministically, so two
+fingerprints can be compared entry by entry.
 """
 
 from __future__ import annotations
@@ -76,28 +78,30 @@ def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) 
     the path matrix times seed, or None when it is zero."""
     _check_bound(x, starts, max_length)
     out: list[tuple] = []
-    word: list[str] = []
-
-    def visit(here: str, period: int) -> None:  # for the current origin, dist and products
-        n = len(word)
-        if dist[here] == 0 and (not necklaces or (n and n % period == 0)):
-            for name in word[len(products) - 1 :]:
-                step = None if products[-1] is None else x.B[name] @ products[-1]
-                products.append(None if step is None or step.is_zero else step)
-            out.append((origin, tuple(word), here, products[-1]))
-        if n == max_length:
-            return
-        least = word[n - period] if necklaces and n else ""  # "" sorts below every name
-        for a in x.dq.arrows_out_of(here):
-            if a.name >= least and dist.get(a.target, max_length) < max_length - n:
-                word.append(a.name)
-                visit(a.target, period if a.name == least else n + 1)
-                word.pop()
-                del products[n + 1 :]
-
     for origin, seed, dist in starts:
+        word: list[str] = []
         products = [None if seed.is_zero else seed]  # products[k]: seed times the first k arrows
-        visit(origin, 1)
+        # entries (n, arrow, here, period): reach `here` by the walk word[:n - 1] + [arrow]
+        stack: list[tuple] = [(0, "", origin, 1)]
+        while stack:
+            n, name, here, period = stack.pop()
+            if n:
+                del word[n - 1 :]
+                del products[n:]
+                word.append(name)
+            if dist[here] == 0 and (not necklaces or (n and n % period == 0)):
+                for arrow in word[len(products) - 1 :]:
+                    step = None if products[-1] is None else x.B[arrow] @ products[-1]
+                    products.append(None if step is None or step.is_zero else step)
+                out.append((origin, tuple(word), here, products[-1]))
+            if n == max_length:
+                continue
+            least = word[n - period] if necklaces and n else ""  # "" sorts below every name
+            stack.extend(
+                (n + 1, a.name, a.target, period if a.name == least else n + 1)
+                for a in reversed(x.dq.arrows_out_of(here))
+                if a.name >= least and dist.get(a.target, max_length) < max_length - n
+            )
     return out
 
 

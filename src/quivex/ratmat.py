@@ -43,10 +43,16 @@ def as_fraction(value: Scalar) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         match = re.fullmatch(r"(-?[0-9]+)(?:/(-?[0-9]+))?", value)
-        denominator = int(match[2] or 1) if match else 0
+        try:
+            denominator = int(match[2] or 1) if match else 0
+            numerator = int(match[1]) if match else 0
+        except ValueError:  # more digits than int() converts from a string
+            raise FormatError(
+                f"rational literal of {len(value)} characters is over the integer digit limit"
+            ) from None
         if denominator == 0:
             raise FormatError(f"bad rational literal {value!r}")
-        return Fraction(int(match[1]), denominator)
+        return Fraction(numerator, denominator)
     raise FormatError(f"cannot interpret {value!r} as a rational number")
 
 

@@ -105,20 +105,16 @@ def is_stable(x: FramedRep, zeta: ZetaParam) -> StabilityResult:
     """
     ensure_flat(x)
     sign = zeta.sign_class
-    if sign == "positive":
-        t = min_invariant_over_imI(transpose(x))
-        if t.equals_ambient(x.dim_v):
-            return StabilityResult(True, None)
-        return StabilityResult(False, _annihilator(t))
-    if sign == "negative":
-        t = min_invariant_over_imI(x)
-        if t.equals_ambient(x.dim_v):
-            return StabilityResult(True, None)
-        return StabilityResult(False, t)
-    raise UnsupportedZetaError(
-        "mixed-sign stability parameters are not supported; "
-        "use an all-positive or all-negative zeta"
-    )
+    if sign == "mixed":
+        raise UnsupportedZetaError(
+            "mixed-sign stability parameters are not supported; "
+            "use an all-positive or all-negative zeta"
+        )
+    positive = sign == "positive"
+    t = min_invariant_over_imI(transpose(x) if positive else x)
+    if t.equals_ambient(x.dim_v):
+        return StabilityResult(True, None)
+    return StabilityResult(False, _annihilator(t) if positive else t)
 
 
 def stabilizer_trivial(x: FramedRep) -> bool:

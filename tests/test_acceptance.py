@@ -5,9 +5,16 @@ Everything here is exact arithmetic; every comparison is equality with zero
 tolerance.  The same checks back the ``quivex verify`` subcommand.
 """
 
+import hashlib
+
 import pytest
 
 from quivex import acceptance
+from quivex.cli import main
+
+# sha256 of the whole ``quivex verify`` report on stdout, so a change to any
+# number, name or detail of a criterion fails here rather than going unseen
+VERIFY_STDOUT_SHA256 = "7257fb3771cd8fefcfc7abc81ed94665c2d9ab5cbe629e987b05229c26832e09"
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +63,9 @@ def test_criterion_7_framing_rewrite(corpus):
 
 def test_criterion_8_documented_exclusions():
     _report(acceptance.criterion_8())
+
+
+def test_verify_stdout_pinned(capsys):
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256

@@ -172,7 +172,33 @@ def test_invariants_over_walk_budget_exit_2(capsys, tmp_path):
     assert report["result"]["all_zero"] is True
 
 
-@pytest.mark.parametrize("literal", ["1_0", " 3 ", "+4", "\u0661\u0662/3"])
+def test_invariants_bound_past_the_recursion_limit(capsys):
+    # the walks alternate a and a*, so the walker goes 3000 arrows deep
+    rep = {
+        "quiver": json.loads(A2_QUIVER),
+        "dimV": {"1": 1, "2": 1},
+        "dimW": {"1": 1},
+        "B": {"a": [[1]]},
+        "J": {"1": [[1]]},
+    }
+    code = main(["invariants", "--rep", json.dumps(rep), "--max-length", "3000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert '"max_length": 3000' in out[-100:]
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "1_0",
+        " 3 ",
+        "+4",
+        "\u0661\u0662/3",
+        # past the digits int() converts from a string
+        pytest.param("1" * 5000, id="5000-digit"),
+        pytest.param("1/" + "1" * 5000, id="5000-digit-denominator"),
+    ],
+)
 def test_loose_rational_literal_exit_1_in_envelope(capsys, literal):
     rep = {"quiver": json.loads(A2_QUIVER), "dimV": {"1": 1, "2": 1}, "B": {"a": [[literal]]}}
     code, report = run_cli(capsys, "check-moment", "--rep", json.dumps(rep))

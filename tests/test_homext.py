@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,7 +157,7 @@ def _unit(n, k):
 
 def probe_alpha(c):
     """alpha column by column: the map applied to each unit vector of the
-    ends, one matmul per block, independently of the Kronecker assembly."""
+    ends, one matmul per block, independently of the block assembly."""
     x1, x2, dq = c.x1, c.x2, c.x1.dq
     cols = []
     for k in range(c.ends.dim):
@@ -201,6 +204,24 @@ ASSEMBLY_CASES = {
 }
 
 
+def dense_point(q, v, w, seed):
+    """Nonzero rationals, mostly non-integral, in every block: both halves of
+    B and I and J are live, and the point is not flat."""
+    rng = random.Random(seed)
+    dq, dv, dw = double(q), DimVector.of(q, v), DimVector.of(q, w)
+
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+
+    def block(rows, cols):
+        return RatMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    B = {a.name: block(dv[a.target], dv[a.source]) for a in dq.arrows}
+    I = {i: block(dv[i], dw[i]) for i in dq.vertices}
+    J = {i: block(dw[i], dv[i]) for i in dq.vertices}
+    return FramedRep(dq, dv, dw, B, I, J)
+
+
 @pytest.mark.parametrize("name", sorted(ASSEMBLY_CASES))
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=8)
@@ -212,6 +233,7 @@ def test_assembly_matches_unit_vector_probing(name, seed):
             sample_flat(dq, DimVector.of(q, v), DimVector.of(q, w), seed + 2 * n + k, half)
             for k, half in enumerate(("forward", "reverse"))
         ]
+        + [dense_point(q, v, w, seed + n)]
         for n, (v, w) in enumerate((first, second))
     )
     for x in xs:
@@ -219,6 +241,22 @@ def test_assembly_matches_unit_vector_probing(name, seed):
             c = build_complex(x, y)
             assert c.alpha == probe_alpha(c)
             assert c.beta == probe_beta(c)
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_CASES))
+def test_assembly_builds_no_identity_matrix(monkeypatch, name):
+    # swapping the code object also reaches an alias of RatMatrix.identity
+    # bound before the patch
+    q, (v1, w1), (v2, w2) = ASSEMBLY_CASES[name]
+    c = build_complex(dense_point(q, v1, w1, 1), dense_point(q, v2, w2, 2))
+
+    def refuse(cls, n):
+        raise AssertionError("an identity matrix was built")
+
+    monkeypatch.setattr(RatMatrix.identity.__func__, "__code__", refuse.__code__)
+    alpha, beta = c.alpha, c.beta
+    monkeypatch.undo()
+    assert (alpha, beta) == (probe_alpha(c), probe_beta(c))
 
 
 def test_loop_blocks_add():
