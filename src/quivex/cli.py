@@ -54,11 +54,12 @@ def _zeta_for(rep, inputs: _Inputs, value: str) -> ZetaParam:
 
 
 def _emit(command: str, **fields) -> int:
-    """Print the report envelope: command and version plus ``inputs`` and
-    ``result`` (and ``seed``) on success, or ``error`` on failure.  Returns
-    the success exit code."""
+    """Stream the report envelope: command and version plus ``inputs`` and
+    ``result`` (and ``seed``) on success, or ``error`` on failure, to stdout.
+    Returns the success exit code."""
     report = {"command": command, "version": __version__, **fields}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    json.dump(report, sys.stdout, indent=2, sort_keys=True)
+    print()
     return 0
 
 
@@ -218,7 +219,8 @@ def _cmd_example(args) -> int:
                 f"bundle {args.name!r} has no member {args.member!r}; "
                 f"members: {sorted(bundle.reps)}"
             )
-        print(json.dumps(formats.rep_to_json(bundle.reps[args.member]), indent=2, sort_keys=True))
+        json.dump(formats.rep_to_json(bundle.reps[args.member]), sys.stdout, indent=2, sort_keys=True)
+        print()
         return 0
     if args.out:
         outdir = Path(args.out)

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from .bundles import ExampleBundle
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .homext import BlockLayout
 from .quiver import Arrow, DimVector, DoubledQuiver, Quiver, ZetaParam, double
 from .ratmat import RatMatrix
@@ -38,9 +38,12 @@ def _read(obj: Any, kind: type, what: str) -> Any:
 
 
 def fraction_to_json(value: Fraction) -> int | str:
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    """An int, or "p/q"; DomainError past the int-to-string digit limit."""
+    try:
+        text = str(value)
+    except ValueError:
+        raise DomainError("a report value is past the int-to-string digit limit") from None
+    return value.numerator if value.denominator == 1 else text
 
 
 def matrix_to_json(m: RatMatrix) -> list[list[int | str]]:

@@ -20,8 +20,8 @@ from .ratmat import (
     column_space_echelon,
     hstack,
     kernel_basis,
+    pivot_columns,
     rank,
-    rref,
     solve_exact,
     vstack,
 )
@@ -154,7 +154,7 @@ def _extend(c: homext.Complex3, i: str, classes: list[RatMatrix]) -> FramedRep:
         if not (c.beta @ vec).is_zero:
             raise DomainError("extension class is not a cocycle")
     im = c.image_alpha
-    _, pivots = rref(hstack(im + classes, rows=c.middle.dim))
+    pivots = pivot_columns(hstack(im + classes, rows=c.middle.dim))
     if len(pivots) != len(im) + r:
         raise DependentClassesError("extension classes are dependent modulo the coboundaries")
     decoded = [c.middle.unpack(vec) for vec in classes]
@@ -280,7 +280,7 @@ def are_isomorphic(x: FramedRep, y: FramedRep) -> bool:
     basis = kernel_basis(hstack([c.alpha, -target]))
     if not basis or basis[-1][n, 0] != 1:
         return False
-    *kernel, particular = [RatMatrix(n, 1, v.data[:n]) for v in basis]
+    *kernel, particular = [RatMatrix.from_integers(n, 1, v.nums[:n], v.den) for v in basis]
 
     def invertible(vec: RatMatrix) -> bool:
         blocks = c.ends.unpack(vec)["xi"]

@@ -17,9 +17,10 @@ doubled-quiver declared order, then the W1->V2 blocks by vertex order, then
 the V1->W2 blocks.  The middle layout is what cocycle files and the
 reduce/extend machinery decode against.
 
-Row-major vectorization makes every term one-sided, and each one is added
-into a zero grid with no Kronecker product and no identity matrix.  For X
-with n columns, X -> M X is (M kron 1_n): each nonzero entry of M runs down a
+Row-major vectorization makes every term one-sided, and each one adds
+integers into a zero grid over one denominator, the lcm of those of the
+maps, with no Kronecker product and no identity matrix.  For X with n
+columns, X -> M X is (M kron 1_n): each nonzero entry of M runs down a
 stride-n diagonal.  For X with n rows, X -> X M is (1_n kron M^T): one copy
 of M^T per row of X, down the block diagonal.  The terms xi B1_a, xi I1,
 C_a B1_bar(a) and D J1 are right placements; B2_a xi, J2 xi, B2_a C_bar(a)
@@ -38,13 +39,13 @@ vectors are built only for ``hom_basis`` (the kernel of alpha) and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import DimensionError, QuiverMismatchError
 from .quiver import DimVector, DoubledQuiver, chi as chi_formula
-from .ratmat import RatMatrix, hstack, kernel_from_echelon, rref
+from .ratmat import RatMatrix, hstack, kernel_from_echelon, pivot_columns, rref
 from .rep import FramedRep, is_flat
 
 
@@ -116,44 +117,41 @@ class BlockLayout:
         """Every block of ``vec``, keyed by kind and then by key."""
         if vec.shape != (self.dim, 1):
             raise DimensionError(f"block vector has shape {vec.shape}, expected ({self.dim}, 1)")
-        flat = [row[0] for row in vec.data]
+        flat = [row[0] for row in vec.nums]
         blocks: dict[str, dict[str, RatMatrix]] = {}
         for s in self.slots:
-            data = tuple(
+            nums = tuple(
                 tuple(flat[s.offset + r * s.cols : s.offset + (r + 1) * s.cols])
                 for r in range(s.rows)
             )
-            blocks.setdefault(s.kind, {})[s.key] = RatMatrix(s.rows, s.cols, data)
+            block = RatMatrix.from_integers(s.rows, s.cols, nums, vec.den)
+            blocks.setdefault(s.kind, {})[s.key] = block
         return blocks
 
     def descriptor(self) -> list[list]:
         return [[s.kind, s.key, s.rows, s.cols] for s in self.slots]
 
 
-def _add_left(
-    grid: list[list[Fraction]], row0: int, col0: int, sign: int, m: RatMatrix, n: int
-) -> None:
-    """Add sign * (m kron 1_n), the row-major matrix of X -> sign * m X for X
-    with n columns, into ``grid`` with its top-left entry at (row0, col0)."""
-    for i, m_row in enumerate(m.data):
+def _add_left(grid: list[list[int]], row0: int, col0: int, scale: int, m: RatMatrix, n: int) -> None:
+    """Add scale * (m kron 1_n), the matrix of X -> scale * m X for X with n
+    columns, into ``grid`` at (row0, col0); m.den divides scale."""
+    for i, m_row in enumerate(m.nums):
         for j, a in enumerate(m_row):
             if a:
-                a = a if sign > 0 else -a
+                a = a * scale // m.den
                 r, c = row0 + i * n, col0 + j * n
                 for k in range(n):
                     grid[r + k][c + k] += a
 
 
-def _add_right(
-    grid: list[list[Fraction]], row0: int, col0: int, sign: int, n: int, m: RatMatrix
-) -> None:
-    """Add sign * (1_n kron m^T), the row-major matrix of X -> sign * X m for
-    X with n rows, into ``grid`` with its top-left entry at (row0, col0)."""
+def _add_right(grid: list[list[int]], row0: int, col0: int, scale: int, n: int, m: RatMatrix) -> None:
+    """Add scale * (1_n kron m^T), the matrix of X -> scale * X m for X with n
+    rows, into ``grid`` at (row0, col0); m.den divides scale."""
     p, q = m.rows, m.cols
-    for j, m_row in enumerate(m.data):
+    for j, m_row in enumerate(m.nums):
         for l, a in enumerate(m_row):
             if a:
-                a = a if sign > 0 else -a
+                a = a * scale // m.den
                 for k in range(n):
                     grid[row0 + k * q + l][col0 + k * p + j] += a
 
@@ -174,6 +172,7 @@ class Complex3:
         dq = x1.dq
         self.middle = BlockLayout.middle(dq, x1.dim_v, x1.dim_w, x2.dim_v, x2.dim_w)
         self.ends = BlockLayout.ends(dq, x1.dim_v, x2.dim_v)
+        self.den = lcm(*(m.den for x in (x1, x2) for f in (x.B, x.I, x.J) for m in f.values()))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -181,34 +180,34 @@ class Complex3:
 
     @cached_property
     def alpha(self) -> RatMatrix:
-        x1, x2, dq = self.x1, self.x2, self.x1.dq
+        x1, x2, dq, den = self.x1, self.x2, self.x1.dq, self.den
         v1, v2 = x1.dim_v, x2.dim_v
         rows, cols = self.middle.offsets, self.ends.offsets
-        grid = [[Fraction(0)] * self.ends.dim for _ in range(self.middle.dim)]
+        grid = [[0] * self.ends.dim for _ in range(self.middle.dim)]
         for a in dq.arrows:
             r0 = rows["arrow", a.name]
-            _add_right(grid, r0, cols["xi", a.target], 1, v2[a.target], x1.B[a.name])
-            _add_left(grid, r0, cols["xi", a.source], -1, x2.B[a.name], v1[a.source])
+            _add_right(grid, r0, cols["xi", a.target], den, v2[a.target], x1.B[a.name])
+            _add_left(grid, r0, cols["xi", a.source], -den, x2.B[a.name], v1[a.source])
         for i in dq.vertices:
-            _add_right(grid, rows["I", i], cols["xi", i], 1, v2[i], x1.I[i])
-            _add_left(grid, rows["J", i], cols["xi", i], -1, x2.J[i], v1[i])
-        return RatMatrix(self.middle.dim, self.ends.dim, tuple(map(tuple, grid)))
+            _add_right(grid, rows["I", i], cols["xi", i], den, v2[i], x1.I[i])
+            _add_left(grid, rows["J", i], cols["xi", i], -den, x2.J[i], v1[i])
+        return RatMatrix.from_integers(self.middle.dim, self.ends.dim, tuple(map(tuple, grid)), den)
 
     @cached_property
     def beta(self) -> RatMatrix:
-        x1, x2, dq = self.x1, self.x2, self.x1.dq
+        x1, x2, dq, den = self.x1, self.x2, self.x1.dq, self.den
         v1, v2 = x1.dim_v, x2.dim_v
         rows, cols = self.ends.offsets, self.middle.offsets
-        grid = [[Fraction(0)] * self.middle.dim for _ in range(self.ends.dim)]
+        grid = [[0] * self.middle.dim for _ in range(self.ends.dim)]
         for i in dq.vertices:
             r0 = rows["xi", i]
             for a in dq.arrows_into(i):
-                eps, bar = dq.eps(a.name), dq.bar(a.name)
-                _add_left(grid, r0, cols["arrow", bar], eps, x2.B[a.name], v1[i])
-                _add_right(grid, r0, cols["arrow", a.name], eps, v2[i], x1.B[bar])
-            _add_left(grid, r0, cols["J", i], 1, x2.I[i], v1[i])
-            _add_right(grid, r0, cols["I", i], 1, v2[i], x1.J[i])
-        return RatMatrix(self.ends.dim, self.middle.dim, tuple(map(tuple, grid)))
+                scale, bar = dq.eps(a.name) * den, dq.bar(a.name)
+                _add_left(grid, r0, cols["arrow", bar], scale, x2.B[a.name], v1[i])
+                _add_right(grid, r0, cols["arrow", a.name], scale, v2[i], x1.B[bar])
+            _add_left(grid, r0, cols["J", i], den, x2.I[i], v1[i])
+            _add_right(grid, r0, cols["I", i], den, v2[i], x1.J[i])
+        return RatMatrix.from_integers(self.ends.dim, self.middle.dim, tuple(map(tuple, grid)), den)
 
     @cached_property
     def _alpha_echelon(self) -> tuple[RatMatrix, tuple[int, ...]]:
@@ -257,8 +256,7 @@ class Complex3:
         vectors that extend an echelon basis of the image of alpha."""
         im = self.image_alpha
         ker = self.kernel_beta
-        stacked = hstack(im + ker, rows=self.middle.dim)
-        _, pivots = rref(stacked)
+        pivots = pivot_columns(hstack(im + ker, rows=self.middle.dim))
         return [ker[j - len(im)] for j in pivots if j >= len(im)]
 
     def euler(self) -> EulerCheck:

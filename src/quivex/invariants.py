@@ -34,6 +34,7 @@ FingerprintEntry = tuple[tuple, Fraction]
 # any matmul: exactly for paths, from above for cycles (the count skips the
 # necklace cut).  The E6 setup passes up to bound 19; its default 22 needs 13.5M.
 WALK_BUDGET = 2_000_000
+_COUNT_CAP = 10**15  # the counts stop here, so a huge bound never formats a huge number
 
 
 def _distances(x: FramedRep, targets: list[str]) -> dict[str, int]:
@@ -60,13 +61,14 @@ def _check_bound(x: FramedRep, starts: list[tuple], max_length: int) -> None:
             grown = dict.fromkeys(dist, 1)
             for a in x.dq.arrows:
                 if dist.get(a.target, left) < left:
-                    grown[a.source] += counts[a.target]
+                    grown[a.source] = min(grown[a.source] + counts[a.target], _COUNT_CAP)
             counts = grown
-            visits[left] += counts[origin]
+            visits[left] = min(visits[left] + counts[origin], _COUNT_CAP)
     if visits[-1] > WALK_BUDGET:
         best = max(bound for bound, count in enumerate(visits) if count <= WALK_BUDGET)
+        need = f"up to {visits[-1]}" if visits[-1] < _COUNT_CAP else f"at least {_COUNT_CAP}"
         raise DomainError(
-            f"walks up to length {max_length} need up to {visits[-1]} visits, over the "
+            f"walks up to length {max_length} need {need} visits, over the "
             f"budget of {WALK_BUDGET}; the largest bound under it is {best}"
         )
 
@@ -127,12 +129,12 @@ def path_invariants(x: FramedRep, max_length: int) -> list[tuple[PathLabel, Frac
     out = []
     for origin, word, end, product in walks:
         if product is None:
-            value = RatMatrix.zeros(x.dim_w[end], x.dim_w[origin])
+            values = ((Fraction(0),) * x.dim_w[origin],) * x.dim_w[end]
         else:
-            value = x.J[end] @ product
-        for r in range(value.rows):
-            for c in range(value.cols):
-                out.append(((origin, word, end, r, c), value[r, c]))
+            values = (x.J[end] @ product).data
+        for r, row in enumerate(values):
+            for c, value in enumerate(row):
+                out.append(((origin, word, end, r, c), value))
     return out
 
 

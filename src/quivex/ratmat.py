@@ -1,38 +1,40 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are immutable tuples of ``fractions.Fraction`` entries, all
-operations are pure functions, and every echelon computation pivots on the
-first nonzero entry scanning down a column with pivots normalized to 1, so
-results are bit-identical across runs.  Zero-row and zero-column matrices
-are legal everywhere.
+A matrix is stored in one form: integer rows ``nums`` over one positive
+denominator ``den``, in lowest terms (gcd(den, every entry) = 1, so a zero
+matrix has den 1).  The form is canonical, so ``==`` and ``hash`` compare
+it; ``data``, ``row`` and ``m[i, j]`` build ``Fraction``s when read.
+Matrices are immutable, operations are pure, and every echelon computation
+pivots on the first nonzero entry down a column with pivots normalized to
+1, so results are bit-identical across runs.  Zero-row and zero-column
+matrices are legal everywhere.
 
-Elimination and products run on integers inside, with one ``Fraction`` per
-output entry.  Each row (or column) is scaled to integers by the lcm of its
+Every operation works on the integers: a product entry is one integer dot
+product over den1 * den2; sums and stacks work over the lcm of the
 denominators.  ``rref`` is fraction-free Gauss-Jordan elimination (Bareiss
 1968, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22): with pivot p in the pivot row and p_prev the
-pivot of the step before (1 at the first step), every other row, above and
-below, becomes (p r - f r_pivot) / p_prev, f being its entry in the pivot
-column.  The division is exact by Sylvester's identity, since every entry is
-then a minor of the scaled matrix.  After the last step all pivots equal the
-last p, and dividing each pivot row by it once gives the reduced form; the
-reduced row echelon form is unique, so this is the same matrix a Fraction
-elimination gives.  ``rank`` counts the pivots without that division.  A
-product entry is one integer dot product over the row scale times the
-column scale.
+elimination", Math. Comp. 22) on the rows, each divided by its gcd first:
+with pivot p and p_prev the pivot of the step before (1 at the first),
+every other row becomes (p r - f r_pivot) / p_prev, f being its entry in
+the pivot column, exactly, since every entry is a minor of the scaled
+matrix.  At the end all pivots equal the last p, and the grid over it is
+the reduced form, which is unique, so a Fraction elimination gives it too.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul
 from typing import Sequence, Union
 
 from .errors import DimensionError, FormatError, InconsistentSystemError
 
 Scalar = Union[int, str, Fraction]
+IntRows = tuple[tuple[int, ...], ...]
 
 def as_fraction(value: Scalar) -> Fraction:
     """Coerce an int, Fraction or ``"p/q"`` string to an exact rational; a
@@ -56,130 +58,117 @@ def as_fraction(value: Scalar) -> Fraction:
     raise FormatError(f"cannot interpret {value!r} as a rational number")
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def _scaled(nums: IntRows, k: int) -> IntRows:
+    return nums if k == 1 else tuple(tuple([a * k for a in r]) for r in nums)
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The integers n and the scale d, the lcm of the denominators, with
-    values[j] = n[j] / d."""
-    scale = lcm(*(v.denominator for v in values))
-    if scale == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
+@dataclass(init=False, repr=False, unsafe_hash=True, slots=True)
 class RatMatrix:
-    """An immutable rows-by-cols grid of exact rationals."""
+    """An immutable grid of exact rationals: integer rows ``nums`` over the
+    positive ``den``, in lowest terms; ``==`` and ``hash`` compare the fields."""
 
-    __slots__ = ("rows", "cols", "data")
+    rows: int
+    cols: int
+    nums: IntRows
+    den: int
 
-    def __init__(self, rows: int, cols: int, data: tuple[tuple[Fraction, ...], ...]):
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+    def __init__(self, rows: int, cols: int, data: Sequence[Sequence[Scalar]]):
+        values = [[as_fraction(v) for v in r] for r in data]
+        # over the lcm of lowest-terms denominators the entries share no factor with it
+        den = lcm(*(v.denominator for r in values for v in r))
+        self.rows, self.cols, self.den = rows, cols, den
+        self.nums = tuple(tuple(v.numerator * (den // v.denominator) for v in r) for r in values)
+
+    @classmethod
+    def from_integers(cls, rows: int, cols: int, nums: IntRows, den: int = 1) -> "RatMatrix":
+        """The matrix nums / den (den nonzero), brought to lowest terms."""
+        g = 1 if den == 1 else gcd(den, *chain.from_iterable(nums)) * (1 if den > 0 else -1)
+        if g != 1 and cols:
+            flat = iter([a // g for a in chain.from_iterable(nums)])
+            nums = tuple(zip(*[flat] * cols))  # consecutive runs of cols entries
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.nums, m.den = rows, cols, nums, den // g
+        return m
 
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence[Scalar]], cols: int | None = None) -> "RatMatrix":
-        rows = len(entries)
-        if rows == 0:
-            if cols is None:
-                cols = 0
-            return cls(0, cols, ())
-        width = len(entries[0]) if cols is None else cols
-        data = []
+        width = cols if cols is not None else len(entries[0]) if entries else 0
         for i, row in enumerate(entries):
             if len(row) != width:
                 raise DimensionError(f"ragged matrix: row {i} has {len(row)} entries, expected {width}")
-            data.append(tuple(as_fraction(v) for v in row))
-        return cls(rows, width, tuple(data))
+        return cls(len(entries), width, entries)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        row = (_ZERO,) * cols
-        return cls(rows, cols, tuple(row for _ in range(rows)))
+        return cls.from_integers(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
+        return cls.from_integers(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def column(cls, values: Sequence[Scalar]) -> "RatMatrix":
-        return cls(len(values), 1, tuple((as_fraction(v),) for v in values))
+        return cls(len(values), 1, [(v,) for v in values])
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(map(self.row, range(self.rows)))
+
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.data[i][j]
+        return Fraction(self.nums[i][j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
+        return tuple(Fraction(a, self.den) for a in self.nums[i])
 
     def column_matrix(self, j: int) -> "RatMatrix":
-        return RatMatrix(self.rows, 1, tuple((r[j],) for r in self.data))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+        return RatMatrix.from_integers(self.rows, 1, tuple([(r[j],) for r in self.nums]), self.den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot compose {self.shape} with {other.shape}")
         if other.rows == 0:
             return RatMatrix.zeros(self.rows, other.cols)
-        cols = [_integer_row(c) for c in zip(*other.data)]
-        data = []
-        for row in self.data:
-            nums, row_scale = _integer_row(row)
-            if not any(nums):
-                data.append((_ZERO,) * other.cols)
-                continue
-            out = []
-            for col_nums, col_scale in cols:
-                dot = sum(map(mul, nums, col_nums))
-                out.append(Fraction(dot, row_scale * col_scale) if dot else _ZERO)
-            data.append(tuple(out))
-        return RatMatrix(self.rows, other.cols, tuple(data))
+        cols = list(zip(*other.nums))
+        zero = (0,) * other.cols
+        nums = tuple(tuple(sum(map(mul, r, c)) for c in cols) if any(r) else zero for r in self.nums)
+        return RatMatrix.from_integers(self.rows, other.cols, nums, self.den * other.den)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        data = tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data))
-        return RatMatrix(self.rows, self.cols, data)
+        den = lcm(self.den, other.den)
+        pairs = zip(_scaled(self.nums, den // self.den), _scaled(other.nums, den // other.den))
+        nums = tuple(tuple(map(add, r1, r2)) for r1, r2 in pairs)
+        return RatMatrix.from_integers(self.rows, self.cols, nums, den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, tuple(tuple(-v for v in r) for r in self.data))
+        return self.scale(-1)
 
     def scale(self, s: Scalar) -> "RatMatrix":
         f = as_fraction(s)
-        return RatMatrix(self.rows, self.cols, tuple(tuple(f * v for v in r) for r in self.data))
+        nums = _scaled(self.nums, f.numerator)
+        return RatMatrix.from_integers(self.rows, self.cols, nums, self.den * f.denominator)
 
     def transpose(self) -> "RatMatrix":
-        if self.rows == 0:
-            return RatMatrix(self.cols, 0, ((),) * self.cols)
-        return RatMatrix(self.cols, self.rows, tuple(zip(*self.data)))
+        nums = tuple(zip(*self.nums)) if self.rows else ((),) * self.cols
+        return RatMatrix.from_integers(self.cols, self.rows, nums, self.den)
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for r in self.data for v in r)
+        return not any(map(any, self.nums))
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionError(f"trace of non-square {self.shape}")
-        return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
+        return Fraction(sum(self.nums[i][i] for i in range(self.rows)), self.den)
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
@@ -195,8 +184,10 @@ def hstack(mats: Sequence[RatMatrix], rows: int | None = None) -> RatMatrix:
     for m in mats:
         if m.rows != n:
             raise DimensionError(f"hstack row mismatch: {m.rows} vs {n}")
-    data = tuple(tuple(v for m in mats for v in m.data[i]) for i in range(n))
-    return RatMatrix(n, sum(m.cols for m in mats), data)
+    den = lcm(*(m.den for m in mats))
+    scales = [(m.nums, den // m.den) for m in mats]
+    nums = tuple(tuple([a * k for rows, k in scales for a in rows[i]]) for i in range(n))
+    return RatMatrix.from_integers(n, sum(m.cols for m in mats), nums, den)
 
 
 def vstack(mats: Sequence[RatMatrix], cols: int | None = None) -> RatMatrix:
@@ -208,18 +199,21 @@ def vstack(mats: Sequence[RatMatrix], cols: int | None = None) -> RatMatrix:
     for m in mats:
         if m.cols != c:
             raise DimensionError(f"vstack column mismatch: {m.cols} vs {c}")
-    data = tuple(r for m in mats for r in m.data)
-    return RatMatrix(sum(m.rows for m in mats), c, data)
+    den = lcm(*(m.den for m in mats))
+    nums = tuple(chain.from_iterable(_scaled(m.nums, den // m.den) for m in mats))
+    return RatMatrix.from_integers(sum(m.rows for m in mats), c, nums, den)
 
 
 def _integer_echelon(m: RatMatrix) -> tuple[list[list[int]], tuple[int, ...]]:
     """Fraction-free Gauss-Jordan elimination of ``m`` (see the module
     docstring): the integer rows, whose pivot entries all equal the last
     pivot and whose rows past the rank are zero, and the pivot columns."""
-    grid = [_integer_row(r)[0] for r in m.data]
+    grid = []
+    for r in m.nums:
+        g = gcd(*r)
+        grid.append([a // g for a in r] if g > 1 else list(r))
     pivots: list[int] = []
-    prev = 1
-    pr = 0
+    prev, pr = 1, 0
     for pc in range(m.cols):
         target = next((r for r in range(pr, m.rows) if grid[r][pc]), None)
         if target is None:
@@ -247,12 +241,16 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot column indices."""
     grid, pivots = _integer_echelon(m)
     last = grid[len(pivots) - 1][pivots[-1]] if pivots else 1
-    data = tuple(tuple(Fraction(a, last) if a else _ZERO for a in row) for row in grid)
-    return RatMatrix(m.rows, m.cols, data), pivots
+    return RatMatrix.from_integers(m.rows, m.cols, tuple(map(tuple, grid)), last), pivots
+
+
+def pivot_columns(m: RatMatrix) -> tuple[int, ...]:
+    """The pivot columns of ``rref(m)``, without building the reduced form."""
+    return _integer_echelon(m)[1]
 
 
 def rank(m: RatMatrix) -> int:
-    return len(_integer_echelon(m)[1])
+    return len(pivot_columns(m))
 
 
 def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
@@ -263,16 +261,13 @@ def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
 
 def kernel_from_echelon(reduced: RatMatrix, pivots: tuple[int, ...]) -> list[RatMatrix]:
     """``kernel_basis`` of a matrix, read off its ``rref`` output."""
-    pivot_set = set(pivots)
     basis = []
-    for free in range(reduced.cols):
-        if free in pivot_set:
-            continue
-        vec = [_ZERO] * reduced.cols
-        vec[free] = _ONE
+    for free in sorted(set(range(reduced.cols)) - set(pivots)):
+        vec = [(0,)] * reduced.cols
+        vec[free] = (reduced.den,)
         for r, pc in enumerate(pivots):
-            vec[pc] = -reduced.data[r][free]
-        basis.append(RatMatrix.column(vec))
+            vec[pc] = (-reduced.nums[r][free],)
+        basis.append(RatMatrix.from_integers(reduced.cols, 1, tuple(vec), reduced.den))
     return basis
 
 
@@ -280,8 +275,8 @@ def column_space_echelon(m: RatMatrix) -> RatMatrix:
     """Canonical ordered basis of the column space, as the columns of one
     matrix: the nonzero rows of the row echelon form of the transpose."""
     reduced, pivots = rref(m.transpose())
-    cols = [RatMatrix.column(reduced.row(i)) for i in range(len(pivots))]
-    return hstack(cols, rows=m.rows)
+    basis = RatMatrix.from_integers(len(pivots), m.rows, reduced.nums[: len(pivots)], reduced.den)
+    return basis.transpose()
 
 
 def solve_exact(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -289,13 +284,12 @@ def solve_exact(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     if a.rows != b.rows:
         raise DimensionError(f"solve: {a.shape} against rhs {b.shape}")
     reduced, pivots = rref(hstack([a, b]))
-    for i in range(len(pivots)):
-        if pivots[i] >= a.cols:
-            raise InconsistentSystemError("linear system has no exact solution")
-    sol = [[_ZERO] * b.cols for _ in range(a.cols)]
+    if any(pc >= a.cols for pc in pivots):
+        raise InconsistentSystemError("linear system has no exact solution")
+    sol = [(0,) * b.cols] * a.cols
     for r, pc in enumerate(pivots):
-        sol[pc] = list(reduced.data[r][a.cols:])
-    return RatMatrix(a.cols, b.cols, tuple(tuple(r) for r in sol))
+        sol[pc] = reduced.nums[r][a.cols :]
+    return RatMatrix.from_integers(a.cols, b.cols, tuple(sol), reduced.den)
 
 
 def inverse(m: RatMatrix) -> RatMatrix:

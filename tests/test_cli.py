@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from quivex import formats
-from quivex.bundles import a2crystal_bundle, an_bundle
+from quivex.bundles import a2crystal_bundle, an_bundle, d4_bundle
 from quivex.cli import main
 from quivex.quiver import ade_minimal_resolution_setup, cb_transform, double
 from quivex.rep import FramedRep
@@ -172,19 +172,66 @@ def test_invariants_over_walk_budget_exit_2(capsys, tmp_path):
     assert report["result"]["all_zero"] is True
 
 
+A2_ONE_ARROW = {
+    "quiver": json.loads(A2_QUIVER),
+    "dimV": {"1": 1, "2": 1},
+    "dimW": {"1": 1},
+    "B": {"a": [[1]]},
+    "J": {"1": [[1]]},
+}
+
+
 def test_invariants_bound_past_the_recursion_limit(capsys):
     # the walks alternate a and a*, so the walker goes 3000 arrows deep
-    rep = {
-        "quiver": json.loads(A2_QUIVER),
-        "dimV": {"1": 1, "2": 1},
-        "dimW": {"1": 1},
-        "B": {"a": [[1]]},
-        "J": {"1": [[1]]},
-    }
-    code = main(["invariants", "--rep", json.dumps(rep), "--max-length", "3000"])
+    code = main(["invariants", "--rep", json.dumps(A2_ONE_ARROW), "--max-length", "3000"])
     out = capsys.readouterr().out
     assert code == 0
     assert '"max_length": 3000' in out[-100:]
+
+
+# One CLI run from a fresh process that prints the run's peak RSS: a child's
+# ru_maxrss starts at the high-water mark of the process that spawned it.
+PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "quivex.cli", *sys.argv[1:]], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_report_streams_to_stdout(tmp_path):
+    """The 84 MB report of that point at bound 3000 is written while it is
+    encoded: building it as one string first peaked at about 550 MB."""
+    rep = tmp_path / "a2.json"
+    rep.write_text(json.dumps(A2_ONE_ARROW))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, "invariants", "--rep", str(rep), "--max-length", "3000"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_bytes = int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)
+    assert peak_bytes < 250 * 2**20
+
+
+BIG = "1" + "0" * 100
+
+
+@pytest.mark.parametrize(
+    "rep, bound, message",
+    [
+        (d4_bundle().reps["point"], "20000", "need at least 1000000000000000 visits"),
+        # the trace of (a a*)^25 has 5001 digits
+        ({**A2_ONE_ARROW, "B": {"a": [[BIG]], "a*": [[BIG]]}}, "50", "past the int-to-string digit limit"),
+    ],
+    ids=["visit-count", "fingerprint-value"],
+)
+def test_numbers_past_the_digit_limit_exit_2(capsys, rep, bound, message):
+    if isinstance(rep, FramedRep):
+        rep = formats.rep_to_json(rep)
+    code, report = run_cli(capsys, "invariants", "--rep", json.dumps(rep), "--max-length", bound)
+    assert code == 2
+    assert set(report) == {"command", "version", "error"}
+    assert report["error"]["type"] == "DomainError"
+    assert message in report["error"]["message"]
 
 
 @pytest.mark.parametrize(

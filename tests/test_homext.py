@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivex import formats, homext
+from quivex.acceptance import DEFAULT_SEED, build_corpus
 from quivex.bundles import a2crystal_bundle
 from quivex.errors import DimensionError, QuiverMismatchError
 from quivex.hecke import class_layout, sample_flat_crystal
@@ -281,26 +283,52 @@ def test_layout_hash_pinned():
     assert class_layout(y, "1").descriptor() == from_simple.descriptor()
 
 
+def test_corpus_complexes_pinned():
+    """sha256 over the shape and the str of every entry of alpha and beta for
+    each ordered pair within each pool of the acceptance corpus (531 pairs);
+    the digest was taken when RatMatrix stored Fraction entries."""
+    h = hashlib.sha256()
+    pairs = 0
+    for pool in build_corpus(DEFAULT_SEED).pools.values():
+        for x in pool:
+            for y in pool:
+                c = build_complex(x, y)
+                pairs += 1
+                for m in (c.alpha, c.beta):
+                    h.update(str(m.shape).encode() + b"\n")
+                    for row in m.data:
+                        for v in row:
+                            h.update(str(v).encode() + b"\n")
+    assert pairs == 531
+    assert h.hexdigest() == "8882c136811562ff5bc0e34e884a1588f1b081f31aa2467b0f034d7a489576c3"
+
+
 # ------------------------------------------------- elimination counts
 
 
 @pytest.fixture
 def counted(monkeypatch):
     """A flat pair, sampled first, then a tally of the eliminations homext
-    runs and the complexes it builds from here on."""
+    runs (through rref or pivot_columns) and the complexes it builds from
+    here on."""
     x, y = flat_pair(5)
     tally = {"rref": 0, "build": 0}
-    rref, init = homext.rref, homext.Complex3.__init__
+    rref, pivot_columns, init = homext.rref, homext.pivot_columns, homext.Complex3.__init__
 
     def counting_rref(m):
         tally["rref"] += 1
         return rref(m)
+
+    def counting_pivot_columns(m):
+        tally["rref"] += 1
+        return pivot_columns(m)
 
     def counting_init(self, x1, x2):
         tally["build"] += 1
         init(self, x1, x2)
 
     monkeypatch.setattr(homext, "rref", counting_rref)
+    monkeypatch.setattr(homext, "pivot_columns", counting_pivot_columns)
     monkeypatch.setattr(homext.Complex3, "__init__", counting_init)
     return x, y, tally
 

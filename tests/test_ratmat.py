@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quivex import ratmat
 from quivex.bundles import get_bundle
 from quivex.errors import DimensionError, FormatError, InconsistentSystemError
 from quivex.homext import build_complex
@@ -329,3 +331,71 @@ def test_stack_empty_needs_shape():
     assert vstack([], cols=3) == RatMatrix.zeros(0, 3)
     with pytest.raises(DimensionError):
         hstack([])
+
+
+def assert_stored_form(m):
+    """Integer rows over one positive denominator, in lowest terms."""
+    assert len(m.nums) == m.rows and all(len(r) == m.cols for r in m.nums)
+    assert all(type(a) is int for r in m.nums for a in r) and type(m.den) is int
+    assert m.den > 0 and gcd(m.den, *(a for r in m.nums for a in r)) == 1
+    assert m.den == 1 or not m.is_zero
+
+
+@given(any_matrix, st.one_of(entries, large_entries))
+@settings(deadline=None, max_examples=100)
+def test_every_result_is_in_stored_form(m, s):
+    t = m.transpose()
+    results = [
+        rref(m)[0],
+        rref(t)[0],
+        m @ t,
+        t @ m,
+        m + m.scale(s),
+        m - m,
+        m - m.scale(s),
+        -m,
+        m.scale(s),
+        t,
+        hstack([m, m.scale(s)]),
+        vstack([m, m.scale(s)]),
+        *kernel_basis(m),
+        column_space_echelon(m),
+        solve_exact(m, m),
+        RatMatrix.zeros(*m.shape),
+        RatMatrix(m.rows, m.cols, m.data),
+    ]
+    for r in results:
+        assert_stored_form(r)
+    for a in results:
+        for b in results:
+            assert (a == b) == ((a.shape, a.data) == (b.shape, b.data))
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def integral_matrices():
+    """Integral matrices of rank short of full, with zero rows and columns."""
+    rng = random.Random(20160831)
+    out = [RatMatrix.zeros(0, 3), RatMatrix.zeros(3, 0), RatMatrix.zeros(2, 2)]
+    for rows, cols in [(3, 5), (6, 4), (8, 8)]:
+        grid = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows - 1)]
+        grid.append([2 * a - b for a, b in zip(grid[0], grid[-1])])
+        out.append(RatMatrix.from_rows(grid))
+    return out
+
+
+def test_integral_elimination_and_products_build_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    mats = integral_matrices()
+    monkeypatch.setattr(ratmat, "Fraction", no_fraction)
+    for m in mats:
+        reduced, pivots = rref(m)
+        assert rank(m) == len(pivots)
+        assert (m @ m.transpose()).shape == (m.rows, m.rows)
+        assert (m.transpose() @ m).shape == (m.cols, m.cols)
+    monkeypatch.undo()
+    for m in mats:
+        assert rref(m) == reference_rref(m)
+        assert m @ m.transpose() == reference_matmul(m, m.transpose())
