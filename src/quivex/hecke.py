@@ -15,16 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DependentClassesError, DomainError, InternalCheckError, QuiverMismatchError
 from .quiver import DimVector, DoubledQuiver, ZetaParam, chi as chi_formula, d_of
-from .ratmat import (
-    RatMatrix,
-    column_space_echelon,
-    hstack,
-    kernel_basis,
-    pivot_columns,
-    rank,
-    solve_exact,
-    vstack,
-)
+from .ratmat import RatMatrix, column_space_echelon, hstack, kernel_basis, rank, solve_exact, vstack
 from .rep import FramedRep, ensure_flat, is_flat, simple_rep
 from .stability import is_stable
 from . import homext
@@ -153,9 +144,7 @@ def _extend(c: homext.Complex3, i: str, classes: list[RatMatrix]) -> FramedRep:
             )
         if not (c.beta @ vec).is_zero:
             raise DomainError("extension class is not a cocycle")
-    im = c.image_alpha
-    pivots = pivot_columns(hstack(im + classes, rows=c.middle.dim))
-    if len(pivots) != len(im) + r:
+    if len(c.independent_mod_coboundaries(classes)) != r:
         raise DependentClassesError("extension classes are dependent modulo the coboundaries")
     decoded = [c.middle.unpack(vec) for vec in classes]
     dim_big = x.dim_v.replace(i, x.dim_v[i] + r)
@@ -233,12 +222,8 @@ def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[R
     if reduction.r == 0:
         return []
     inclusion = reduction.inclusion[i]
-    pivot_rows = set()
-    for col in range(inclusion.cols):
-        for row in range(inclusion.rows):
-            if inclusion[row, col] != 0:
-                pivot_rows.add(row)
-                break
+    # the first nonzero row of each column; the columns are a basis, so none is zero
+    pivot_rows = {next(row for row, a in enumerate(col) if a) for col in zip(*inclusion.nums)}
     complement = [row for row in range(x.dim_v[i]) if row not in pivot_rows]
     if len(complement) != reduction.r:
         raise InternalCheckError(f"complement at {i!r} has {len(complement)} rows, not {reduction.r}")
@@ -278,7 +263,7 @@ def are_isomorphic(x: FramedRep, y: FramedRep) -> bool:
     # columns, that one is the canonical solution and the others span Ker alpha
     n = c.alpha.cols
     basis = kernel_basis(hstack([c.alpha, -target]))
-    if not basis or basis[-1][n, 0] != 1:
+    if not basis or basis[-1].nums[n][0] != basis[-1].den:
         return False
     *kernel, particular = [RatMatrix.from_integers(n, 1, v.nums[:n], v.den) for v in basis]
 

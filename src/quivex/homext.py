@@ -33,7 +33,11 @@ Each matrix is assembled on first use and eliminated at most once.  The
 dimensions come from the two ranks by rank-nullity: hom = ends - rank alpha,
 cohom = ends - rank beta, ext1 = middle - rank beta - rank alpha.  Kernel
 vectors are built only for ``hom_basis`` (the kernel of alpha) and
-``ext1_reps`` (the kernel of beta, against the image pivots of alpha).
+``ext1_reps`` (the kernel of beta).  On a flat pair the columns of alpha
+lie in Ker beta, whose vectors are fixed by their entries at the free
+columns of rref(beta), their coordinates on ``kernel_beta``.  So cocycles
+are independent modulo the coboundaries where the rows of [alpha | cocycles]
+at those columns have pivots past alpha, and alpha is never eliminated.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import Iterable, Mapping
 
 from .errors import DimensionError, QuiverMismatchError
 from .quiver import DimVector, DoubledQuiver, chi as chi_formula
-from .ratmat import RatMatrix, hstack, kernel_from_echelon, pivot_columns, rref
+from .ratmat import RatMatrix, kernel_from_echelon, pivot_columns, rref
 from .rep import FramedRep, is_flat
 
 
@@ -98,20 +102,20 @@ class BlockLayout:
             for key in blocks:
                 if (kind, key) not in self.offsets:
                     raise DimensionError(f"no {kind} block {key!r} in this layout")
+        den = lcm(*(m.den for blocks in blocks_by_kind.values() for m in blocks.values()))
         values = []
         for slot in self.slots:
             block = blocks_by_kind.get(slot.kind, {}).get(slot.key)
             if block is None:
-                values.extend([0] * slot.size)
+                values.extend([(0,)] * slot.size)
                 continue
             if block.shape != (slot.rows, slot.cols):
                 raise DimensionError(
                     f"{slot.kind} block {slot.key!r} has shape {block.shape}, "
                     f"expected {(slot.rows, slot.cols)}"
                 )
-            for r in range(slot.rows):
-                values.extend(block.row(r))
-        return RatMatrix.column(values)
+            values.extend((a * (den // block.den),) for r in block.nums for a in r)
+        return RatMatrix.from_integers(self.dim, 1, tuple(values), den)
 
     def unpack(self, vec: RatMatrix) -> dict[str, dict[str, RatMatrix]]:
         """Every block of ``vec``, keyed by kind and then by key."""
@@ -161,7 +165,8 @@ class Complex3:
 
     The cohomological readings (Hom, Ext^1, dual Hom) are valid only when
     both inputs are flat; the matrix ranks themselves are computed
-    unconditionally.  Each matrix is assembled on first use.
+    unconditionally.  ``ext1_reps`` and ``independent_mod_coboundaries``
+    assume a flat pair unchecked.  Each matrix is assembled on first use.
     """
 
     def __init__(self, x1: FramedRep, x2: FramedRep):
@@ -233,12 +238,6 @@ class Complex3:
     def kernel_beta(self) -> list[RatMatrix]:
         return kernel_from_echelon(*self._beta_echelon)
 
-    @cached_property
-    def image_alpha(self) -> list[RatMatrix]:
-        """The columns of alpha at its echelon pivots: a basis of the
-        coboundaries."""
-        return [self.alpha.column_matrix(j) for j in self._alpha_echelon[1]]
-
     def hom_dim(self) -> int:
         return self.ends.dim - self.rank_alpha
 
@@ -251,13 +250,21 @@ class Complex3:
     def hom_basis(self) -> list[dict[str, RatMatrix]]:
         return [self.ends.unpack(v)["xi"] for v in self.kernel_alpha]
 
+    def independent_mod_coboundaries(self, cocycles: list[RatMatrix]) -> list[int]:
+        """The indices of the cocycles outside the span of the coboundaries
+        and of the cocycles before them, read on the free columns of beta."""
+        free = sorted(set(range(self.middle.dim)) - set(self._beta_echelon[1]))
+        n, mats = self.alpha.cols, (self.alpha, *cocycles)
+        # each column stands over its matrix's den, a scaling that keeps the pivots
+        nums = tuple(tuple([a for m in mats for a in m.nums[r]]) for r in free)
+        pivots = pivot_columns(RatMatrix.from_integers(len(free), n + len(cocycles), nums))
+        return [j - n for j in pivots if j >= n]
+
     def ext1_reps(self) -> list[RatMatrix]:
-        """Deterministic cocycle representatives: the kernel-of-beta basis
-        vectors that extend an echelon basis of the image of alpha."""
-        im = self.image_alpha
+        """Deterministic cocycle representatives: the ``kernel_beta`` vectors
+        independent modulo the coboundaries and the ones before them."""
         ker = self.kernel_beta
-        pivots = pivot_columns(hstack(im + ker, rows=self.middle.dim))
-        return [ker[j - len(im)] for j in pivots if j >= len(im)]
+        return [ker[k] for k in self.independent_mod_coboundaries(ker)]
 
     def euler(self) -> EulerCheck:
         """ext1 - hom - cohom against the signed dimension count; the two

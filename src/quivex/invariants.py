@@ -50,23 +50,30 @@ def _distances(x: FramedRep, targets: list[str]) -> dict[str, int]:
 
 def _check_bound(x: FramedRep, starts: list[tuple], max_length: int) -> None:
     """Reject a negative bound, or one at which the distance-cut walks from
-    the (origin, seed, dist) starts number more than WALK_BUDGET."""
+    the (origin, seed, dist) starts number more than WALK_BUDGET.  Counts
+    never fall as the bound grows; past a start's largest distance its step is
+    the same at every bound, so its DP stops at the first one changing nothing."""
     if max_length < 0:
         raise DomainError(f"walk length bound must be nonnegative, got {max_length}")
-    visits = [0] * (max_length + 1)  # visits[L]: walks the distance cut lets through at bound L
-    for origin, _, dist in starts:
-        counts = dict.fromkeys(dist, 1)  # counts[v]: those from v with `left` arrows left
-        visits[0] += 1
-        for left in range(1, max_length + 1):
+    live = [(origin, dist, dict.fromkeys(dist, 1)) for origin, _, dist in starts]
+    left, best, settled = 0, 0, 0  # settled: the walks of the starts whose DP stopped
+    visits = len(starts)  # the walks the distance cut lets through at bound `left`
+    while live and left < max_length:
+        left, visits, running = left + 1, settled, []
+        for origin, dist, counts in live:  # counts[v]: the walks from v with `left` arrows left
             grown = dict.fromkeys(dist, 1)
             for a in x.dq.arrows:
                 if dist.get(a.target, left) < left:
                     grown[a.source] = min(grown[a.source] + counts[a.target], _COUNT_CAP)
-            counts = grown
-            visits[left] = min(visits[left] + counts[origin], _COUNT_CAP)
-    if visits[-1] > WALK_BUDGET:
-        best = max(bound for bound, count in enumerate(visits) if count <= WALK_BUDGET)
-        need = f"up to {visits[-1]}" if visits[-1] < _COUNT_CAP else f"at least {_COUNT_CAP}"
+            visits += grown[origin]
+            if grown == counts and left > max(dist.values()):
+                settled += grown[origin]
+            else:
+                running.append((origin, dist, grown))
+        live, visits = running, min(visits, _COUNT_CAP)
+        best = left if visits <= WALK_BUDGET else best
+    if visits > WALK_BUDGET:
+        need = f"up to {visits}" if visits < _COUNT_CAP else f"at least {_COUNT_CAP}"
         raise DomainError(
             f"walks up to length {max_length} need {need} visits, over the "
             f"budget of {WALK_BUDGET}; the largest bound under it is {best}"

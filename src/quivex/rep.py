@@ -191,8 +191,8 @@ def transpose(x: FramedRep) -> FramedRep:
 
 def _random_matrix(rng: random.Random, rows: int, cols: int) -> RatMatrix:
     # entries stay in {-3..3} to bound rational growth downstream
-    return RatMatrix.from_rows(
-        [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], cols=cols
+    return RatMatrix.from_integers(
+        rows, cols, tuple(tuple([rng.randint(-3, 3) for _ in range(cols)]) for _ in range(rows))
     )
 
 
@@ -246,5 +246,5 @@ def cb_apply(x: FramedRep, infinity: str = "inf") -> FramedRep:
         for k in range(x.dim_w[i]):
             name = f"{inf}->{i}#{k}"
             B[name] = x.I[i].column_matrix(k)
-            B[dq2.bar(name)] = RatMatrix.from_rows([list(x.J[i].row(k))], cols=x.dim_v[i])
+            B[dq2.bar(name)] = RatMatrix.from_integers(1, x.dim_v[i], (x.J[i].nums[k],), x.J[i].den)
     return FramedRep(dq2, dim_v2, DimVector.zero(q2), B)

@@ -172,6 +172,20 @@ def test_invariants_over_walk_budget_exit_2(capsys, tmp_path):
     assert report["result"]["all_zero"] is True
 
 
+def test_huge_bound_refused_at_the_fixed_point(capsys):
+    """Every walk count of the d4 point reaches the cap within 65 steps, so
+    the count stops there rather than at a bound of ten million."""
+    rep = json.dumps(formats.rep_to_json(d4_bundle().reps["point"]))
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "invariants", "--rep", rep, "--max-length", "10000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["error"]["message"] == (
+        "walks up to length 10000000 need at least 1000000000000000 visits, over the "
+        "budget of 2000000; the largest bound under it is 23"
+    )
+
+
 A2_ONE_ARROW = {
     "quiver": json.loads(A2_QUIVER),
     "dimV": {"1": 1, "2": 1},

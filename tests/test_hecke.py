@@ -133,6 +133,41 @@ def test_extend_rejects_dependent_classes(crystal):
         extend_i(red.reduced, "2", [classes[0], classes[0].scale(2)])
 
 
+def test_extend_checks_independence_modulo_coboundaries(crystal):
+    # one class at vertex 1 and one coboundary, the image of alpha
+    x = crystal.reps["generic"]
+    c = homext.build_complex(simple_rep(DQ2, "1"), x)
+    (rep,) = c.ext1_reps()
+    (coboundary,) = [c.alpha.column_matrix(j) for j in range(c.alpha.cols)]
+    assert not coboundary.is_zero
+    for classes in ([coboundary], [rep, rep], [rep, rep + coboundary]):
+        with pytest.raises(DependentClassesError):
+            extend_i(x, "1", classes)
+    shifted = extend_i(x, "1", [rep + coboundary])
+    assert is_flat(shifted)
+    assert are_isomorphic(shifted, extend_i(x, "1", [rep]))
+
+
+def test_round_trips_read_no_fraction(monkeypatch):
+    """reduce, recover, extend and compare at every vertex of every member of
+    the d4 and a2crystal bundles (12 round trips) on the stored integers."""
+    members = [*d4_bundle().reps.values(), *a2crystal_bundle().reps.values()]
+
+    def refuse(*args):
+        raise AssertionError("an entry was read as a Fraction")
+
+    monkeypatch.setattr(RatMatrix, "row", refuse)
+    monkeypatch.setattr(RatMatrix, "__getitem__", refuse)
+    trips = 0
+    for x in members:
+        for i in x.dq.vertices:
+            red = reduce_i(x, i)
+            rebuilt = extend_i(red.reduced, i, recovery_classes(x, i, red))
+            assert are_isomorphic(rebuilt, x)
+            trips += 1
+    assert trips == 12
+
+
 def test_extend_rejects_non_cocycles():
     # a middle vector violating the cocycle equation cannot extend flatly
     q, v, w = ade_minimal_resolution_setup("A2")

@@ -13,7 +13,7 @@ from quivex.errors import DimensionError, QuiverMismatchError
 from quivex.hecke import class_layout, sample_flat_crystal
 from quivex.homext import BlockLayout, build_complex, hom_ext_report
 from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, chi, double
-from quivex.ratmat import RatMatrix, hstack, rank, solve_exact
+from quivex.ratmat import RatMatrix, hstack, pivot_columns, rref
 from quivex.rep import FramedRep, sample_flat, simple_rep
 
 A2 = ade_minimal_resolution_setup("A2")[0]
@@ -303,6 +303,38 @@ def test_corpus_complexes_pinned():
     assert h.hexdigest() == "8882c136811562ff5bc0e34e884a1588f1b081f31aa2467b0f034d7a489576c3"
 
 
+def ladder_d4_pool():
+    """The D4 pool of the ladder benchmark, rebuilt from its seeds."""
+    dq = double(D4)
+    v = DimVector.of(D4, {"1": 2, "2": 4, "3": 2, "4": 2})
+    w = DimVector.of(D4, {"1": 1, "2": 2, "3": 1, "4": 1})
+    forward = sample_flat(dq, v, w, 20160831100, half="forward")
+    reverse = sample_flat(dq, v, w, 20160831101, half="reverse")
+    return [forward, reverse, sample_flat_crystal(dq, v, w, 20160831102)]
+
+
+def test_ext1_reps_pinned():
+    """sha256 over the count of the ext1_reps vectors and the shape and the
+    str of every entry of each, in order, for each ordered pair within each
+    pool of the acceptance corpus (531 pairs) and within the ladder's D4 pool
+    (9 pairs); the digest was taken when the selection eliminated the image
+    of alpha stacked beside the kernel of beta."""
+    h = hashlib.sha256()
+    pairs = 0
+    for pool in [*build_corpus(DEFAULT_SEED).pools.values(), ladder_d4_pool()]:
+        for x in pool:
+            for y in pool:
+                reps = build_complex(x, y).ext1_reps()
+                pairs += 1
+                h.update(f"{len(reps)}\n".encode())
+                for vec in reps:
+                    h.update(str(vec.shape).encode() + b"\n")
+                    for (v,) in vec.data:
+                        h.update(str(v).encode() + b"\n")
+    assert pairs == 540
+    assert h.hexdigest() == "2b84eb911244f96680b7c74975091374ca505fec27107178b48c6b011ca4c1a5"
+
+
 # ------------------------------------------------- elimination counts
 
 
@@ -338,7 +370,7 @@ def test_each_matrix_eliminated_once(counted):
     c = build_complex(x, y)
     assert counts == {"rref": 0, "build": 1}
     c.hom_dim(), c.ext1_dim(), c.cohom_dim()
-    c.hom_basis(), c.kernel_beta, c.image_alpha
+    c.hom_basis(), c.kernel_beta
     assert counts == {"rref": 2, "build": 1}
 
 
@@ -358,24 +390,53 @@ def test_report_builds_each_complex_once(counted):
 
 
 def test_sampler_builds_one_complex_per_step(counted):
-    # each step eliminates alpha, beta and the cocycle stack of one complex
+    # each step eliminates beta and the two kernel-coordinate stacks of one
+    # complex, one in ext1_reps and one in the independence check on extending
     _, _, counts = counted
     v = DimVector.of(A2, {"1": 1, "2": 2})
     assert sample_flat_crystal(DQ2, v, v, 7) is not None
     assert counts == {"rref": 3 * v.total(), "build": v.total()}
 
 
-@given(st.integers(0, 10**6))
-@settings(deadline=None, max_examples=20)
-def test_image_alpha_spans(seed):
+def test_ext1_reps_eliminate_no_alpha(counted):
+    x, y, counts = counted
+    c = build_complex(x, y)
+    c.ext1_reps()
+    assert "_alpha_echelon" not in vars(c)
+    # beta and the stack of kernel coordinates
+    assert counts == {"rref": 2, "build": 1}
+
+
+# --------------------------------------- independence modulo coboundaries
+
+
+def stacked_selection(c, cocycles):
+    """The indices the stacked rule selects: the pivot columns past an
+    echelon basis of the image of alpha in [that basis | cocycles],
+    eliminated at the full middle height."""
+    im = [c.alpha.column_matrix(j) for j in rref(c.alpha)[1]]
+    pivots = pivot_columns(hstack(im + cocycles, rows=c.middle.dim))
+    return [j - len(im) for j in pivots if j >= len(im)]
+
+
+@given(st.integers(0, 10**6), st.randoms(use_true_random=False))
+@settings(deadline=None, max_examples=30)
+def test_independence_matches_the_stacked_rule(seed, rng):
     x, y = flat_pair(seed)
     c = build_complex(x, y)
-    basis = c.image_alpha
-    assert len(basis) == rank(c.alpha)
-    if basis:
-        stacked = hstack(basis)
-        for j in range(c.alpha.cols):
-            solve_exact(stacked, c.alpha.column_matrix(j))
+    ker = c.kernel_beta
+    assert c.ext1_reps() == [ker[k] for k in stacked_selection(c, ker)]
+    # integer combinations of cocycles and coboundaries, often dependent
+    spanning = ker + [c.alpha.column_matrix(j) for j in range(c.alpha.cols)]
+    mixes = []
+    for _ in range(rng.randint(0, c.ext1_dim() + 2)):
+        vec = RatMatrix.zeros(c.middle.dim, 1)
+        for v in spanning:
+            vec = vec + v.scale(rng.choice((-1, 0, 0, 0, 1, 2)))
+        mixes.append(vec)
+    if mixes and rng.random() < 0.3:
+        mixes.append(rng.choice(mixes))
+    assert c.independent_mod_coboundaries(mixes) == stacked_selection(c, mixes)
 
 
 # ------------------------------------------------------- block layout
