@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 from . import hecke, homext, invariants, kacmoody
 from .bundles import a2crystal_bundle, an_bundle, an_chain_sample
-from .errors import InternalCheckError
+from .errors import DomainError, InternalCheckError
 from .quiver import (
     DimVector,
-    Quiver,
+    DoubledQuiver,
     ZetaParam,
     ade_minimal_resolution_setup,
     cb_transform,
@@ -54,24 +54,23 @@ class CriterionResult:
         return f"criterion {self.number} [{status}] {self.name}"
 
 
-def _record(failures: list[str], message: str) -> None:
-    if len(failures) < 12:
-        failures.append(message)
+def _capped(failures: list[str]) -> list[str]:
+    """The first 12 failure messages, then one entry counting the rest."""
+    rest = [f"… and {len(failures) - 12} more"] if len(failures) > 12 else []
+    return failures[:12] + rest
 
 
 # ---------------------------------------------------------------- corpus
 
 
-def _shape_configs() -> list[tuple[str, Quiver, list[tuple[dict, dict]]]]:
-    a2 = ade_minimal_resolution_setup("A2")[0]
-    a3 = ade_minimal_resolution_setup("A3")[0]
-    d4 = ade_minimal_resolution_setup("D4")[0]
+def _shape_configs() -> list[tuple[str, DoubledQuiver, list[tuple[DimVector, DimVector]]]]:
+    """Per corpus shape, its doubled quiver and its (v, w) configurations."""
     a1 = ade_minimal_resolution_setup("A1")[0]
     at1, _ = cb_transform(a1, DimVector.of(a1, {"1": 2}))
-    return [
+    table = [
         (
             "A2",
-            a2,
+            ade_minimal_resolution_setup("A2")[0],
             [
                 ({"1": 1, "2": 1}, {"1": 1, "2": 1}),
                 ({"1": 1, "2": 2}, {"1": 1, "2": 2}),
@@ -82,7 +81,7 @@ def _shape_configs() -> list[tuple[str, Quiver, list[tuple[dict, dict]]]]:
         ),
         (
             "A3",
-            a3,
+            ade_minimal_resolution_setup("A3")[0],
             [
                 ({"1": 1, "2": 1, "3": 1}, {"1": 1, "3": 1}),
                 ({"1": 1, "2": 2, "3": 1}, {"2": 1}),
@@ -92,7 +91,7 @@ def _shape_configs() -> list[tuple[str, Quiver, list[tuple[dict, dict]]]]:
         ),
         (
             "D4",
-            d4,
+            ade_minimal_resolution_setup("D4")[0],
             [
                 ({"1": 1, "2": 2, "3": 1, "4": 1}, {"2": 1}),
                 ({"1": 1, "2": 1, "3": 1, "4": 1}, {"2": 1}),
@@ -108,6 +107,10 @@ def _shape_configs() -> list[tuple[str, Quiver, list[tuple[dict, dict]]]]:
                 ({"1": 1, "inf": 2}, {"1": 1, "inf": 1}),
             ],
         ),
+    ]
+    return [
+        (shape, double(q), [(DimVector.of(q, v), DimVector.of(q, w)) for v, w in configs])
+        for shape, q, configs in table
     ]
 
 
@@ -125,12 +128,9 @@ def build_corpus(seed: int) -> Corpus:
     to one-sided when a step has no extensions)."""
     pools: dict[str, list[FramedRep]] = {}
     counter = itertools.count(seed * 1000)
-    for shape, quiver, configs in _shape_configs():
-        dq = double(quiver)
+    for shape, dq, configs in _shape_configs():
         pool = []
-        for v_map, w_map in configs:
-            v = DimVector.of(quiver, v_map)
-            w = DimVector.of(quiver, w_map)
+        for v, w in configs:
             pool.append(sample_flat(dq, v, w, next(counter), half="forward"))
             pool.append(sample_flat(dq, v, w, next(counter), half="reverse"))
             crystal = hecke.sample_flat_crystal(dq, v, w, next(counter))
@@ -145,9 +145,10 @@ def build_corpus(seed: int) -> Corpus:
 # ------------------------------------------------------------ criterion 1
 
 
-def _a1_flat_sample(n: int, k: int, rng: random.Random) -> FramedRep:
-    q = ade_minimal_resolution_setup("A1")[0]
-    dq = double(q)
+def _a1_flat_sample(dq: DoubledQuiver, v: DimVector, w: DimVector, rng: random.Random) -> FramedRep:
+    """A flat point on the A1 double with dim V = v and dim W = w: a random
+    J, of random rank half the time, and I on the left kernel of J."""
+    k, n = v["1"], w["1"]
     if k > 0 and rng.random() < 0.5:
         t = rng.randrange(0, k)
         J = _random_matrix(rng, n, t) @ _random_matrix(rng, t, k)
@@ -155,19 +156,14 @@ def _a1_flat_sample(n: int, k: int, rng: random.Random) -> FramedRep:
         J = _random_matrix(rng, n, k)
     left_kernel = hstack(kernel_basis(J.transpose()), rows=n)
     I = _random_matrix(rng, k, left_kernel.cols) @ left_kernel.transpose()
-    return FramedRep(
-        dq,
-        DimVector.of(q, {"1": k}),
-        DimVector.of(q, {"1": n}),
-        I={"1": I},
-        J={"1": J},
-    )
+    return FramedRep(dq, v, w, I={"1": I}, J={"1": J})
 
 
 def criterion_1(seed: int) -> CriterionResult:
     """sl2 family: component counts, moduli dimension, and stability iff J
     injective, on 50 seeded flat samples per (k, n) with 0 <= k <= n <= 6."""
     q = ade_minimal_resolution_setup("A1")[0]
+    dq = double(q)
     failures: list[str] = []
     zeta = ZetaParam.constant(q, 1)
     samples = 0
@@ -178,26 +174,26 @@ def criterion_1(seed: int) -> CriterionResult:
             count = kacmoody.predicted_component_count(q, v, w)
             expected = 1 if k <= n else 0
             if count != expected:
-                _record(failures, f"component count at (k={k}, n={n}): {count} != {expected}")
+                failures.append(f"component count at (k={k}, n={n}): {count} != {expected}")
             if d_of(q, v, w) != 2 * k * (n - k):
-                _record(failures, f"d mismatch at (k={k}, n={n})")
+                failures.append(f"d mismatch at (k={k}, n={n})")
             if k > n:
                 continue
             rng = random.Random(seed + 101 * n + k)
             for _ in range(50):
-                x = _a1_flat_sample(n, k, rng)
+                x = _a1_flat_sample(dq, v, w, rng)
                 if not is_flat(x):
-                    _record(failures, f"non-flat sample at (k={k}, n={n})")
+                    failures.append(f"non-flat sample at (k={k}, n={n})")
                     continue
                 samples += 1
                 injective = rank(x.J["1"]) == k
                 if is_stable(x, zeta).stable != injective:
-                    _record(failures, f"stability != J-injectivity at (k={k}, n={n})")
+                    failures.append(f"stability != J-injectivity at (k={k}, n={n})")
     return CriterionResult(
         1,
         "sl2 family: counts, dimension, stability iff J injective",
         not failures,
-        {"samples": samples, "failures": failures},
+        {"samples": samples, "failures": _capped(failures)},
     )
 
 
@@ -214,31 +210,31 @@ def criterion_2(seed: int, ns: tuple[int, ...] = (2, 3, 4, 5, 6)) -> CriterionRe
         zeta = ZetaParam.constant(q, 1)
         count = kacmoody.predicted_component_count(q, v, w)
         if count != n:
-            _record(failures, f"A{n}: component count {count} != {n}")
+            failures.append(f"A{n}: component count {count} != {n}")
         if d_of(q, v, w) != 2:
-            _record(failures, f"A{n}: moduli dimension != 2")
+            failures.append(f"A{n}: moduli dimension != 2")
         bundle = an_bundle(n)
         for name, x in sorted(bundle.reps.items()):
             if not is_flat(x):
-                _record(failures, f"A{n}: {name} not flat")
+                failures.append(f"A{n}: {name} not flat")
             if not is_stable(x, zeta).stable:
-                _record(failures, f"A{n}: {name} not stable")
+                failures.append(f"A{n}: {name} not stable")
             if not invariants.fingerprint_is_zero(invariants.pi_fingerprint(x)):
-                _record(failures, f"A{n}: {name} fingerprint not zero")
+                failures.append(f"A{n}: {name} fingerprint not zero")
             if not invariants.an_xyz(x).relation_ok:
-                _record(failures, f"A{n}: {name} chain relation fails")
+                failures.append(f"A{n}: {name} chain relation fails")
         for s in range(50):
             x = an_chain_sample(n, seed + 1000 * n + s)
             if not is_flat(x):
-                _record(failures, f"A{n}: chain sample {s} not flat")
+                failures.append(f"A{n}: chain sample {s} not flat")
                 continue
             if not invariants.an_xyz(x).relation_ok:
-                _record(failures, f"A{n}: chain relation fails on sample {s}")
+                failures.append(f"A{n}: chain relation fails on sample {s}")
     return CriterionResult(
         2,
         "chain adjoint family: multiplicities, broken chains, x*y = z^(n+1)",
         not failures,
-        {"failures": failures},
+        {"failures": _capped(failures)},
     )
 
 
@@ -252,9 +248,9 @@ def criterion_3() -> CriterionResult:
     failures: list[str] = []
     count = kacmoody.predicted_component_count(q, v, w)
     if count != 4:
-        _record(failures, f"zero-weight multiplicity {count} != 4")
+        failures.append(f"zero-weight multiplicity {count} != 4")
     if d_of(q, v, w) != 2:
-        _record(failures, "moduli dimension != 2")
+        failures.append("moduli dimension != 2")
     roots = kacmoody.roots_for_quiver(q, 2 * v.total())
     session = kacmoody.MultiplicitySession(roots, w.values)
     total = 0
@@ -262,12 +258,12 @@ def criterion_3() -> CriterionResult:
     for drop in itertools.product(*ranges):
         total += session.multiplicity(drop)
     if total != 28:
-        _record(failures, f"adjoint dimension sum {total} != 28")
+        failures.append(f"adjoint dimension sum {total} != 28")
     return CriterionResult(
         3,
         "star setup: multiplicity 4, dimension 2, adjoint total 28",
         not failures,
-        {"total_dimension": total, "failures": failures},
+        {"total_dimension": total, "failures": _capped(failures)},
     )
 
 
@@ -290,18 +286,18 @@ def criterion_4(corpus: Corpus) -> CriterionResult:
                 c_ba = complexes[b, a]
                 pairs += 1
                 if not (c_ab.beta @ c_ab.alpha).is_zero:
-                    _record(failures, f"{shape}[{a},{b}]: beta.alpha != 0")
+                    failures.append(f"{shape}[{a},{b}]: beta.alpha != 0")
                 if c_ab.cohom_dim() != c_ba.hom_dim():
-                    _record(failures, f"{shape}[{a},{b}]: duality fails")
+                    failures.append(f"{shape}[{a},{b}]: duality fails")
                 if c_ab.ext1_dim() != c_ba.ext1_dim():
-                    _record(failures, f"{shape}[{a},{b}]: ext1 not symmetric")
+                    failures.append(f"{shape}[{a},{b}]: ext1 not symmetric")
                 if not c_ab.euler().equal:
-                    _record(failures, f"{shape}[{a},{b}]: Euler identity fails")
+                    failures.append(f"{shape}[{a},{b}]: Euler identity fails")
     return CriterionResult(
         4,
         "complex/duality suite on the seeded flat corpus",
         not failures and pairs >= 500,
-        {"pairs": pairs, "failures": failures},
+        {"pairs": pairs, "failures": _capped(failures)},
     )
 
 
@@ -314,23 +310,21 @@ def criterion_5(corpus: Corpus) -> CriterionResult:
     failures: list[str] = []
     stable_count = 0
     for shape, pool in corpus.pools.items():
-        zeta = None
+        zeta = ZetaParam.constant(pool[0].dq, 1)
         for idx, x in enumerate(pool):
-            if zeta is None:
-                zeta = ZetaParam.constant(x.dq, 1)
             if not is_stable(x, zeta).stable:
                 continue
             stable_count += 1
             if homext.build_complex(x, x).hom_dim() != 0:
-                _record(failures, f"{shape}[{idx}]: stable point with self-Homs")
+                failures.append(f"{shape}[{idx}]: stable point with self-Homs")
             for i in x.dq.vertices:
                 if homext.build_complex(simple_rep(x.dq, i), x).hom_dim() != 0:
-                    _record(failures, f"{shape}[{idx}]: Hom from simple at {i} nonzero")
+                    failures.append(f"{shape}[{idx}]: Hom from simple at {i} nonzero")
     return CriterionResult(
         5,
         "stability consequences: no self-Homs, first cohomology vanishes",
         not failures and stable_count > 0,
-        {"stable_samples": stable_count, "failures": failures},
+        {"stable_samples": stable_count, "failures": _capped(failures)},
     )
 
 
@@ -348,32 +342,32 @@ def criterion_6() -> CriterionResult:
     special = bundle.reps["special"]
     q = generic.dq.base
     if hecke.epsilon_i(generic, "1") != 0:
-        _record(failures, "epsilon_1(generic) != 0")
+        failures.append("epsilon_1(generic) != 0")
     if len(hecke.ext_space_i(generic, "1")) != 1:
-        _record(failures, "extension space at vertex 1 (generic) not 1-dimensional")
+        failures.append("extension space at vertex 1 (generic) not 1-dimensional")
     if len(hecke.ext_space_i(special, "1")) != 2:
-        _record(failures, "extension space at vertex 1 (special) not 2-dimensional")
+        failures.append("extension space at vertex 1 (special) not 2-dimensional")
     executed = 0
     for name, x in (("generic", generic), ("special", special)):
         red = hecke.reduce_i(x, "2")
         executed += 1
         if red.reduced.dim_v.as_dict() != {"1": 1, "2": 0}:
-            _record(failures, f"reduce_2({name}) did not land at (1, 0)")
+            failures.append(f"reduce_2({name}) did not land at (1, 0)")
         if red.r != x.dim_v["2"] - red.reduced.dim_v["2"]:
-            _record(failures, f"reduce_2({name}) bookkeeping broken")
+            failures.append(f"reduce_2({name}) bookkeeping broken")
         gap = d_of(q, x.dim_v, x.dim_w) - d_of(q, red.reduced.dim_v, red.reduced.dim_w)
         chi_small = chi(q, DimVector.unit(q, "2"), DimVector.zero(q), red.reduced.dim_v, red.reduced.dim_w)
         if gap != 2 * red.r * (chi_small - red.r):
-            _record(failures, f"dimension identity fails for reduce_2({name})")
+            failures.append(f"dimension identity fails for reduce_2({name})")
         classes = hecke.recovery_classes(x, "2", red)
         rebuilt = hecke.extend_i(red.reduced, "2", classes)
         executed += 1
         if not is_flat(rebuilt):
-            _record(failures, f"round trip on {name} lost flatness")
+            failures.append(f"round trip on {name} lost flatness")
         if not is_stable(rebuilt, ZetaParam.constant(q, 1)).stable:
-            _record(failures, f"round trip on {name} lost stability")
+            failures.append(f"round trip on {name} lost stability")
         if not hecke.are_isomorphic(rebuilt, x):
-            _record(failures, f"round trip on {name} not isomorphic to the original")
+            failures.append(f"round trip on {name} not isomorphic to the original")
     return CriterionResult(
         6,
         "crystal induction on the two-vertex bundle",
@@ -381,7 +375,7 @@ def criterion_6() -> CriterionResult:
         {
             "reduce_extend_steps": executed,
             "note": "the dimension identity is additionally asserted inside every reduce/extend call",
-            "failures": failures,
+            "failures": _capped(failures),
         },
     )
 
@@ -394,36 +388,29 @@ def criterion_7(seed: int, corpus: Corpus) -> CriterionResult:
     point is flat at every vertex including the new one, and the ambient
     dimension counts agree."""
     failures: list[str] = []
-    samples: list[FramedRep] = list(corpus.all_samples())
-    counter = itertools.count(seed * 7000)
-    shapes = _shape_configs()
-    while len(samples) < 100:
-        for shape, quiver, configs in shapes:
-            for v_map, w_map in configs:
-                if len(samples) >= 100:
-                    break
-                dq = double(quiver)
-                v = DimVector.of(quiver, v_map)
-                w = DimVector.of(quiver, w_map)
-                half = "forward" if len(samples) % 2 else "reverse"
-                samples.append(sample_flat(dq, v, w, next(counter), half=half))
+    samples = corpus.all_samples()
+    setups = itertools.cycle([(dq, v, w) for _, dq, configs in _shape_configs() for v, w in configs])
+    padding = zip(range(len(samples), 100), setups, itertools.count(seed * 7000))
+    for idx, (dq, v, w), sample_seed in padding:
+        half = "forward" if idx % 2 else "reverse"
+        samples.append(sample_flat(dq, v, w, sample_seed, half=half))
     checked = 0
     for idx, x in enumerate(samples[:100]):
         transformed = cb_apply(x, infinity="cb" if "inf" in x.dq.vertices else "inf")
         checked += 1
         if not is_flat(transformed):
-            _record(failures, f"sample {idx}: rewritten point not flat")
+            failures.append(f"sample {idx}: rewritten point not flat")
         ambient = dim_bigM(x.dq.base, x.dim_v, x.dim_w)
         rewritten = dim_bigM(
             transformed.dq.base, transformed.dim_v, transformed.dim_w
         )
         if ambient != rewritten:
-            _record(failures, f"sample {idx}: ambient dimensions {ambient} != {rewritten}")
+            failures.append(f"sample {idx}: ambient dimensions {ambient} != {rewritten}")
     return CriterionResult(
         7,
         "framing-rewrite consistency on 100 flat points",
         not failures and checked == 100,
-        {"checked": checked, "failures": failures},
+        {"checked": checked, "failures": _capped(failures)},
     )
 
 
@@ -467,24 +454,25 @@ def run_suites(
     numbers: tuple[int, ...] = SUITES["all"],
     an_n: int | None = None,
 ) -> list[CriterionResult]:
-    corpus = build_corpus(seed) if any(n in numbers for n in (4, 5, 7)) else None
-    results = []
-    for number in sorted(set(numbers)):
-        if number == 1:
-            results.append(criterion_1(seed))
-        elif number == 2:
-            ns = (an_n,) if an_n is not None else (2, 3, 4, 5, 6)
-            results.append(criterion_2(seed, ns))
-        elif number == 3:
-            results.append(criterion_3())
-        elif number == 4:
-            results.append(criterion_4(corpus))
-        elif number == 5:
-            results.append(criterion_5(corpus))
-        elif number == 6:
-            results.append(criterion_6())
-        elif number == 7:
-            results.append(criterion_7(seed, corpus))
-        elif number == 8:
-            results.append(criterion_8())
-    return results
+    """Run each criterion in ``numbers`` once, in ascending order; criteria
+    4, 5 and 7 share one corpus built from ``seed``, and ``an_n`` restricts
+    criterion 2 to one n.  Raises ``DomainError`` when ``numbers`` is empty
+    or names a number that is not a criterion, so no selection passes
+    vacuously."""
+    criteria = {
+        1: lambda: criterion_1(seed),
+        2: lambda: criterion_2(seed) if an_n is None else criterion_2(seed, (an_n,)),
+        3: criterion_3,
+        4: lambda: criterion_4(corpus),
+        5: lambda: criterion_5(corpus),
+        6: criterion_6,
+        7: lambda: criterion_7(seed, corpus),
+        8: criterion_8,
+    }
+    if not numbers:
+        raise DomainError("no criterion selected")
+    unknown = sorted(set(numbers) - criteria.keys())
+    if unknown:
+        raise DomainError(f"no criterion numbered {unknown}; choices: {sorted(criteria)}")
+    corpus = build_corpus(seed) if {4, 5, 7} & set(numbers) else None
+    return [criteria[number]() for number in sorted(set(numbers))]

@@ -53,13 +53,18 @@ def _zeta_for(rep, inputs: _Inputs, value: str) -> ZetaParam:
     return formats.zeta_from_json(rep.dq.base, inputs.json_arg("zeta", value))
 
 
+def _write_json(obj, stream) -> None:
+    """The one JSON form the CLI writes: sorted keys, two-space indent and a
+    trailing newline, encoded while it is written."""
+    json.dump(obj, stream, indent=2, sort_keys=True)
+    stream.write("\n")
+
+
 def _emit(command: str, **fields) -> int:
     """Stream the report envelope: command and version plus ``inputs`` and
     ``result`` (and ``seed``) on success, or ``error`` on failure, to stdout.
     Returns the success exit code."""
-    report = {"command": command, "version": __version__, **fields}
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    print()
+    _write_json({"command": command, "version": __version__, **fields}, sys.stdout)
     return 0
 
 
@@ -71,14 +76,14 @@ def _cmd_check_moment(args) -> int:
         "flat": mu.is_zero,
         "moment": {i: formats.matrix_to_json(m) for i, m in sorted(mu.blocks.items())},
     }
-    return _emit("check-moment", inputs=inputs.records, result=result)
+    return _emit(args.command, inputs=inputs.records, result=result)
 
 
 def _cmd_hom_ext(args) -> int:
     inputs = _Inputs()
     x1 = _load_rep(inputs, "rep1", args.rep1)
     x2 = _load_rep(inputs, "rep2", args.rep2)
-    return _emit("hom-ext", inputs=inputs.records, result=homext.hom_ext_report(x1, x2))
+    return _emit(args.command, inputs=inputs.records, result=homext.hom_ext_report(x1, x2))
 
 
 def _cmd_stability(args) -> int:
@@ -91,7 +96,7 @@ def _cmd_stability(args) -> int:
         "witness_dims": verdict.witness.dims() if verdict.witness else None,
         "stabilizer_trivial": stabilizer_trivial(x),
     }
-    return _emit("stability", inputs=inputs.records, result=result)
+    return _emit(args.command, inputs=inputs.records, result=result)
 
 
 def _cmd_dim(args) -> int:
@@ -100,7 +105,7 @@ def _cmd_dim(args) -> int:
     v = formats.dimvec_from_json(q, inputs.json_arg("dimV", args.dim_v))
     w = formats.dimvec_from_json(q, inputs.json_arg("dimW", args.dim_w))
     result = {"dim_bigM": dim_bigM(q, v, w), "d": d_of(q, v, w)}
-    return _emit("dim", inputs=inputs.records, result=result)
+    return _emit(args.command, inputs=inputs.records, result=result)
 
 
 def _cmd_chi(args) -> int:
@@ -110,7 +115,7 @@ def _cmd_chi(args) -> int:
     w1 = formats.dimvec_from_json(q, inputs.json_arg("w1", args.w1))
     v2 = formats.dimvec_from_json(q, inputs.json_arg("v2", args.v2))
     w2 = formats.dimvec_from_json(q, inputs.json_arg("w2", args.w2))
-    return _emit("chi", inputs=inputs.records, result={"chi": chi(q, v1, w1, v2, w2)})
+    return _emit(args.command, inputs=inputs.records, result={"chi": chi(q, v1, w1, v2, w2)})
 
 
 def _cmd_invariants(args) -> int:
@@ -123,7 +128,7 @@ def _cmd_invariants(args) -> int:
         "fingerprint": formats.fingerprint_to_json(fingerprint),
         "all_zero": invariants.fingerprint_is_zero(fingerprint),
     }
-    return _emit("invariants", inputs=inputs.records, result=result)
+    return _emit(args.command, inputs=inputs.records, result=result)
 
 
 def _cmd_reduce(args) -> int:
@@ -139,7 +144,7 @@ def _cmd_reduce(args) -> int:
         "inclusion": {i: formats.matrix_to_json(m) for i, m in sorted(red.inclusion.items())},
         "recovery_classes": formats.classes_to_json(layout, args.vertex, classes),
     }
-    return _emit("reduce", inputs=inputs.records, result=result)
+    return _emit(args.command, inputs=inputs.records, result=result)
 
 
 def _cmd_extend(args) -> int:
@@ -155,7 +160,7 @@ def _cmd_extend(args) -> int:
         "flat": is_flat(extended),
         "stable": is_stable(extended, ZetaParam.constant(extended.dq, 1)).stable,
     }
-    return _emit("extend", inputs=inputs.records, result=result)
+    return _emit(args.command, inputs=inputs.records, result=result)
 
 
 def _cmd_weight_mult(args) -> int:
@@ -170,7 +175,7 @@ def _cmd_weight_mult(args) -> int:
         "finite_type": roots.finite,
         "cutoff": roots.cutoff,
     }
-    return _emit("weight-mult", inputs=inputs.records, result=result)
+    return _emit(args.command, inputs=inputs.records, result=result)
 
 
 def _cmd_cb_transform(args) -> int:
@@ -199,7 +204,7 @@ def _cmd_cb_transform(args) -> int:
         if args.dim_v:
             v = formats.dimvec_from_json(q, inputs.json_arg("dimV", args.dim_v))
             result["dimV_extended"] = cb_extend_dim(v, q2, inf).as_dict()
-    return _emit("cb-transform", inputs=inputs.records, result=result)
+    return _emit(args.command, inputs=inputs.records, result=result)
 
 
 def _cmd_example(args) -> int:
@@ -219,23 +224,19 @@ def _cmd_example(args) -> int:
                 f"bundle {args.name!r} has no member {args.member!r}; "
                 f"members: {sorted(bundle.reps)}"
             )
-        json.dump(formats.rep_to_json(bundle.reps[args.member]), sys.stdout, indent=2, sort_keys=True)
-        print()
+        _write_json(formats.rep_to_json(bundle.reps[args.member]), sys.stdout)
         return 0
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "quiver.json").write_text(
-            json.dumps(payload["quiver"], indent=2, sort_keys=True) + "\n"
-        )
-        for name, rep in payload["reps"].items():
-            (outdir / f"rep_{name}.json").write_text(
-                json.dumps(rep, indent=2, sort_keys=True) + "\n"
-            )
-        written = ["quiver.json"] + [f"rep_{name}.json" for name in payload["reps"]]
-        result = {"bundle": args.name, "written": sorted(written)}
-        return _emit("example", inputs=inputs.records, result=result)
-    return _emit("example", inputs=inputs.records, result=payload)
+        files = {"quiver.json": payload["quiver"]}
+        files.update((f"rep_{name}.json", rep) for name, rep in payload["reps"].items())
+        for name, obj in files.items():
+            with (outdir / name).open("w") as stream:
+                _write_json(obj, stream)
+        result = {"bundle": args.name, "written": sorted(files)}
+        return _emit(args.command, inputs=inputs.records, result=result)
+    return _emit(args.command, inputs=inputs.records, result=payload)
 
 
 def _cmd_verify(args) -> int:
@@ -264,7 +265,7 @@ def _cmd_verify(args) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    _emit("verify", inputs={}, result=payload, seed=seed)
+    _emit(args.command, inputs={}, result=payload, seed=seed)
     return 0 if payload["all_passed"] else 2
 
 

@@ -6,11 +6,21 @@ tolerance.  The same checks back the ``quivex verify`` subcommand.
 """
 
 import hashlib
+import os
+import re
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
 from quivex import acceptance
 from quivex.cli import main
+from quivex.errors import DomainError
+from quivex.ratmat import kernel_basis
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # sha256 of the whole ``quivex verify`` report on stdout, so a change to any
 # number, name or detail of a criterion fails here rather than going unseen
@@ -69,3 +79,72 @@ def test_verify_stdout_pinned(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256
+
+
+def test_verify_stdout_pinned_under_python_O():
+    """Internal checks raise rather than assert, so ``python -O`` prints the
+    same report."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "quivex.cli", "verify"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_STDOUT_SHA256
+
+
+@pytest.mark.parametrize(
+    "numbers, message",
+    [
+        ((9,), "no criterion numbered [9]"),
+        ((3, 0, 9), "no criterion numbered [0, 9]"),
+        ((), "no criterion selected"),
+    ],
+)
+def test_run_suites_refuses_a_selection_that_would_pass_vacuously(numbers, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        acceptance.run_suites(numbers=numbers)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(acceptance, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, name, counted)
+    return calls
+
+
+def test_criterion_1_builds_its_a1_setup_once(monkeypatch):
+    setups = _count_calls(monkeypatch, "ade_minimal_resolution_setup")
+    doubles = _count_calls(monkeypatch, "double")
+    assert acceptance.criterion_1(acceptance.DEFAULT_SEED).passed
+    assert (len(setups), len(doubles)) == (1, 1)
+
+
+def test_criterion_7_doubles_each_shape_once(monkeypatch, corpus):
+    doubles = _count_calls(monkeypatch, "double")
+    assert acceptance.criterion_7(acceptance.DEFAULT_SEED, corpus).passed
+    assert len(doubles) <= 4
+
+
+def test_failures_past_the_twelfth_are_counted(monkeypatch):
+    """With every verdict unstable, criterion 1 fails on exactly the samples
+    whose J is injective, counted here from the kernel of J."""
+    injective = 0
+
+    def never_stable(x, zeta):
+        nonlocal injective
+        injective += not kernel_basis(x.J["1"])
+        return types.SimpleNamespace(stable=False)
+
+    monkeypatch.setattr(acceptance, "is_stable", never_stable)
+    result = acceptance.criterion_1(acceptance.DEFAULT_SEED)
+    failures = result.details["failures"]
+    assert not result.passed
+    assert injective > 12
+    assert len(failures) == 13
+    assert all(m.startswith("stability != J-injectivity at ") for m in failures[:12])
+    assert failures[12] == f"… and {injective - 12} more"

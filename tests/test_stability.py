@@ -252,11 +252,14 @@ ZERO_SHARE = {"dense": 0.0, "sparse": 0.7, "zero": 1.0}
 
 
 def _a1_samples() -> list[FramedRep]:
+    q = ade_minimal_resolution_setup("A1")[0]
+    dq = double(q)
     out = []
     for n in range(7):
         for k in range(n + 1):
             rng = random.Random(101 * n + k)
-            out.extend(acceptance._a1_flat_sample(n, k, rng) for _ in range(3))
+            v, w = DimVector.of(q, {"1": k}), DimVector.of(q, {"1": n})
+            out.extend(acceptance._a1_flat_sample(dq, v, w, rng) for _ in range(3))
     return out
 
 
