@@ -1,24 +1,19 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 A matrix is stored in one form: integer rows ``nums`` over one positive
 denominator ``den``, in lowest terms (gcd(den, every entry) = 1, so a zero
 matrix has den 1).  The form is canonical, so ``==`` and ``hash`` compare
 it; ``data``, ``row`` and ``m[i, j]`` build ``Fraction``s when read.
-Matrices are immutable, operations are pure, and every echelon computation
-pivots on the first nonzero entry down a column with pivots normalized to
-1, so results are bit-identical across runs.  Zero-row and zero-column
-matrices are legal everywhere.
+Matrices are immutable, operations are pure, and every result is
+bit-identical across runs.  Zero-row and zero-column matrices are legal
+everywhere.
 
 Every operation works on the integers: a product entry is one integer dot
 product over den1 * den2; sums and stacks work over the lcm of the
-denominators.  ``rref`` is fraction-free Gauss-Jordan elimination (Bareiss
-1968, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22) on the rows, each divided by its gcd first:
-with pivot p and p_prev the pivot of the step before (1 at the first),
-every other row becomes (p r - f r_pivot) / p_prev, f being its entry in
-the pivot column, exactly, since every entry is a minor of the scaled
-matrix.  At the end all pivots equal the last p, and the grid over it is
-the reduced form, which is unique, so a Fraction elimination gives it too.
+denominators.  Elimination has one kernel, ``_echelon``: sparse rows kept
+primitive, updated only where the pivot column hits them.  ``rref`` reduces
+its rows above the pivots and ``pivot_columns`` reads the pivots alone; the
+pivot columns and the reduced form are those of any exact elimination.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul
 from typing import Sequence, Union
@@ -204,49 +199,126 @@ def vstack(mats: Sequence[RatMatrix], cols: int | None = None) -> RatMatrix:
     return RatMatrix.from_integers(sum(m.rows for m in mats), c, nums, den)
 
 
-def _integer_echelon(m: RatMatrix) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Fraction-free Gauss-Jordan elimination of ``m`` (see the module
-    docstring): the integer rows, whose pivot entries all equal the last
-    pivot and whose rows past the rank are zero, and the pivot columns."""
-    grid = []
+def _echelon(m: RatMatrix) -> list[tuple[int, dict[int, int]]]:
+    """Row echelon form of ``m``: (pivot column, row) pairs in pivot order,
+    each row a primitive ``{column: nonzero int}``.
+
+    Columns are taken left to right.  A live row's first nonzero column is
+    never left of the current one, so the live rows wait in buckets by that
+    column, and the current column's bucket holds exactly the rows with a
+    nonzero entry there.  The shortest of them is the pivot row; every other
+    one, with f its entry and p the pivot, becomes (p/g) r - (f/g) pivot,
+    g = gcd(p, f) taken with the sign of p, is divided by its content and
+    goes to the bucket of its new first column, or is dropped if zero.  No
+    other row is touched, and nothing above the pivot is reduced.
+
+    A live row past k pivots lies in the span of k + 1 rows of ``m`` and
+    vanishes on the k pivot columns, which fixes it up to scale: it is a
+    multiple of the vector of (k+1)-minors of those rows on the pivot
+    columns and one more.  So a primitive row has entries within the
+    Hadamard bound, as in Bareiss's fraction-free elimination, with no
+    division across rows.  The pivot columns are where the rank of the
+    leading columns rises, so they are those of any elimination, whichever
+    row is the pivot."""
+    buckets: list[list[dict[int, int]]] = [[] for _ in range(m.cols)]
     for r in m.nums:
         g = gcd(*r)
-        grid.append([a // g for a in r] if g > 1 else list(r))
-    pivots: list[int] = []
-    prev, pr = 1, 0
-    for pc in range(m.cols):
-        target = next((r for r in range(pr, m.rows) if grid[r][pc]), None)
-        if target is None:
+        if g > 1:
+            r = [a // g for a in r]
+        if g:
+            row = {j: a for j, a in enumerate(r) if a}
+            buckets[next(iter(row))].append(row)
+    echelon = []
+    last = m.cols - 1
+    for pc, hits in enumerate(buckets):
+        if not hits:
             continue
-        grid[pr], grid[target] = grid[target], grid[pr]
-        pivot_row = grid[pr]
-        p = pivot_row[pc]
-        for r, row in enumerate(grid):
-            if r == pr:
+        if len(hits) == 1 or pc == last:
+            echelon.append((pc, hits[0]))  # in the last column the other rows can only cancel
+            continue
+        pivot = min(hits, key=len)
+        p = pivot[pc]
+        for row in hits:
+            if row is pivot:
                 continue
             f = row[pc]
-            if f:
-                grid[r] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
-            elif p != prev:
-                grid[r] = [p * a // prev for a in row]
-        prev = p
-        pivots.append(pc)
-        pr += 1
-        if pr == m.rows:
-            break
-    return grid, tuple(pivots)
+            g = gcd(p, f) if p > 0 else -gcd(p, f)
+            a, b = p // g, f // g
+            new = row if a == 1 else {j: a * x for j, x in row.items()}
+            for j, y in pivot.items():
+                x = new.get(j, 0) - b * y
+                if x:
+                    new[j] = x
+                else:
+                    del new[j]
+            if new:
+                g = gcd(*new.values())
+                if g != 1:
+                    new = {j: x // g for j, x in new.items()}
+                buckets[min(new)].append(new)
+        echelon.append((pc, pivot))
+    return echelon
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot column indices."""
-    grid, pivots = _integer_echelon(m)
-    last = grid[len(pivots) - 1][pivots[-1]] if pivots else 1
-    return RatMatrix.from_integers(m.rows, m.cols, tuple(map(tuple, grid)), last), pivots
+    """Reduced row echelon form and the tuple of pivot column indices.
+
+    The rows of ``_echelon`` are reduced last to first.  Right of the last
+    free column every column is a pivot one whose reduced row is a unit row,
+    so a row just drops its entries there.  A row r with entries f_c at
+    other later pivot columns c loses them all at once: with N_c the
+    reduced row of pivot p_c and L the lcm of those p_c, it becomes
+    L r - sum (L f_c / p_c) N_c, divided by its content.  Each row then goes
+    over the lcm of the pivots, scaled by that lcm over its own (signed)
+    pivot.  The RREF is unique, so this is the result of any exact
+    elimination."""
+    if m.is_zero:
+        return m, ()
+    if m.rows == 1:
+        pc = next(j for j, a in enumerate(m.nums[0]) if a)
+        return RatMatrix.from_integers(1, m.cols, m.nums, m.nums[0][pc]), (pc,)
+    echelon = _echelon(m)
+    pivots = tuple([pc for pc, _ in echelon])
+    last_free = m.cols - 1
+    while last_free in pivots:
+        last_free -= 1
+    reduced: dict[int, dict[int, int]] = {}
+    for pc, row in reversed(echelon):
+        if pc > last_free:
+            continue
+        hits = row.keys() & reduced.keys()
+        if hits or max(row) > last_free:
+            scale = lcm(*[reduced[c][c] for c in hits])
+            new = {j: scale * x for j, x in row.items() if j <= last_free}
+            for c in hits:
+                b = scale // reduced[c][c] * row[c]
+                for j, y in reduced[c].items():
+                    x = new.get(j, 0) - b * y
+                    if x:
+                        new[j] = x
+                    else:
+                        del new[j]
+            g = gcd(*new.values())
+            row = new if g == 1 else {j: x // g for j, x in new.items()}
+        reduced[pc] = row
+    den = lcm(*[row[pc] for pc, row in reduced.items()])
+    cols = range(m.cols)
+    nums = []
+    for pc in pivots:
+        row = reduced.get(pc)
+        if row is None:
+            nums.append((0,) * pc + (den,) + (0,) * (m.cols - pc - 1))
+            continue
+        entries = map(row.get, cols, repeat(0))
+        s = den // row[pc]
+        nums.append(tuple(entries if s == 1 else map(mul, entries, repeat(s))))
+    nums += [(0,) * m.cols] * (m.rows - len(pivots))
+    return RatMatrix.from_integers(m.rows, m.cols, tuple(nums), den), pivots
 
 
 def pivot_columns(m: RatMatrix) -> tuple[int, ...]:
-    """The pivot columns of ``rref(m)``, without building the reduced form."""
-    return _integer_echelon(m)[1]
+    """The pivot columns of ``rref(m)``, by elimination below the pivots only."""
+    return tuple([pc for pc, _ in _echelon(m)])
 
 
 def rank(m: RatMatrix) -> int:

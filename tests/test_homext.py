@@ -104,6 +104,24 @@ def test_euler_identity(seed):
     assert check.formula == middle - end1 - end2
 
 
+def test_e8_complexes_at_exceptional_scale():
+    """A forward and a reverse flat point of the E8 minimal-resolution setup:
+    alpha is 240x119, and both orders of the pair are checked exactly."""
+    q, v, w = ade_minimal_resolution_setup("E8")
+    dq = double(q)
+    x = sample_flat(dq, v, w, 1, half="forward")
+    y = sample_flat(dq, v, w, 2, half="reverse")
+    c_xy, c_yx = build_complex(x, y), build_complex(y, x)
+    assert c_xy.alpha.shape == (240, 119)
+    for c in (c_xy, c_yx):
+        assert (c.beta @ c.alpha).is_zero
+        assert c.ext1_dim() - c.hom_dim() - c.cohom_dim() == c.euler().formula
+        assert len(pivot_columns(c.alpha)) == c.rank_alpha
+    assert c_xy.hom_dim() == c_yx.cohom_dim()
+    assert c_yx.hom_dim() == c_xy.cohom_dim()
+    assert c_xy.ext1_dim() == c_yx.ext1_dim()
+
+
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=20)
 def test_hom_basis_intertwines(seed):

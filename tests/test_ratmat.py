@@ -19,6 +19,7 @@ from quivex.ratmat import (
     hstack,
     inverse,
     kernel_basis,
+    pivot_columns,
     rank,
     rref,
     solve_exact,
@@ -46,8 +47,11 @@ def matrices(draw, max_dim=4):
 
 
 def reference_rref(m):
-    """Gauss-Jordan elimination entry by entry in ``Fraction``s: the same
-    pivot choice as ``rref``, each pivot row divided by its pivot at once."""
+    """Gauss-Jordan elimination entry by entry in ``Fraction``s, pivoting on
+    the first nonzero entry down a column and dividing each pivot row by its
+    pivot at once.  Its pivot columns are those of ``rref``, whichever row
+    that picks as the pivot, and the reduced form is unique, so the two
+    agree."""
     grid = [list(r) for r in m.data]
     pivots = []
     pr = 0
@@ -119,6 +123,43 @@ any_matrix = st.one_of(
     wide_or_tall(entries=large_entries),
     wide_or_tall(max_rows=6, max_cols=6, entries=st.sampled_from([0, 0, 0, 1, -1, 2])),
 )
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """An integer matrix of up to 20x30 at 5-25% density, entries up to 10^9
+    in size, with some rows combinations of earlier ones and some rows and
+    columns zero."""
+    rows = draw(st.integers(0, 20))
+    cols = draw(st.integers(0, 30))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 4)) if cols else set()
+    live = [j for j in range(cols) if j not in zero_cols]
+    fewest, most = (max(1, round(d * len(live))) for d in (0.05, 0.25))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**9), 10**9)).filter(bool)
+    data = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "dependent", "zero"]))
+        row = [0] * cols
+        if kind == "dependent" and data:
+            picked = draw(st.lists(st.sampled_from(data), min_size=1, max_size=3))
+            for r in picked:
+                c = draw(st.integers(-5, 5))
+                row = [a + c * b for a, b in zip(row, r)]
+        elif kind != "zero" and live:
+            spots = st.lists(st.sampled_from(live), min_size=fewest, max_size=most, unique=True)
+            for j in draw(spots):
+                row[j] = draw(entry)
+        data.append(row)
+    return RatMatrix.from_rows(data, cols=cols)
+
+
+@given(sparse_integer_matrices())
+@settings(deadline=None, max_examples=60)
+def test_sparse_integer_matrices_at_size(m):
+    reduced, pivots = rref(m)
+    assert (reduced, pivots) == reference_rref(m)
+    assert pivot_columns(m) == pivots
+    assert rank(m) == rank(m.transpose())
 
 
 def assert_canonical_entries(m):
@@ -393,6 +434,10 @@ def test_integral_elimination_and_products_build_no_fraction(monkeypatch):
     for m in mats:
         reduced, pivots = rref(m)
         assert rank(m) == len(pivots)
+        assert pivot_columns(m) == pivots
+        assert len(kernel_basis(m)) == m.cols - len(pivots)
+        assert column_space_echelon(m).cols == len(pivots)
+        assert m @ solve_exact(m, m) == m
         assert (m @ m.transpose()).shape == (m.rows, m.rows)
         assert (m.transpose() @ m).shape == (m.cols, m.cols)
     monkeypatch.undo()
