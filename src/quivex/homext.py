@@ -29,15 +29,19 @@ placed: on a loop arrow (s = t) the two alpha blocks land on the same
 entries, and in beta a loop and its reverse each write into the other's
 columns.
 
-Each matrix is assembled on first use and eliminated at most once.  The
-dimensions come from the two ranks by rank-nullity: hom = ends - rank alpha,
-cohom = ends - rank beta, ext1 = middle - rank beta - rank alpha.  Kernel
-vectors are built only for ``hom_basis`` (the kernel of alpha) and
-``ext1_reps`` (the kernel of beta).  On a flat pair the columns of alpha
-lie in Ker beta, whose vectors are fixed by their entries at the free
-columns of rref(beta), their coordinates on ``kernel_beta``.  So cocycles
-are independent modulo the coboundaries where the rows of [alpha | cocycles]
-at those columns have pivots past alpha, and alpha is never eliminated.
+Each matrix is assembled on first use and goes through the forward pass of
+elimination at most once.  The dimensions come from the two ranks, the
+pivot counts of those passes, by rank-nullity: hom = ends - rank alpha,
+cohom = ends - rank beta, ext1 = middle - rank beta - rank alpha.  Only
+kernel vectors back-substitute the stored rows: ``hom_basis`` (the kernel
+of alpha), ``kernel_beta`` and ``ext1_reps``.  On a flat pair the columns of
+alpha lie in Ker beta, whose vectors are fixed by their entries at the free
+columns of beta, their coordinates on ``kernel_beta``.  So cocycles are
+independent modulo the coboundaries where the rows of [alpha | cocycles] at
+those columns have pivots past alpha.  ``ext1_reps`` reads the same rule
+off the last nonzero coordinates of the coboundaries: it eliminates the
+rows of alpha at those columns, transposed, never alpha itself, and builds
+only the kernel vectors it keeps.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import Iterable, Mapping
 
 from .errors import DimensionError, QuiverMismatchError
 from .quiver import DimVector, DoubledQuiver, chi as chi_formula
-from .ratmat import RatMatrix, kernel_from_echelon, pivot_columns, rref
+from .ratmat import Echelon, RatMatrix, _echelon, free_columns, kernel_vectors, pivot_columns
 from .rep import FramedRep, is_flat
 
 
@@ -215,28 +219,30 @@ class Complex3:
         return RatMatrix.from_integers(self.ends.dim, self.middle.dim, tuple(map(tuple, grid)), den)
 
     @cached_property
-    def _alpha_echelon(self) -> tuple[RatMatrix, tuple[int, ...]]:
-        return rref(self.alpha)
+    def _alpha_echelon(self) -> Echelon:
+        return _echelon(self.alpha)
 
     @cached_property
-    def _beta_echelon(self) -> tuple[RatMatrix, tuple[int, ...]]:
-        return rref(self.beta)
+    def _beta_echelon(self) -> Echelon:
+        return _echelon(self.beta)
 
     @property
     def rank_alpha(self) -> int:
-        return len(self._alpha_echelon[1])
+        return len(self._alpha_echelon)
 
     @property
     def rank_beta(self) -> int:
-        return len(self._beta_echelon[1])
+        return len(self._beta_echelon)
 
     @cached_property
     def kernel_alpha(self) -> list[RatMatrix]:
-        return kernel_from_echelon(*self._alpha_echelon)
+        echelon, cols = self._alpha_echelon, self.ends.dim
+        return kernel_vectors(echelon, cols, free_columns(echelon, cols))
 
     @cached_property
     def kernel_beta(self) -> list[RatMatrix]:
-        return kernel_from_echelon(*self._beta_echelon)
+        echelon, cols = self._beta_echelon, self.middle.dim
+        return kernel_vectors(echelon, cols, free_columns(echelon, cols))
 
     def hom_dim(self) -> int:
         return self.ends.dim - self.rank_alpha
@@ -253,7 +259,7 @@ class Complex3:
     def independent_mod_coboundaries(self, cocycles: list[RatMatrix]) -> list[int]:
         """The indices of the cocycles outside the span of the coboundaries
         and of the cocycles before them, read on the free columns of beta."""
-        free = sorted(set(range(self.middle.dim)) - set(self._beta_echelon[1]))
+        free = free_columns(self._beta_echelon, self.middle.dim)
         n, mats = self.alpha.cols, (self.alpha, *cocycles)
         # each column stands over its matrix's den, a scaling that keeps the pivots
         nums = tuple(tuple([a for m in mats for a in m.nums[r]]) for r in free)
@@ -262,9 +268,26 @@ class Complex3:
 
     def ext1_reps(self) -> list[RatMatrix]:
         """Deterministic cocycle representatives: the ``kernel_beta`` vectors
-        independent modulo the coboundaries and the ones before them."""
-        ker = self.kernel_beta
-        return [ker[k] for k in self.independent_mod_coboundaries(ker)]
+        independent modulo the coboundaries and the ones before them, the
+        rule of ``independent_mod_coboundaries``.
+
+        Vector k of ``kernel_beta`` has coordinates e_k on that basis, and a
+        coboundary has as coordinates its entries at the free columns of
+        beta.  Vector k is dropped exactly when e_k lies in the span of the
+        coboundaries and of e_1, ..., e_(k-1), that is, when some coboundary
+        has its last nonzero coordinate at k.  The last nonzero coordinates
+        that occur in a span are the pivot columns of a spanning set written
+        as rows, coordinates taken last to first.  So one elimination of the
+        rows of alpha at the free columns, transposed, the last free column
+        first (alpha.cols x free), selects the vectors, and only those are
+        built."""
+        free = free_columns(self._beta_echelon, self.middle.dim)
+        last_first, n = free[::-1], self.alpha.cols
+        # over den 1 rather than alpha's, a scaling that keeps the pivots
+        nums = tuple(zip(*[self.alpha.nums[f] for f in last_first])) if free else ((),) * n
+        pivots = pivot_columns(RatMatrix.from_integers(n, len(free), nums))
+        dropped = {last_first[p] for p in pivots}
+        return kernel_vectors(self._beta_echelon, self.middle.dim, [f for f in free if f not in dropped])
 
     def euler(self) -> EulerCheck:
         """ext1 - hom - cohom against the signed dimension count; the two

@@ -10,9 +10,13 @@ everywhere.
 
 Every operation works on the integers: a product entry is one integer dot
 product over den1 * den2; sums and stacks work over the lcm of the
-denominators.  Elimination has one kernel, ``_echelon``: sparse rows kept
-primitive, updated only where the pivot column hits them.  ``rref`` reduces
-its rows above the pivots and ``pivot_columns`` reads the pivots alone; the
+denominators.  Elimination has one kernel, ``_echelon``, the forward pass:
+sparse rows kept primitive, updated only where the pivot column hits them.
+``pivot_columns`` and ``rank`` read its pivots alone.  ``_back_substitute``
+reduces its rows above the pivots; ``rref`` puts the reduced rows over one
+denominator and ``kernel_vectors`` scatters them into kernel vectors.  So
+``rref``, ``kernel_basis`` and ``homext.Complex3`` share one forward pass
+and one back-substitution, and each caller stops at the depth it reads.  The
 pivot columns and the reduced form are those of any exact elimination.
 """
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 from typing import Sequence, Union
@@ -30,6 +34,8 @@ from .errors import DimensionError, FormatError, InconsistentSystemError
 
 Scalar = Union[int, str, Fraction]
 IntRows = tuple[tuple[int, ...], ...]
+# (pivot column, primitive row {column: nonzero int}) pairs in pivot order
+Echelon = list[tuple[int, dict[int, int]]]
 
 def as_fraction(value: Scalar) -> Fraction:
     """Coerce an int, Fraction or ``"p/q"`` string to an exact rational; a
@@ -199,7 +205,7 @@ def vstack(mats: Sequence[RatMatrix], cols: int | None = None) -> RatMatrix:
     return RatMatrix.from_integers(sum(m.rows for m in mats), c, nums, den)
 
 
-def _echelon(m: RatMatrix) -> list[tuple[int, dict[int, int]]]:
+def _echelon(m: RatMatrix) -> Echelon:
     """Row echelon form of ``m``: (pivot column, row) pairs in pivot order,
     each row a primitive ``{column: nonzero int}``.
 
@@ -219,14 +225,19 @@ def _echelon(m: RatMatrix) -> list[tuple[int, dict[int, int]]]:
     Hadamard bound, as in Bareiss's fraction-free elimination, with no
     division across rows.  The pivot columns are where the rank of the
     leading columns rises, so they are those of any elimination, whichever
-    row is the pivot."""
+    row is the pivot.  A zero matrix and a one-row one return before any
+    bucket is scanned."""
+    if m.is_zero:
+        return []
     buckets: list[list[dict[int, int]]] = [[] for _ in range(m.cols)]
     for r in m.nums:
         g = gcd(*r)
         if g > 1:
             r = [a // g for a in r]
         if g:
-            row = {j: a for j, a in enumerate(r) if a}
+            row = dict(compress(enumerate(r), r))
+            if m.rows == 1:
+                return [(next(iter(row)), row)]
             buckets[next(iter(row))].append(row)
     echelon = []
     last = m.cols - 1
@@ -260,27 +271,22 @@ def _echelon(m: RatMatrix) -> list[tuple[int, dict[int, int]]]:
     return echelon
 
 
-def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot column indices.
+def _back_substitute(echelon: Echelon, cols: int) -> dict[int, dict[int, int]]:
+    """The reduced echelon rows of a matrix with ``cols`` columns, from its
+    ``_echelon`` rows: ``{pivot column: primitive row}``, each row zero at
+    every other pivot column.  A pivot right of the last free column has a
+    unit row, which is left out.
 
-    The rows of ``_echelon`` are reduced last to first.  Right of the last
-    free column every column is a pivot one whose reduced row is a unit row,
-    so a row just drops its entries there.  A row r with entries f_c at
-    other later pivot columns c loses them all at once: with N_c the
-    reduced row of pivot p_c and L the lcm of those p_c, it becomes
-    L r - sum (L f_c / p_c) N_c, divided by its content.  Each row then goes
-    over the lcm of the pivots, scaled by that lcm over its own (signed)
-    pivot.  The RREF is unique, so this is the result of any exact
-    elimination."""
-    if m.is_zero:
-        return m, ()
-    if m.rows == 1:
-        pc = next(j for j, a in enumerate(m.nums[0]) if a)
-        return RatMatrix.from_integers(1, m.cols, m.nums, m.nums[0][pc]), (pc,)
-    echelon = _echelon(m)
-    pivots = tuple([pc for pc, _ in echelon])
-    last_free = m.cols - 1
-    while last_free in pivots:
+    The rows are reduced last to first.  Right of the last free column every
+    column is a pivot one, so a row just drops its entries there.  A row r
+    with entries f_c at other later pivot columns c loses them all at once:
+    with N_c the reduced row of pivot p_c and L the lcm of those p_c, it
+    becomes L r - sum (L f_c / p_c) N_c, divided by its content.  The RREF
+    is unique, so these are the rows of any exact elimination, up to scale."""
+    last_free = cols - 1
+    for pc, _ in reversed(echelon):  # the pivots rise, so the last ones end the run
+        if pc != last_free:
+            break
         last_free -= 1
     reduced: dict[int, dict[int, int]] = {}
     for pc, row in reversed(echelon):
@@ -301,6 +307,20 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
             g = gcd(*new.values())
             row = new if g == 1 else {j: x // g for j, x in new.items()}
         reduced[pc] = row
+    return reduced
+
+
+def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and the tuple of pivot column indices: the
+    ``_back_substitute`` rows, each over the lcm of the pivots, scaled by
+    that lcm over its own (signed) pivot."""
+    echelon = _echelon(m)
+    if not echelon:
+        return m, ()
+    pivots = tuple([pc for pc, _ in echelon])
+    if m.rows == 1:
+        return RatMatrix.from_integers(1, m.cols, m.nums, m.nums[0][pivots[0]]), pivots
+    reduced = _back_substitute(echelon, m.cols)
     den = lcm(*[row[pc] for pc, row in reduced.items()])
     cols = range(m.cols)
     nums = []
@@ -325,21 +345,44 @@ def rank(m: RatMatrix) -> int:
     return len(pivot_columns(m))
 
 
+def free_columns(echelon: Echelon, cols: int) -> list[int]:
+    """The columns, in ascending order, that are not pivot columns of ``echelon``."""
+    pivots = {pc for pc, _ in echelon}
+    return [j for j in range(cols) if j not in pivots]
+
+
 def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
     """Canonical right-null-space basis: one column per free column of the
     reduced echelon form, free columns taken in ascending index order."""
-    return kernel_from_echelon(*rref(m))
+    echelon = _echelon(m)
+    return kernel_vectors(echelon, m.cols, free_columns(echelon, m.cols))
 
 
-def kernel_from_echelon(reduced: RatMatrix, pivots: tuple[int, ...]) -> list[RatMatrix]:
-    """``kernel_basis`` of a matrix, read off its ``rref`` output."""
+def kernel_vectors(echelon: Echelon, cols: int, free: Sequence[int]) -> list[RatMatrix]:
+    """The ``kernel_basis`` vectors at the free columns ``free`` of a matrix
+    with ``cols`` columns and ``_echelon`` rows ``echelon``.
+
+    The vector of free column f is 1 at f, 0 at every other free column and
+    -R_c[f] / R_c[c] at each pivot column c, with R_c the reduced row of c.
+    Each reduced row hands its entries to the vectors of their free columns,
+    so the cost is in the nonzeros; a vector goes over the lcm of the pivots
+    that reach it."""
+    hits: dict[int, list[tuple[int, int, int]]] = {f: [] for f in free}
+    if hits:
+        for pc, row in _back_substitute(echelon, cols).items():
+            p = row[pc]
+            for j, x in row.items():
+                hit = hits.get(j)
+                if hit is not None:
+                    hit.append((pc, p, x))
     basis = []
-    for free in sorted(set(range(reduced.cols)) - set(pivots)):
-        vec = [(0,)] * reduced.cols
-        vec[free] = (reduced.den,)
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-reduced.nums[r][free],)
-        basis.append(RatMatrix.from_integers(reduced.cols, 1, tuple(vec), reduced.den))
+    for f, hit in hits.items():
+        den = lcm(*[p for _, p, _ in hit])
+        vec = [(0,)] * cols
+        vec[f] = (den,)
+        for pc, p, x in hit:
+            vec[pc] = (-x * (den // p),)
+        basis.append(RatMatrix.from_integers(cols, 1, tuple(vec), den))
     return basis
 
 

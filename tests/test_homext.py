@@ -14,7 +14,7 @@ from quivex.hecke import class_layout, sample_flat_crystal
 from quivex.homext import BlockLayout, build_complex, hom_ext_report
 from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, chi, double
 from quivex.ratmat import RatMatrix, hstack, pivot_columns, rref
-from quivex.rep import FramedRep, sample_flat, simple_rep
+from quivex.rep import FramedRep, is_flat, sample_flat, simple_rep
 
 A2 = ade_minimal_resolution_setup("A2")[0]
 DQ2 = double(A2)
@@ -117,6 +117,26 @@ def test_e8_complexes_at_exceptional_scale():
         assert (c.beta @ c.alpha).is_zero
         assert c.ext1_dim() - c.hom_dim() - c.cohom_dim() == c.euler().formula
         assert len(pivot_columns(c.alpha)) == c.rank_alpha
+    assert c_xy.hom_dim() == c_yx.cohom_dim()
+    assert c_yx.hom_dim() == c_xy.cohom_dim()
+    assert c_xy.ext1_dim() == c_yx.ext1_dim()
+
+
+def test_e7_doubled_ext1_reps_at_scale():
+    """A forward and a reverse flat point of the E7 setup at twice its
+    dimension vectors: alpha is 384x188, and every Ext^1 representative is
+    read off and checked in both orders."""
+    q, v, w = ade_minimal_resolution_setup("E7")
+    dq = double(q)
+    x = sample_flat(dq, v + v, w + w, 1, half="forward")
+    y = sample_flat(dq, v + v, w + w, 2, half="reverse")
+    c_xy, c_yx = build_complex(x, y), build_complex(y, x)
+    assert c_xy.alpha.shape == (384, 188)
+    for c in (c_xy, c_yx):
+        reps = c.ext1_reps()
+        assert len(reps) == c.ext1_dim() > 0
+        assert (c.beta @ hstack(reps, rows=c.middle.dim)).is_zero
+        assert c.independent_mod_coboundaries(reps) == list(range(len(reps)))
     assert c_xy.hom_dim() == c_yx.cohom_dim()
     assert c_yx.hom_dim() == c_xy.cohom_dim()
     assert c_xy.ext1_dim() == c_yx.ext1_dim()
@@ -357,72 +377,62 @@ def test_ext1_reps_pinned():
 
 
 @pytest.fixture
-def counted(monkeypatch):
-    """A flat pair, sampled first, then a tally of the eliminations homext
-    runs (through rref or pivot_columns) and the complexes it builds from
-    here on."""
+def counted(monkeypatch, eliminations):
+    """A flat pair, sampled first, then a tally of the eliminations and of
+    the complexes built from here on."""
     x, y = flat_pair(5)
-    tally = {"rref": 0, "build": 0}
-    rref, pivot_columns, init = homext.rref, homext.pivot_columns, homext.Complex3.__init__
-
-    def counting_rref(m):
-        tally["rref"] += 1
-        return rref(m)
-
-    def counting_pivot_columns(m):
-        tally["rref"] += 1
-        return pivot_columns(m)
+    eliminations.clear()
+    builds = []
+    init = homext.Complex3.__init__
 
     def counting_init(self, x1, x2):
-        tally["build"] += 1
+        builds.append(None)
         init(self, x1, x2)
 
-    monkeypatch.setattr(homext, "rref", counting_rref)
-    monkeypatch.setattr(homext, "pivot_columns", counting_pivot_columns)
     monkeypatch.setattr(homext.Complex3, "__init__", counting_init)
-    return x, y, tally
+    return x, y, lambda: {"eliminations": len(eliminations), "build": len(builds)}
 
 
 def test_each_matrix_eliminated_once(counted):
-    x, y, counts = counted
+    x, y, tally = counted
     c = build_complex(x, y)
-    assert counts == {"rref": 0, "build": 1}
+    assert tally() == {"eliminations": 0, "build": 1}
     c.hom_dim(), c.ext1_dim(), c.cohom_dim()
     c.hom_basis(), c.kernel_beta
-    assert counts == {"rref": 2, "build": 1}
+    assert tally() == {"eliminations": 2, "build": 1}
 
 
 def test_dimensions_build_no_kernel(counted):
     # hom, ext1 and cohom are read off the two ranks
-    x, y, counts = counted
+    x, y, tally = counted
     c = build_complex(x, y)
     c.hom_dim(), c.ext1_dim(), c.cohom_dim(), c.euler()
     assert "kernel_alpha" not in vars(c) and "kernel_beta" not in vars(c)
-    assert counts == {"rref": 2, "build": 1}
+    assert tally() == {"eliminations": 2, "build": 1}
 
 
 def test_report_builds_each_complex_once(counted):
-    x, y, counts = counted
+    x, y, tally = counted
     hom_ext_report(x, y)
-    assert counts == {"rref": 4, "build": 2}
+    assert tally() == {"eliminations": 4, "build": 2}
 
 
 def test_sampler_builds_one_complex_per_step(counted):
-    # each step eliminates beta and the two kernel-coordinate stacks of one
-    # complex, one in ext1_reps and one in the independence check on extending
-    _, _, counts = counted
+    # each step eliminates beta and two matrices of coordinates on its kernel
+    # basis, one in ext1_reps and one in the independence check on extending
+    _, _, tally = counted
     v = DimVector.of(A2, {"1": 1, "2": 2})
     assert sample_flat_crystal(DQ2, v, v, 7) is not None
-    assert counts == {"rref": 3 * v.total(), "build": v.total()}
+    assert tally() == {"eliminations": 3 * v.total(), "build": v.total()}
 
 
 def test_ext1_reps_eliminate_no_alpha(counted):
-    x, y, counts = counted
+    x, y, tally = counted
     c = build_complex(x, y)
     c.ext1_reps()
     assert "_alpha_echelon" not in vars(c)
-    # beta and the stack of kernel coordinates
-    assert counts == {"rref": 2, "build": 1}
+    # beta and the coboundaries' coordinates on the kernel basis
+    assert tally() == {"eliminations": 2, "build": 1}
 
 
 # --------------------------------------- independence modulo coboundaries
@@ -455,6 +465,85 @@ def test_independence_matches_the_stacked_rule(seed, rng):
     if mixes and rng.random() < 0.3:
         mixes.append(rng.choice(mixes))
     assert c.independent_mod_coboundaries(mixes) == stacked_selection(c, mixes)
+
+
+A3 = ade_minimal_resolution_setup("A3")[0]
+
+
+@st.composite
+def random_flat_pairs(draw):
+    """Two flat points over A2, A3 or D4 with fibers of size up to 2, each
+    one-sided (forward or reverse) or built by extensions."""
+    q = draw(st.sampled_from([A2, A3, D4]))
+    dq = double(q)
+    fibers = st.fixed_dictionaries({i: st.integers(0, 2) for i in q.vertices})
+    pair = []
+    for _ in range(2):
+        v, w = DimVector.of(q, draw(fibers)), DimVector.of(q, draw(fibers))
+        kind = draw(st.sampled_from(["forward", "reverse", "crystal"]))
+        seed = draw(st.integers(0, 10**6))
+        x = sample_flat_crystal(dq, v, w, seed) if kind == "crystal" else None
+        pair.append(x or sample_flat(dq, v, w, seed, half="reverse" if kind == "reverse" else "forward"))
+    return pair
+
+
+@given(random_flat_pairs())
+@settings(deadline=None, max_examples=40)
+def test_ext1_reps_select_by_the_independence_rule(pair):
+    c = build_complex(*pair)
+    reps = c.ext1_reps()
+    ker = c.kernel_beta
+    assert reps == [ker[k] for k in c.independent_mod_coboundaries(ker)]
+    assert len(reps) == c.ext1_dim()
+
+
+def _line(**maps):
+    """The A2 point with V = W = one dimension at vertex 1 and the given
+    1x1 I or J there; every such point is flat."""
+    u = DimVector.of(A2, {"1": 1, "2": 0})
+    return FramedRep(DQ2, u, u, **{k: {"1": RatMatrix.from_rows([[a]])} for k, a in maps.items()})
+
+
+# pair, the edge it reaches and the Ext^1 representatives
+EDGE_PAIRS = {
+    "beta_zero_ext1_zero": (
+        (_line(I=1), simple_rep(DQ2, "1")),
+        lambda c: c.beta.is_zero and not c.alpha.is_zero,
+        [],
+    ),
+    "beta_zero_two_free_columns": (
+        (_line(I=1), _line(J=1)),
+        lambda c: c.beta.is_zero and c.middle.dim == 2,
+        [RatMatrix.column([1, 0])],
+    ),
+    "no_free_columns": (
+        (_line(J=1), simple_rep(DQ2, "1")),
+        lambda c: c.rank_beta == c.middle.dim,
+        [],
+    ),
+    "alpha_zero": (
+        (_line(J=1), _line(I=1)),
+        lambda c: c.alpha.is_zero and not c.beta.is_zero,
+        [RatMatrix.column([-1, 1])],
+    ),
+    "ext1_zero": (
+        (_line(I=1), _line(I=1)),
+        lambda c: c.ext1_dim() == 0 and not c.alpha.is_zero and not c.beta.is_zero,
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_PAIRS))
+def test_ext1_reps_edge_cases(name):
+    pair, edge, expected = EDGE_PAIRS[name]
+    c = build_complex(*pair)
+    assert all(map(is_flat, pair)) and edge(c)
+    reps = c.ext1_reps()
+    assert reps == expected
+    ker = c.kernel_beta
+    assert reps == [ker[k] for k in c.independent_mod_coboundaries(ker)]
+    assert len(reps) == c.ext1_dim()
 
 
 # ------------------------------------------------------- block layout

@@ -78,6 +78,20 @@ def reference_rref(m):
     return RatMatrix(m.rows, m.cols, tuple(tuple(r) for r in grid)), tuple(pivots)
 
 
+def reference_kernel(m):
+    """The dense reading of ``rref(m)``: for each free column f, 1 at f and
+    minus column f of the reduced rows at their pivot columns."""
+    reduced, pivots = rref(m)
+    basis = []
+    for free in sorted(set(range(m.cols)) - set(pivots)):
+        vec = [0] * m.cols
+        vec[free] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r, free]
+        basis.append(RatMatrix.column(vec))
+    return basis
+
+
 def reference_matmul(a, b):
     """The product as a sum of ``Fraction`` products per entry."""
     b_cols = list(zip(*b.data)) if b.data else [()] * b.cols
@@ -160,6 +174,23 @@ def test_sparse_integer_matrices_at_size(m):
     assert (reduced, pivots) == reference_rref(m)
     assert pivot_columns(m) == pivots
     assert rank(m) == rank(m.transpose())
+
+
+@given(sparse_integer_matrices())
+@example(RatMatrix.zeros(0, 4))
+@example(RatMatrix.zeros(4, 0))
+@example(RatMatrix.zeros(3, 5))
+@example(RatMatrix.from_rows([[0, 4, 0, -6, 0]]))
+@example(RatMatrix.from_rows([[0, 0, 7]]))
+@example(RatMatrix.from_rows([[0, 0, 0]]))
+@settings(deadline=None, max_examples=60)
+def test_kernel_basis_equals_dense_reading(m):
+    basis = kernel_basis(m)
+    assert basis == reference_kernel(m)
+    # any subset of the free columns gives the matching vectors
+    echelon = ratmat._echelon(m)
+    free = ratmat.free_columns(echelon, m.cols)
+    assert ratmat.kernel_vectors(echelon, m.cols, free[1::2]) == basis[1::2]
 
 
 def assert_canonical_entries(m):
@@ -432,6 +463,9 @@ def test_integral_elimination_and_products_build_no_fraction(monkeypatch):
     mats = integral_matrices()
     monkeypatch.setattr(ratmat, "Fraction", no_fraction)
     for m in mats:
+        echelon = ratmat._echelon(m)
+        reduced_rows = ratmat._back_substitute(echelon, m.cols)
+        assert all(type(a) is int for row in reduced_rows.values() for a in row.values())
         reduced, pivots = rref(m)
         assert rank(m) == len(pivots)
         assert pivot_columns(m) == pivots

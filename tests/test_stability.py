@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivex import acceptance, ratmat
+from quivex import acceptance
 from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, d4_bundle
 from quivex.errors import NotFlatError, UnsupportedZetaError
 from quivex.hecke import sample_flat_crystal
@@ -306,47 +306,31 @@ def test_transpose_swaps_the_signs(corpus):
         assert is_stable(x, neg).stable == is_stable(transpose(x), pos).stable
 
 
-def test_kerJ_side_eliminates_less_than_reference(monkeypatch):
+def test_kerJ_side_eliminates_less_than_reference(eliminations):
     """Ker J through the transpose: one elimination per vertex per pass plus
     the annihilator, against three per vertex per pass for the reference."""
-    calls = []
-    rref = ratmat.rref
-
-    def counted(m):
-        calls.append(None)
-        return rref(m)
-
-    monkeypatch.setattr(ratmat, "rref", counted)
     x = d4_bundle().reps["point"]
     expected = _reference_max_invariant_in_kerJ(x)
-    reference_calls = len(calls)
-    calls.clear()
+    reference_calls = len(eliminations)
+    eliminations.clear()
     assert max_invariant_in_kerJ(x) == expected
-    subspace_calls = len(calls)
-    calls.clear()
+    subspace_calls = len(eliminations)
+    eliminations.clear()
     assert is_stable(x, ZetaParam.constant(x.dq, 1)).stable
     assert reference_calls == 44
     assert subspace_calls < reference_calls
-    assert len(calls) < subspace_calls
+    assert len(eliminations) < subspace_calls
 
 
-def test_fixed_point_recomputes_only_stale_vertices(monkeypatch):
+def test_fixed_point_recomputes_only_stale_vertices(eliminations):
     """A pass recomputes a vertex only after an in-neighbour grew since its
     last recomputation, so a point without arrows is decided by its one
     initial elimination."""
-    calls = []
-    rref = ratmat.rref
-
-    def counted(m):
-        calls.append(None)
-        return rref(m)
-
-    monkeypatch.setattr(ratmat, "rref", counted)
 
     def positive_verdict_calls(x):
-        calls.clear()
+        eliminations.clear()
         assert is_stable(x, ZetaParam.constant(x.dq, 1)).stable
-        return len(calls)
+        return len(eliminations)
 
     assert positive_verdict_calls(a1_bundle(3, 1).reps["stable"]) == 1
     assert positive_verdict_calls(d4_bundle().reps["point"]) == 10
