@@ -2,15 +2,24 @@
 attached to a loop-free quiver.
 
 Positive roots come from exact reflection enumeration in finite type and
-from the Peterson recursion up to a height cutoff otherwise.  Weight
-multiplicities of the integrable highest-weight module come from
-Freudenthal's formula on dominant weights only: multiplicities are invariant
-under the Weyl group, so each drop is reduced to the dominant drop of its
-orbit, and the dominant drops a query needs are evaluated from a worklist in
-order of height, with no recursion.  Conventions: simple roots are
-coordinate vectors, the bilinear form is the Cartan matrix itself, and the
-Weyl functional pairs to 1 against every simple root.  All arithmetic is
-exact.
+from the Peterson recursion up to a height cutoff otherwise.  In finite type
+the simple roots are closed under the raising reflections only, s_i where
+the pairing with alpha_i is negative, which reach every positive root and no
+negative one.  Weight multiplicities of the integrable highest-weight module
+come from Freudenthal's formula on dominant weights only: multiplicities are
+invariant under the Weyl group, so each drop is reduced to the dominant drop
+of its orbit, and the dominant drops a query needs are evaluated from a
+worklist in order of height, with no recursion.
+
+The Cartan matrix is walked as sparse rows, the (column, entry) pairs with a
+nonzero entry; it is symmetric, so a row is also a column.  The finite
+closure, the coroot values of a drop and each Weyl reflection touch only
+those entries.  A session also tabulates once, per positive root, the
+pairings and norms that Freudenthal's sum reads at every dominant drop.
+
+Conventions: simple roots are coordinate vectors, the bilinear form is the
+Cartan matrix itself, and the Weyl functional pairs to 1 against every
+simple root.  All arithmetic is exact.
 
 Sessions own their memo tables; share a session across threads only with
 external locking (one session per thread is the supported pattern).
@@ -27,6 +36,7 @@ from .quiver import DimVector, Quiver, cartan_matrix, chi
 
 GCM = tuple[tuple[int, ...], ...]
 Coeffs = tuple[int, ...]
+Rows = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def validate_gcm(gcm: GCM) -> None:
@@ -65,33 +75,40 @@ def _dot(gcm: GCM, a: Coeffs, b: Coeffs) -> int:
     return sum(a[i] * gcm[i][j] * b[j] for i in range(len(a)) for j in range(len(a)))
 
 
-def _pair(gcm: GCM, a: Coeffs) -> list[int]:
+def _sparse_rows(gcm: GCM) -> Rows:
+    """Each row of the GCM as its (column, entry) pairs with the entry
+    nonzero.  The GCM is symmetric, so row i is also column i."""
+    return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in gcm)
+
+
+def _pairings(rows: Rows, a: Coeffs) -> Coeffs:
     """The pairings (a, alpha_i) with every simple root."""
-    return [sum(g * x for g, x in zip(row, a)) for row in gcm]
+    return tuple(sum(g * a[j] for j, g in row) for row in rows)
 
 
 def _finite_positive_roots(gcm: GCM) -> list[tuple[Coeffs, int]]:
-    """All positive roots of a finite-type symmetric GCM by closing the
-    simple roots under simple reflections; every multiplicity is 1."""
+    """All positive roots of a finite-type symmetric GCM; every multiplicity
+    is 1.  A positive root beta that is not simple pairs positively with some
+    simple root alpha_i, and s_i beta is then a positive root of lower height
+    that pairs negatively with alpha_i.  So closing the simple roots under the
+    raising reflections, s_i where the pairing with alpha_i is negative,
+    reaches every positive root and nothing else."""
+    rows = _sparse_rows(gcm)
     n = len(gcm)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     seen: set[Coeffs] = set(simple)
     frontier = list(simple)
     while frontier:
         beta = frontier.pop()
-        for i in range(n):
-            pairing = sum(gcm[i][j] * beta[j] for j in range(n))
-            gamma = tuple(
-                beta[j] - (pairing if j == i else 0) for j in range(n)
-            )
+        for i, row in enumerate(rows):
+            pairing = sum(g * beta[j] for j, g in row)
+            if pairing >= 0:
+                continue
+            gamma = beta[:i] + (beta[i] - pairing,) + beta[i + 1 :]
             if gamma not in seen:
                 seen.add(gamma)
                 frontier.append(gamma)
-    positives = sorted(
-        (b for b in seen if all(v >= 0 for v in b) and any(v > 0 for v in b)),
-        key=lambda b: (sum(b), b),
-    )
-    return [(b, 1) for b in positives]
+    return [(b, 1) for b in sorted(seen, key=lambda b: (sum(b), b))]
 
 
 def _compositions(total: int, parts: int):
@@ -185,6 +202,11 @@ class MultiplicitySession:
     evaluates them in order of height, lowest first; every term of
     Freudenthal's sum reduces to a strictly lower dominant drop, so each one
     is evaluated after everything it depends on, with no recursion.
+
+    Two constant tables are built once per session: the sparse Cartan rows,
+    which every coroot update walks, and for each positive root alpha the
+    tuple (alpha, mult, pairings of alpha with the simple roots, (alpha,
+    alpha), (highest, alpha)) that Freudenthal's sum reads at every drop.
     """
 
     def __init__(self, roots: RootSystemData, highest: Coeffs):
@@ -195,6 +217,14 @@ class MultiplicitySession:
                 raise DomainError(f"highest weight entry {h!r} is not a nonnegative integer")
         self.roots = roots
         self.highest = highest
+        self._rows = _sparse_rows(roots.gcm)
+        table = []
+        for alpha, alpha_mult in roots.positive_roots:
+            alpha_pair = _pairings(self._rows, alpha)
+            norm = sum(a * p for a, p in zip(alpha, alpha_pair))
+            highest_alpha = sum(a * h for a, h in zip(alpha, highest))
+            table.append((alpha, alpha_mult, alpha_pair, norm, highest_alpha))
+        self._root_table = tuple(table)
         self._memo: dict[Coeffs, int] = {(0,) * roots.rank: 1}
 
     def multiplicity(self, drop: Coeffs) -> int:
@@ -224,26 +254,33 @@ class MultiplicitySession:
 
     def _coroot_values(self, drop: Coeffs) -> list[int]:
         """c_i = w_i - (C drop)_i, the value of the weight on the coroot i."""
-        return [h - p for h, p in zip(self.highest, _pair(self.roots.gcm, drop))]
+        values = list(self.highest)
+        for j, d in enumerate(drop):
+            if d:
+                for i, g in self._rows[j]:
+                    values[i] -= g * d
+        return values
 
     def _dominant(self, drop: Coeffs, values: list[int]) -> Coeffs | None:
         """The dominant drop in the Weyl orbit of the weight, or None when a
         simple reflection takes the weight out of the cone below the highest
         weight (multiplicity 0).  Each reflection lowers the height, so the
         loop ends.  ``values`` holds the coroot values of ``drop`` and is
-        updated in place."""
-        gcm = self.roots.gcm
+        updated in place; a reflection at i changes only the values on the
+        columns of row i."""
+        rows = self._rows
         reduced = list(drop)
         while True:
-            i = next((i for i, c in enumerate(values) if c < 0), None)
-            if i is None:
+            for i, c in enumerate(values):
+                if c < 0:
+                    break
+            else:
                 return tuple(reduced)
-            c = values[i]
             reduced[i] += c
             if reduced[i] < 0:
                 return None
-            for j, row in enumerate(gcm):
-                values[j] -= row[i] * c
+            for j, g in rows[i]:
+                values[j] -= g * c
 
     def _freudenthal_terms(self, drop: Coeffs) -> dict[Coeffs, int]:
         """Freudenthal's sum at a dominant drop as {dominant drop: coefficient};
@@ -251,12 +288,9 @@ class MultiplicitySession:
         has multiplicity 0 and is left out."""
         values = self._coroot_values(drop)
         terms: dict[Coeffs, int] = {}
-        for alpha, alpha_mult in self.roots.positive_roots:
+        for alpha, alpha_mult, alpha_pair, norm, highest_alpha in self._root_table:
             if any(a > d for a, d in zip(alpha, drop)):
                 continue
-            alpha_pair = _pair(self.roots.gcm, alpha)
-            norm = sum(a * p for a, p in zip(alpha, alpha_pair))
-            highest_alpha = sum(a * h for a, h in zip(alpha, self.highest))
             drop_alpha = sum(d * p for d, p in zip(drop, alpha_pair))
             k = 1
             while True:
@@ -272,9 +306,8 @@ class MultiplicitySession:
 
     def _evaluate(self, drop: Coeffs, terms: dict[Coeffs, int]) -> int:
         # (highest + rho)^2 - (weight + rho)^2, positive at every dominant drop
-        denominator = 2 * sum(d * (h + 1) for d, h in zip(drop, self.highest)) - _dot(
-            self.roots.gcm, drop, drop
-        )
+        norm = sum(d * p for d, p in zip(drop, _pairings(self._rows, drop)))
+        denominator = 2 * sum(d * (h + 1) for d, h in zip(drop, self.highest)) - norm
         if denominator <= 0:
             raise InternalCheckError(f"nonpositive Freudenthal denominator at {drop}")
         total = sum(coefficient * self._memo[key] for key, coefficient in terms.items())
@@ -306,7 +339,7 @@ def predicted_component_count(q: Quiver, v: DimVector, w: DimVector) -> int:
     """What the top-homology geometry would produce: the weight multiplicity
     at the drop v below the highest weight w.  Freudenthal at v only uses
     roots below v, so the root height cutoff is the height of v."""
-    roots = roots_for_quiver(q, v.total())
     if w.vertices != v.vertices:
         raise DomainError("highest weight and drop over mismatched vertex sets")
+    roots = roots_for_quiver(q, v.total())
     return MultiplicitySession(roots, w.values).multiplicity(v.values)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from quivex import acceptance
+from quivex import acceptance, homext
 from quivex.cli import main
 from quivex.errors import DomainError
 from quivex.ratmat import kernel_basis
@@ -53,6 +53,30 @@ def test_criterion_4_complex_duality_suite(corpus):
     result = acceptance.criterion_4(corpus)
     assert result.details["pairs"] >= 500
     _report(result)
+
+
+def test_criterion_4_reports_failures_in_ordered_pair_order(corpus, monkeypatch):
+    # one more ext1 class from the first sample of each pool to any other
+    # breaks ext1 symmetry on (0, b) and (b, 0), and the Euler identity on
+    # (0, b) only; pairs are checked two orders at a time, but the report
+    # lists the failures in the order of the ordered pairs
+    firsts = {id(pool[0]) for pool in corpus.pools.values()}
+    ext1_dim = homext.Complex3.ext1_dim
+
+    def shifted(c):
+        return ext1_dim(c) + (id(c.x1) in firsts and id(c.x2) not in firsts)
+
+    monkeypatch.setattr(homext.Complex3, "ext1_dim", shifted)
+    expected = []
+    for shape, pool in corpus.pools.items():
+        for a in range(len(pool)):
+            for b in range(len(pool)):
+                if (a == 0) != (b == 0):
+                    expected.append(f"{shape}[{a},{b}]: ext1 not symmetric")
+                if a == 0 and b != 0:
+                    expected.append(f"{shape}[{a},{b}]: Euler identity fails")
+    result = acceptance.criterion_4(corpus)
+    assert result.details["failures"] == acceptance._capped(expected)
 
 
 def test_criterion_5_stability_consequences(corpus):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sys
 
@@ -51,6 +52,40 @@ def test_finite_root_counts_against_brute_force(label, expected_count):
     assert enumerated == brute_force_positive_roots(gcm, 6)
     assert len(enumerated) == expected_count
     assert all(mult == 1 for _, mult in rs.positive_roots)
+
+
+FINITE_LABELS = (
+    [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+)
+
+
+def plus_minus_root_closure(gcm):
+    """The positive roots of a finite-type symmetric GCM by closing the
+    simple roots under every simple reflection, positive and negative roots
+    alike, then keeping the positive ones in (height, coefficients) order."""
+    n = len(gcm)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        beta = frontier.pop()
+        for i in range(n):
+            pairing = sum(gcm[i][j] * beta[j] for j in range(n))
+            gamma = tuple(beta[j] - (pairing if j == i else 0) for j in range(n))
+            if gamma not in seen:
+                seen.add(gamma)
+                frontier.append(gamma)
+    positives = sorted(
+        (b for b in seen if all(v >= 0 for v in b) and any(v > 0 for v in b)),
+        key=lambda b: (sum(b), b),
+    )
+    return [(b, 1) for b in positives]
+
+
+@pytest.mark.parametrize("label", FINITE_LABELS)
+def test_raising_closure_matches_plus_minus_closure(label):
+    gcm = cartan_matrix(ade_minimal_resolution_setup(label)[0])
+    assert list(root_multiplicities(gcm).positive_roots) == plus_minus_root_closure(gcm)
 
 
 def test_gcm_validation():
@@ -238,6 +273,10 @@ def test_mismatched_vertex_sets_rejected():
     w = DimVector(("1", "3"), (1, 1))
     with pytest.raises(DomainError, match="mismatched vertex sets"):
         predicted_component_count(q, v, w)
+    # the vertex sets are compared before any root system is built
+    jordan = Quiver(["1"], [Arrow("l", "1", "1")])
+    with pytest.raises(DomainError, match="mismatched vertex sets"):
+        predicted_component_count(jordan, DimVector(("1",), (1,)), DimVector(("2",), (1,)))
 
 
 class RecursiveReference:
@@ -327,6 +366,32 @@ def test_affine_rewrites_match_recursive_reference(label):
         assert_dominant_memo(session)
 
 
+def kronecker_quiver():
+    return Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+
+
+def a1_framing_rewrite():
+    q = ade_minimal_resolution_setup("A1")[0]
+    return cb_transform(q, DimVector.of(q, {"1": 2}))[0]
+
+
+@pytest.mark.parametrize("make_quiver", [kronecker_quiver, a1_framing_rewrite])
+def test_cartan_entry_minus_two_matches_recursive_reference(make_quiver):
+    # two parallel arrows give the off-diagonal Cartan entry -2, which no
+    # simply-laced finite type has
+    q = make_quiver()
+    gcm = cartan_matrix(q)
+    assert gcm[0][1] == gcm[1][0] == -2
+    roots = roots_for_quiver(q, 8)
+    drops = [d for d in itertools.product(range(9), repeat=2) if sum(d) <= 8]
+    for highest in itertools.product(range(3), repeat=2):
+        session = MultiplicitySession(roots, highest)
+        reference = RecursiveReference(roots, highest)
+        values = [session.multiplicity(d) for d in drops]
+        assert values == [reference.multiplicity(d) for d in drops], highest
+        assert_dominant_memo(session)
+
+
 def test_e6_adjoint_box_sum_is_the_dimension():
     q, v, w = ade_minimal_resolution_setup("E6")
     roots = roots_for_quiver(q, 2 * v.total())
@@ -363,3 +428,42 @@ def test_deep_drops_need_no_recursion():
         assert predicted_component_count(q, v, w) == 1
     finally:
         sys.setrecursionlimit(limit)
+
+
+def oracle_digest():
+    """sha256 over the positive roots of A1-A8, D4-D8 and E6-E8, and over
+    the multiplicities and the dominant-drop memo keys, in memo order, of
+    the E6 adjoint box, of the D4 box at twice the adjoint highest weight and
+    of the affine-rewrite sessions of
+    ``test_affine_rewrites_match_recursive_reference``."""
+    h = hashlib.sha256()
+
+    def feed(session, drops):
+        h.update(repr([session.multiplicity(d) for d in drops]).encode())
+        h.update(repr(list(session._memo)).encode())
+
+    for label in FINITE_LABELS:
+        gcm = cartan_matrix(ade_minimal_resolution_setup(label)[0])
+        h.update(repr((label, root_multiplicities(gcm).positive_roots)).encode())
+    for label, factor in (("E6", 1), ("D4", 2)):
+        q, v, w = ade_minimal_resolution_setup(label)
+        roots = roots_for_quiver(q, 2 * factor * v.total())
+        drops = list(itertools.product(*(range(2 * factor * m + 1) for m in v.values)))
+        feed(MultiplicitySession(roots, tuple(factor * h for h in w.values)), drops)
+    for label in ("A2", "D4"):
+        q, _, w = ade_minimal_resolution_setup(label)
+        affine, _ = cb_transform(q, w)
+        roots = roots_for_quiver(affine, 8)
+        h.update(repr(roots.positive_roots).encode())
+        n = len(affine.vertices)
+        drops = [d for d in itertools.product(range(3), repeat=n) if sum(d) <= 8]
+        for highest in itertools.product(range(2), repeat=n):
+            feed(MultiplicitySession(roots, highest), drops)
+    return h.hexdigest()
+
+
+def test_oracle_outputs_pinned_digest():
+    """Root lists and their order, multiplicities and memo keys stay
+    bit-identical; the digest was taken from the dense-Cartan oracle that
+    closed positive and negative roots under every reflection."""
+    assert oracle_digest() == "c70ae9da6dd8a17779afa3d688d9b61105f9b75b36052225c88a42296749ede0"
