@@ -245,11 +245,14 @@ def are_isomorphic(x: FramedRep, y: FramedRep) -> bool:
     matrices.
 
     Solves the exact intertwiner system, then probes the affine solution
-    space for an invertible member (the particular solution plus seeded
-    small combinations of the kernel basis).  A True answer is sound; a
-    False answer after probing is correct unless every random combination
-    landed on the vanishing locus of the determinant, which has measure
-    zero.
+    space for an invertible member: the particular solution, then seeded
+    combinations of the kernel basis with coefficients drawn from [-d, d],
+    d = sum dim V.  The product of the determinants of the blocks xi_i has
+    degree at most d in the coefficients, so by Schwartz-Zippel an attempt
+    misses an invertible member, if there is one, with probability below 1/2,
+    and all attempts miss with probability below 2^-64.  A True answer is
+    sound.  For zeta>0-stable x every solution is invertible, so the probe
+    never runs: Ker xi is B-invariant and lies in Ker J.
     """
     if x.dq != y.dq:
         raise QuiverMismatchError("isomorphism test across different quivers")
@@ -273,14 +276,11 @@ def are_isomorphic(x: FramedRep, y: FramedRep) -> bool:
 
     if invertible(particular):
         return True
-    rng = random.Random(_PROBE_SEED)
-    for attempt in range(_PROBE_ATTEMPTS):
-        if not kernel:
-            break
-        bound = 1 + attempt // 16
+    rng, d = random.Random(_PROBE_SEED), x.dim_v.total()
+    for _ in range(_PROBE_ATTEMPTS if kernel else 0):
         candidate = particular
         for k in kernel:
-            candidate = candidate + k.scale(rng.randint(-bound, bound))
+            candidate = candidate + k.scale(rng.randint(-d, d))
         if invertible(candidate):
             return True
     return False

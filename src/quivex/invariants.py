@@ -13,13 +13,17 @@ origin (cycles) or to the nearest framed vertex (paths) exceeds the arrows
 left.  A zero prefix product is kept as None and gives an exact 0 with no
 further matmul.  Path products start from I_origin, so each path entry is
 J_end times one.  Labels are plain tuples, ordered deterministically, so two
-fingerprints can be compared entry by entry.
+fingerprints can be compared entry by entry.  Before any matmul, the entries
+plus letters a call returns are counted exactly from the powers of the
+doubled quiver's adjacency matrix; past WALK_BUDGET the call raises a
+DomainError naming the count and the largest bound under the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import DomainError, WrongSetupError
 from .quiver import ade_minimal_resolution_setup
@@ -30,11 +34,10 @@ CycleLabel = tuple[str, ...]
 PathLabel = tuple[str, tuple[str, ...], str, int, int]
 FingerprintEntry = tuple[tuple, Fraction]
 
-# Most walks one cycle_traces or path_invariants call may visit, counted before
-# any matmul: exactly for paths, from above for cycles (the count skips the
-# necklace cut).  The E6 setup passes up to bound 19; its default 22 needs 13.5M.
-WALK_BUDGET = 2_000_000
-_COUNT_CAP = 10**15  # the counts stop here, so a huge bound never formats a huge number
+# Most entries plus letters (word lengths) one cycle_traces or path_invariants
+# call may hold.  The E6 setup passes up to bound 21; at its default 22 its
+# cycles hold 5,600,266 and its paths 12,575,136.
+WALK_BUDGET = 4_000_000
 
 
 def _distances(x: FramedRep, targets: list[str]) -> dict[str, int]:
@@ -48,36 +51,36 @@ def _distances(x: FramedRep, targets: list[str]) -> dict[str, int]:
     return dist
 
 
-def _check_bound(x: FramedRep, starts: list[tuple], max_length: int) -> None:
-    """Reject a negative bound, or one at which the distance-cut walks from
-    the (origin, seed, dist) starts number more than WALK_BUDGET.  Counts
-    never fall as the bound grows; past a start's largest distance its step is
-    the same at every bound, so its DP stops at the first one changing nothing."""
+def _check_bound(x: FramedRep, max_length: int, necklaces: bool) -> None:
+    """Reject a negative bound, or one at which the entries plus letters of
+    the call's kind number more than WALK_BUDGET.  With A the doubled
+    quiver's adjacency matrix and w the framing, length n has w^T A^n w path
+    entries and sum_{d | n} p(d) / d cycle classes, where p(d) = tr A^d -
+    sum_{e | d, e < d} p(e) counts the closed walks of least period d."""
     if max_length < 0:
         raise DomainError(f"walk length bound must be nonnegative, got {max_length}")
-    live = [(origin, dist, dict.fromkeys(dist, 1)) for origin, _, dist in starts]
-    left, best, settled = 0, 0, 0  # settled: the walks of the starts whose DP stopped
-    visits = len(starts)  # the walks the distance cut lets through at bound `left`
-    while live and left < max_length:
-        left, visits, running = left + 1, settled, []
-        for origin, dist, counts in live:  # counts[v]: the walks from v with `left` arrows left
-            grown = dict.fromkeys(dist, 1)
-            for a in x.dq.arrows:
-                if dist.get(a.target, left) < left:
-                    grown[a.source] = min(grown[a.source] + counts[a.target], _COUNT_CAP)
-            visits += grown[origin]
-            if grown == counts and left > max(dist.values()):
-                settled += grown[origin]
-            else:
-                running.append((origin, dist, grown))
-        live, visits = running, min(visits, _COUNT_CAP)
-        best = left if visits <= WALK_BUDGET else best
-    if visits > WALK_BUDGET:
-        need = f"up to {visits}" if visits < _COUNT_CAP else f"at least {_COUNT_CAP}"
-        raise DomainError(
-            f"walks up to length {max_length} need {need} visits, over the "
-            f"budget of {WALK_BUDGET}; the largest bound under it is {best}"
-        )
+    w = [x.dim_w[v] for v in x.dq.vertices]
+    into = [[x.dq.index(a.source) for a in x.dq.arrows_into(v)] for v in x.dq.vertices]
+    rows = [[int(i == j) for j in range(len(w))] for i in range(len(w))] if necklaces else [w]
+    primitive, size = [], 0  # primitive[d]: the closed walks of least period d > 0
+    for n in range(max_length + 1):  # rows: the rows of A^n, or w^T A^n
+        if necklaces:
+            divisors = {d for k in range(1, isqrt(n) + 1) if n % k == 0 for d in (k, n // k)}
+            trace = sum(row[i] for i, row in enumerate(rows))
+            primitive.append(trace - sum(primitive[d] for d in divisors - {n}))
+            count = sum(primitive[d] // d for d in divisors)
+        else:
+            count = sum(a * b for a, b in zip(rows[0], w))
+        size += (1 + n) * count
+        if size > WALK_BUDGET:
+            kind = "cycle traces" if necklaces else "path entries"
+            raise DomainError(
+                f"{kind} up to length {max_length} hold {size} entries and letters by length "
+                f"{n}, over the budget of {WALK_BUDGET}; the largest bound under it is {n - 1}"
+            )
+        rows = [[sum(map(row.__getitem__, sources)) for sources in into] for row in rows]
+        if not any(map(any, rows)):  # no walk is longer than n
+            return
 
 
 def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) -> list[tuple]:
@@ -85,7 +88,7 @@ def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) 
     max_length from an (origin, seed, dist) start that ends at distance 0,
     with ``necklaces`` only the nonempty closed necklaces.  The product is
     the path matrix times seed, or None when it is zero."""
-    _check_bound(x, starts, max_length)
+    _check_bound(x, max_length, necklaces)
     out: list[tuple] = []
     for origin, seed, dist in starts:
         word: list[str] = []
@@ -157,12 +160,9 @@ def pi_fingerprint(x: FramedRep, max_length: int | None = None) -> list[Fingerpr
     the default bound separates all orbits.
     """
     bound = default_degree_bound(x) if max_length is None else max_length
-    entries: list[FingerprintEntry] = []
-    for word, value in cycle_traces(x, bound):
-        entries.append((("cycle",) + word, value))
-    for label, value in path_invariants(x, bound):
-        entries.append((("path",) + label, value))
-    return entries
+    _check_bound(x, bound, necklaces=False)  # before any cycle is walked
+    cycles = [(("cycle",) + word, value) for word, value in cycle_traces(x, bound)]
+    return cycles + [(("path",) + label, value) for label, value in path_invariants(x, bound)]
 
 
 def fingerprint_is_zero(entries: list[FingerprintEntry]) -> bool:

@@ -63,7 +63,7 @@ class FramedRep:
         self.B: dict[str, RatMatrix] = {}
         for a in dq.arrows:
             shape = (dim_v[a.target], dim_v[a.source])
-            m = B.get(a.name, RatMatrix.zeros(*shape))
+            m = B[a.name] if a.name in B else RatMatrix.zeros(*shape)
             if m.shape != shape:
                 raise DimensionError(
                     f"B[{a.name!r}] has shape {m.shape}, expected {shape}"
@@ -74,8 +74,8 @@ class FramedRep:
         for i in dq.vertices:
             ishape = (dim_v[i], dim_w[i])
             jshape = (dim_w[i], dim_v[i])
-            mi = I.get(i, RatMatrix.zeros(*ishape))
-            mj = J.get(i, RatMatrix.zeros(*jshape))
+            mi = I[i] if i in I else RatMatrix.zeros(*ishape)
+            mj = J[i] if i in J else RatMatrix.zeros(*jshape)
             if mi.shape != ishape:
                 raise DimensionError(f"I[{i!r}] has shape {mi.shape}, expected {ishape}")
             if mj.shape != jshape:

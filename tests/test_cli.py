@@ -165,24 +165,24 @@ def test_invariants_over_walk_budget_exit_2(capsys, tmp_path):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert report["error"]["type"] == "DomainError"
-    assert "up to length 22 need up to 13472166 visits" in report["error"]["message"]
-    assert "largest bound under it is 19" in report["error"]["message"]
+    assert "path entries up to length 22 hold 12575136 entries and letters" in report["error"]["message"]
+    assert "largest bound under it is 21" in report["error"]["message"]
     code, report = run_cli(capsys, "invariants", "--rep", rep, "--max-length", "6")
     assert code == 0
     assert report["result"]["all_zero"] is True
 
 
 def test_huge_bound_refused_at_the_fixed_point(capsys):
-    """Every walk count of the d4 point reaches the cap within 65 steps, so
-    the count stops there rather than at a bound of ten million."""
+    """The count stops at the first length past the budget, 22 for the d4
+    point's paths, rather than at a bound of ten million."""
     rep = json.dumps(formats.rep_to_json(d4_bundle().reps["point"]))
     start = time.perf_counter()
     code, report = run_cli(capsys, "invariants", "--rep", rep, "--max-length", "10000000")
     assert time.perf_counter() - start < 1
     assert code == 2
     assert report["error"]["message"] == (
-        "walks up to length 10000000 need at least 1000000000000000 visits, over the "
-        "budget of 2000000; the largest bound under it is 23"
+        "path entries up to length 10000000 hold 5845852 entries and letters by length 22, "
+        "over the budget of 4000000; the largest bound under it is 21"
     )
 
 
@@ -232,7 +232,7 @@ BIG = "1" + "0" * 100
 @pytest.mark.parametrize(
     "rep, bound, message",
     [
-        (d4_bundle().reps["point"], "20000", "need at least 1000000000000000 visits"),
+        (d4_bundle().reps["point"], "20000", "hold 5845852 entries and letters by length 22"),
         # the trace of (a a*)^25 has 5001 digits
         ({**A2_ONE_ARROW, "B": {"a": [[BIG]], "a*": [[BIG]]}}, "50", "past the int-to-string digit limit"),
     ],

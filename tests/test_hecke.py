@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,6 +204,32 @@ def test_are_isomorphic_basics(crystal):
     assert are_isomorphic(x, conjugate(x, g))
     assert not are_isomorphic(simple_rep(DQ2, "1"), simple_rep(DQ2, "2"))
     assert not are_isomorphic(x, crystal.reps["special"])
+
+
+def test_are_isomorphic_probes_from_minus_to_plus_dim_v(monkeypatch):
+    """Neither pair is stable, so the particular solution is singular and the
+    probe decides: every invertible map of the unframed A1 point V = (2)
+    intertwines it with itself, while from B = 0 to B_a = [1] every
+    intertwiner vanishes at vertex 1.  Each coefficient is drawn from
+    [-d, d], d = sum dim V = 2."""
+    bounds = []
+
+    class Recorded(random.Random):
+        def randint(self, a, b):
+            bounds.append((a, b))
+            return super().randint(a, b)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    a1 = ade_minimal_resolution_setup("A1")[0]
+    x = FramedRep(double(a1), DimVector.of(a1, {"1": 2}), DimVector.zero(a1))
+    assert are_isomorphic(x, x)
+    assert bounds and set(bounds) == {(-2, 2)}
+    v = DimVector.of(A2, {"1": 1, "2": 1})
+    y = FramedRep(DQ2, v, DimVector.zero(A2))
+    z = FramedRep(DQ2, v, DimVector.zero(A2), B={"1->2": RatMatrix.from_rows([[1]])})
+    bounds.clear()
+    assert not are_isomorphic(y, z)
+    assert len(bounds) == 64 and set(bounds) == {(-2, 2)}
 
 
 def test_are_isomorphic_eliminates_alpha_once(eliminations):

@@ -1,13 +1,14 @@
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivex import invariants
-from quivex.bundles import a1_bundle, an_bundle, an_chain_sample, d4_bundle
+from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, an_chain_sample, d4_bundle
 from quivex.errors import DomainError, WrongSetupError
 from quivex.hecke import sample_flat_crystal
 from quivex.invariants import (
@@ -19,7 +20,16 @@ from quivex.invariants import (
     path_invariants,
     pi_fingerprint,
 )
-from quivex.quiver import Arrow, DimVector, DoubledQuiver, Quiver, ade_minimal_resolution_setup, double
+from quivex.quiver import (
+    Arrow,
+    DimVector,
+    DoubledQuiver,
+    Quiver,
+    ade_minimal_resolution_setup,
+    cb_extend_dim,
+    cb_transform,
+    double,
+)
 from quivex.ratmat import RatMatrix
 from quivex.rep import (
     FramedRep,
@@ -255,20 +265,116 @@ def test_walk_budget_stops_the_e6_default_bound_before_any_matmul(monkeypatch):
     x = FramedRep(double(q), v, w)
     assert default_degree_bound(x) == 22
     start = time.perf_counter()
-    with pytest.raises(DomainError, match=r"need up to 13472166 visits.* largest bound under it is 19$"):
+    with pytest.raises(DomainError, match=r"^path entries up to length 22 hold 12575136 .* largest bound under it is 21$"):
         pi_fingerprint(x)
+    with pytest.raises(DomainError, match=r"^cycle traces up to length 22 hold 5600266 .* largest bound under it is 21$"):
+        cycle_traces(x, 22)
     assert time.perf_counter() - start < 1
 
 
 def test_walk_budget_counts_path_visits_exactly(monkeypatch):
-    """Every walk from the d4 point's framed centre can return, so the path
-    count is all 727 walks of length at most 10 from it."""
-    monkeypatch.setattr(invariants, "WALK_BUDGET", 726)
+    """The d4 point's paths up to length 10 are 364 entries, the closed walks
+    at its framed centre, with 3282 letters: 3646 in all."""
+    monkeypatch.setattr(invariants, "WALK_BUDGET", 3645)
     x = d4_bundle().reps["point"]
-    with pytest.raises(DomainError, match=r"need up to 727 visits.* largest bound under it is 9$"):
+    with pytest.raises(DomainError, match=r"hold 3646 entries and letters by length 10,.* largest bound under it is 9$"):
         path_invariants(x, 10)
-    monkeypatch.setattr(invariants, "WALK_BUDGET", 727)
-    path_invariants(x, 10)
+    monkeypatch.setattr(invariants, "WALK_BUDGET", 3646)
+    assert len(path_invariants(x, 10)) == 364
+
+
+def _zero_point(q: Quiver, v: DimVector, w: DimVector) -> FramedRep:
+    return FramedRep(double(q), v, w)
+
+
+def _affine_d4_zero_point() -> FramedRep:
+    q, v, w = ade_minimal_resolution_setup("D4")
+    affine, infinity = cb_transform(q, w)
+    return _zero_point(affine, cb_extend_dim(v, affine, infinity), DimVector.of(affine, {infinity: 1}))
+
+
+COUNTED_POINTS = {
+    **{f"sample-{name}": make for name, make in REFERENCE_SAMPLES.items()},
+    **{f"zero-{label}": (lambda label=label: _zero_point(*ade_minimal_resolution_setup(label))) for label in ("A3", "D4", "E6")},
+    "zero-affine-D4": _affine_d4_zero_point,
+    **{
+        f"bundle-{bundle.name}-{rep}": (lambda bundle=bundle, rep=rep: bundle.reps[rep])
+        for bundle in (a1_bundle(2, 1), an_bundle(3), d4_bundle(), a2crystal_bundle())
+        for rep in bundle.reps
+    },
+}
+
+
+def _assert_counted_exactly(monkeypatch, x: FramedRep, bound: int) -> None:
+    """The budget admits the walker's entries plus letters and refuses one less."""
+    sizes = {
+        True: sum(1 + len(word) for word, _ in cycle_traces(x, bound)),
+        False: sum(1 + len(label[1]) for label, _ in path_invariants(x, bound)),
+    }
+    for necklaces, size in sizes.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, "WALK_BUDGET", size)
+            invariants._check_bound(x, bound, necklaces)
+            patch.setattr(invariants, "WALK_BUDGET", size - 1)
+            with pytest.raises(DomainError, match=f" hold {size} entries and letters "):
+                invariants._check_bound(x, bound, necklaces)
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_POINTS))
+def test_walk_budget_counts_what_the_walker_returns(monkeypatch, name):
+    x = COUNTED_POINTS[name]()
+    for bound in range(11):
+        _assert_counted_exactly(monkeypatch, x, bound)
+
+
+def test_walk_budget_counts_the_e6_cycles_at_12_exactly(monkeypatch):
+    _assert_counted_exactly(monkeypatch, COUNTED_POINTS["zero-E6"](), 12)
+
+
+def test_walk_budget_admits_e6_up_to_bound_21():
+    x = COUNTED_POINTS["zero-E6"]()
+    for necklaces in (True, False):
+        invariants._check_bound(x, 20, necklaces)
+        invariants._check_bound(x, 21, necklaces)
+
+
+A2_ONE_ARROW = FramedRep(
+    DQ2,
+    DimVector.of(A2, {"1": 1, "2": 1}),
+    DimVector.of(A2, {"1": 1}),
+    B={"1->2": RatMatrix.from_rows([[1]])},
+    J={"1": RatMatrix.from_rows([[1]])},
+)
+
+
+@pytest.mark.parametrize("bound", [100_000, 10**7])
+def test_walk_budget_bounds_the_letters_of_long_walks(monkeypatch, bound):
+    """The walk count of this point grows linearly, its letters quadratically:
+    a fingerprint at bound 100000 used to pass the budget and exhaust memory."""
+    monkeypatch.setattr(RatMatrix, "__matmul__", lambda self, other: pytest.fail("matmul before the budget"))
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"hold 4004001 entries and letters by length 4000,.* is 3999$"):
+        pi_fingerprint(A2_ONE_ARROW, bound)
+    with pytest.raises(DomainError, match=r"hold 4004000 entries and letters by length 4000,.* is 3999$"):
+        cycle_traces(A2_ONE_ARROW, bound)
+    assert time.perf_counter() - start < 1
+
+
+def test_fingerprint_checks_the_paths_before_walking_cycles(monkeypatch):
+    """At bound 24 the d4 point's cycles pass the budget and its paths do not."""
+    x = d4_bundle().reps["point"]
+    invariants._check_bound(x, 24, necklaces=True)
+    monkeypatch.setattr(RatMatrix, "__matmul__", lambda self, other: pytest.fail("cycles walked first"))
+    with pytest.raises(DomainError, match=r"^path entries up to length 24 "):
+        pi_fingerprint(x, 24)
+
+
+def test_docs_quote_the_walk_budget():
+    root = Path(__file__).resolve().parent.parent
+    for doc in ("README.md", "docs/formats.md"):
+        text = (root / doc).read_text()
+        assert f"{invariants.WALK_BUDGET:,}" in text, doc
+        assert "10^15" not in text and "1000000000000000" not in text, doc
 
 
 def test_negative_bound_rejected():

@@ -126,6 +126,23 @@ def test_shape_validation():
         FramedRep(DQ2, DimVector.zero(A2), DimVector.zero(A2), B={"nope": RatMatrix.zeros(0, 0)})
 
 
+def test_given_blocks_build_no_zero_matrix(monkeypatch):
+    x = random_rep(DQ2, DimVector.of(A2, {"1": 2, "2": 1}), DimVector.of(A2, {"1": 1, "2": 1}), 7)
+    built = []
+    zeros = RatMatrix.zeros
+
+    def counted(rows, cols):
+        built.append((rows, cols))
+        return zeros(rows, cols)
+
+    monkeypatch.setattr(RatMatrix, "zeros", counted)
+    y = FramedRep(DQ2, x.dim_v, x.dim_w, x.B, x.I, x.J)
+    assert built == []
+    assert y == x
+    FramedRep(DQ2, x.dim_v, x.dim_w, x.B, x.I)
+    assert built == [(1, 2), (1, 1)]
+
+
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=40)
 def test_sample_flat_is_flat(seed):
