@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import hecke, homext, invariants, kacmoody
 from .bundles import a2crystal_bundle, an_bundle, an_chain_sample
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, NotFlatError
 from .quiver import (
     DimVector,
     DoubledQuiver,
@@ -182,12 +182,13 @@ def criterion_1(seed: int) -> CriterionResult:
             rng = random.Random(seed + 101 * n + k)
             for _ in range(50):
                 x = _a1_flat_sample(dq, v, w, rng)
-                if not is_flat(x):
+                try:
+                    stable = is_stable(x, zeta).stable  # checks flatness first
+                except NotFlatError:
                     failures.append(f"non-flat sample at (k={k}, n={n})")
                     continue
                 samples += 1
-                injective = rank(x.J["1"]) == k
-                if is_stable(x, zeta).stable != injective:
+                if stable != (rank(x.J["1"]) == k):
                     failures.append(f"stability != J-injectivity at (k={k}, n={n})")
     return CriterionResult(
         1,

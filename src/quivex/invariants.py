@@ -17,6 +17,8 @@ fingerprints can be compared entry by entry.  Before any matmul, the entries
 plus letters a call returns are counted exactly from the powers of the
 doubled quiver's adjacency matrix; past WALK_BUDGET the call raises a
 DomainError naming the count and the largest bound under the budget.
+``pi_fingerprint`` counts both kinds before it walks either, and its refusal
+names the smaller of their largest bounds.
 """
 
 from __future__ import annotations
@@ -51,11 +53,12 @@ def _distances(x: FramedRep, targets: list[str]) -> dict[str, int]:
     return dist
 
 
-def _check_bound(x: FramedRep, max_length: int, necklaces: bool) -> None:
-    """Reject a negative bound, or one at which the entries plus letters of
-    the call's kind number more than WALK_BUDGET.  With A the doubled
-    quiver's adjacency matrix and w the framing, length n has w^T A^n w path
-    entries and sum_{d | n} p(d) / d cycle classes, where p(d) = tr A^d -
+def _refusal(x: FramedRep, max_length: int, necklaces: bool) -> tuple[int, str] | None:
+    """None when the entries plus letters of the call's kind up to max_length
+    number at most WALK_BUDGET; otherwise the largest bound under the budget
+    and the refusal message.  With A the doubled quiver's adjacency matrix
+    and w the framing, length n has w^T A^n w path entries and
+    sum_{d | n} p(d) / d cycle classes, where p(d) = tr A^d -
     sum_{e | d, e < d} p(e) counts the closed walks of least period d."""
     if max_length < 0:
         raise DomainError(f"walk length bound must be nonnegative, got {max_length}")
@@ -74,13 +77,21 @@ def _check_bound(x: FramedRep, max_length: int, necklaces: bool) -> None:
         size += (1 + n) * count
         if size > WALK_BUDGET:
             kind = "cycle traces" if necklaces else "path entries"
-            raise DomainError(
+            return n - 1, (
                 f"{kind} up to length {max_length} hold {size} entries and letters by length "
                 f"{n}, over the budget of {WALK_BUDGET}; the largest bound under it is {n - 1}"
             )
         rows = [[sum(map(row.__getitem__, sources)) for sources in into] for row in rows]
         if not any(map(any, rows)):  # no walk is longer than n
-            return
+            return None
+    return None
+
+
+def _check_bound(x: FramedRep, max_length: int, necklaces: bool) -> None:
+    """Raise the refusal of one kind, if it has one."""
+    refusal = _refusal(x, max_length, necklaces)
+    if refusal:
+        raise DomainError(refusal[1])
 
 
 def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) -> list[tuple]:
@@ -88,7 +99,6 @@ def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) 
     max_length from an (origin, seed, dist) start that ends at distance 0,
     with ``necklaces`` only the nonempty closed necklaces.  The product is
     the path matrix times seed, or None when it is zero."""
-    _check_bound(x, max_length, necklaces)
     out: list[tuple] = []
     for origin, seed, dist in starts:
         word: list[str] = []
@@ -120,6 +130,11 @@ def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) 
 def cycle_traces(x: FramedRep, max_length: int) -> list[tuple[CycleLabel, Fraction]]:
     """Traces of the closed walks of length 1..max_length, one per rotation
     class, sorted by (length, word)."""
+    _check_bound(x, max_length, necklaces=True)
+    return _cycle_traces(x, max_length)
+
+
+def _cycle_traces(x: FramedRep, max_length: int) -> list[tuple[CycleLabel, Fraction]]:
     starts = [(v, RatMatrix.identity(x.dim_v[v]), _distances(x, [v])) for v in x.dq.vertices]
     out = [
         (word, Fraction(0) if product is None else product.trace())
@@ -131,6 +146,11 @@ def cycle_traces(x: FramedRep, max_length: int) -> list[tuple[CycleLabel, Fracti
 def path_invariants(x: FramedRep, max_length: int) -> list[tuple[PathLabel, Fraction]]:
     """Entries of J_end (path product) I_origin for every walk between framed
     vertices (both ends with positive W), the empty walk included."""
+    _check_bound(x, max_length, necklaces=False)
+    return _path_invariants(x, max_length)
+
+
+def _path_invariants(x: FramedRep, max_length: int) -> list[tuple[PathLabel, Fraction]]:
     index = {v: k for k, v in enumerate(x.dq.vertices)}
     framed = [v for v in x.dq.vertices if x.dim_w[v] > 0]
     dist = _distances(x, framed)
@@ -160,9 +180,13 @@ def pi_fingerprint(x: FramedRep, max_length: int | None = None) -> list[Fingerpr
     the default bound separates all orbits.
     """
     bound = default_degree_bound(x) if max_length is None else max_length
-    _check_bound(x, bound, necklaces=False)  # before any cycle is walked
-    cycles = [(("cycle",) + word, value) for word, value in cycle_traces(x, bound)]
-    return cycles + [(("path",) + label, value) for label, value in path_invariants(x, bound)]
+    # both kinds are counted before either is walked; the refusal names the
+    # smaller largest bound, the paths' on a tie
+    refusals = [r for r in (_refusal(x, bound, False), _refusal(x, bound, True)) if r]
+    if refusals:
+        raise DomainError(min(refusals, key=lambda r: r[0])[1])
+    cycles = [(("cycle",) + word, value) for word, value in _cycle_traces(x, bound)]
+    return cycles + [(("path",) + label, value) for label, value in _path_invariants(x, bound)]
 
 
 def fingerprint_is_zero(entries: list[FingerprintEntry]) -> bool:

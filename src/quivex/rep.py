@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import BadPathError, DimensionError, DomainError, NotFlatError, QuiverMismatchError
@@ -99,16 +101,28 @@ class FramedRep:
 
 
 def moment_map(x: FramedRep) -> GradedEndo:
-    """Per-vertex sum of eps(h) B_h B_hbar over arrows into the vertex, plus I J."""
+    """Per-vertex sum of eps(h) B_h B_hbar over arrows into the vertex, plus I J.
+
+    Each vertex takes one integer pass: every term with no zero factor adds
+    its integer product into one grid over the lcm of the term denominators,
+    and the grid becomes one matrix in lowest terms."""
+    dq = x.dq
     blocks = {}
-    for i in x.dq.vertices:
+    for i in dq.vertices:
         n = x.dim_v[i]
-        acc = RatMatrix.zeros(n, n)
-        for a in x.dq.arrows_into(i):
-            term = x.B[a.name] @ x.B[x.dq.bar(a.name)]
-            acc = acc + (term if x.dq.eps(a.name) == 1 else -term)
-        acc = acc + x.I[i] @ x.J[i]
-        blocks[i] = acc
+        terms = [(dq.eps(a.name), x.B[a.name], x.B[dq.bar(a.name)]) for a in dq.arrows_into(i)]
+        terms.append((1, x.I[i], x.J[i]))
+        terms = [(e, l, r) for e, l, r in terms if not (l.is_zero or r.is_zero)]
+        den = lcm(*(l.den * r.den for _, l, r in terms))
+        grid = [[0] * n for _ in range(n)]
+        for e, l, r in terms:
+            k = e * (den // (l.den * r.den))
+            cols = list(zip(*r.nums))
+            for row, l_row in zip(grid, l.nums):
+                if any(l_row):
+                    for j, c in enumerate(cols):
+                        row[j] += k * sum(map(mul, l_row, c))
+        blocks[i] = RatMatrix.from_integers(n, n, tuple(map(tuple, grid)), den)
     return GradedEndo(blocks)
 
 

@@ -5,14 +5,16 @@ smallest invariant graded subspace over Im I is everything; one increasing
 fixed point computes it.  For an all-positive parameter, exactly when the
 largest invariant graded subspace inside Ker J vanishes.  That subspace is
 the annihilator of the smallest invariant subspace over Im J^T of the
-transposed point, so the same fixed point decides both signs.  Mixed-sign
-parameters would require quantifying over invariant subspaces of every
-dimension vector and are rejected as unsupported.
+transposed point, so the same fixed point decides both signs.  Its
+dimensions alone give the verdict; the witness subspace is built on first
+read.  Mixed-sign parameters would require quantifying over invariant
+subspaces of every dimension vector and are rejected as unsupported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnsupportedZetaError
 from .quiver import DimVector, ZetaParam
@@ -86,10 +88,23 @@ def min_invariant_over_imI(x: FramedRep) -> GradedSubspace:
     return GradedSubspace(basis)
 
 
-@dataclass(frozen=True)
 class StabilityResult:
-    stable: bool
-    witness: GradedSubspace | None
+    """A stability verdict.  ``stable`` reads only the dimensions of the fixed
+    point; the witness is built on first read of ``witness`` and cached."""
+
+    def __init__(self, stable: bool, fixed_point: GradedSubspace, positive: bool):
+        self.stable = stable
+        self._fixed_point = fixed_point
+        self._positive = positive
+
+    @cached_property
+    def witness(self) -> GradedSubspace | None:
+        """None when stable; otherwise a subspace violating the strict
+        inequality: the largest invariant one inside Ker J for a positive
+        parameter, the smallest one over Im I for a negative one."""
+        if self.stable:
+            return None
+        return _annihilator(self._fixed_point) if self._positive else self._fixed_point
 
     @property
     def verdict(self) -> str:
@@ -112,9 +127,7 @@ def is_stable(x: FramedRep, zeta: ZetaParam) -> StabilityResult:
         )
     positive = sign == "positive"
     t = min_invariant_over_imI(transpose(x) if positive else x)
-    if t.equals_ambient(x.dim_v):
-        return StabilityResult(True, None)
-    return StabilityResult(False, _annihilator(t) if positive else t)
+    return StabilityResult(t.equals_ambient(x.dim_v), t, positive)
 
 
 def stabilizer_trivial(x: FramedRep) -> bool:

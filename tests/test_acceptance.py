@@ -15,10 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from quivex import acceptance, homext
+from quivex import acceptance, homext, rep, stability
 from quivex.cli import main
 from quivex.errors import DomainError
-from quivex.ratmat import kernel_basis
+from quivex.ratmat import RatMatrix, kernel_basis
+from quivex.rep import FramedRep
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -129,15 +130,15 @@ def test_run_suites_refuses_a_selection_that_would_pass_vacuously(numbers, messa
         acceptance.run_suites(numbers=numbers)
 
 
-def _count_calls(monkeypatch, name: str) -> list:
+def _count_calls(monkeypatch, name: str, module=acceptance) -> list:
     calls = []
-    real = getattr(acceptance, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(acceptance, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -146,6 +147,34 @@ def test_criterion_1_builds_its_a1_setup_once(monkeypatch):
     doubles = _count_calls(monkeypatch, "double")
     assert acceptance.criterion_1(acceptance.DEFAULT_SEED).passed
     assert (len(setups), len(doubles)) == (1, 1)
+
+
+def test_criterion_1_checks_each_sample_once_and_builds_no_witness(monkeypatch):
+    """Counted calls, not seconds: one moment map per sample (the flatness
+    check inside ``is_stable``) and no annihilator, since only ``stable`` is
+    read."""
+    moment_maps = _count_calls(monkeypatch, "moment_map", rep)
+    annihilators = _count_calls(monkeypatch, "_annihilator", stability)
+    result = acceptance.criterion_1(acceptance.DEFAULT_SEED)
+    assert result.passed and result.details["samples"] == 1400
+    assert (len(moment_maps), len(annihilators)) == (1400, 0)
+
+
+def test_criterion_1_reports_a_non_flat_sample(monkeypatch):
+    sample = acceptance._a1_flat_sample
+
+    def one_non_flat(dq, v, w, rng):
+        x = sample(dq, v, w, rng)
+        if (v["1"], w["1"]) != (1, 2) or one_non_flat.injected:
+            return x
+        one_non_flat.injected = True
+        return FramedRep(dq, v, w, I={"1": RatMatrix.from_rows([[1, 0]])}, J={"1": RatMatrix.from_rows([[1], [0]])})
+
+    one_non_flat.injected = False
+    monkeypatch.setattr(acceptance, "_a1_flat_sample", one_non_flat)
+    result = acceptance.criterion_1(acceptance.DEFAULT_SEED)
+    assert not result.passed
+    assert result.details == {"samples": 1399, "failures": ["non-flat sample at (k=1, n=2)"]}
 
 
 def test_criterion_7_doubles_each_shape_once(monkeypatch, corpus):

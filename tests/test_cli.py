@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from quivex import formats
-from quivex.bundles import a2crystal_bundle, an_bundle, d4_bundle
+from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, d4_bundle
 from quivex.cli import main
 from quivex.quiver import ade_minimal_resolution_setup, cb_transform, double
 from quivex.rep import FramedRep
@@ -49,6 +49,17 @@ def test_stability_verdicts(capsys, tmp_path):
     assert code == 0
     assert report["result"]["verdict"] == "unstable"
     assert report["result"]["witness_dims"] == {"1": 0, "2": 0}
+
+
+@pytest.mark.parametrize(
+    "member, zeta, dims", [("unstable", "pos", {"1": 1}), ("stable", "neg", {"1": 1}), ("unstable", "neg", {"1": 0})]
+)
+def test_stability_witness_dims_of_unstable_points(capsys, tmp_path, member, zeta, dims):
+    rep = write_rep(tmp_path, "a1.json", a1_bundle(3, 2).reps[member])
+    code, report = run_cli(capsys, "stability", "--rep", rep, "--zeta", zeta)
+    assert code == 0
+    assert report["result"]["verdict"] == "unstable"
+    assert report["result"]["witness_dims"] == dims
 
 
 def test_stability_mixed_zeta_exit_2(capsys, tmp_path):

@@ -369,6 +369,32 @@ def test_fingerprint_checks_the_paths_before_walking_cycles(monkeypatch):
         pi_fingerprint(x, 24)
 
 
+def test_fingerprint_names_the_smaller_largest_bound(monkeypatch):
+    """On the D6 setup framed only at vertex 1 the paths pass up to bound 23
+    and the cycles only up to 21, so the refusal names the cycles' 21, at
+    which both kinds pass."""
+    q, v, _ = ade_minimal_resolution_setup("D6")
+    x = FramedRep(double(q), v, DimVector.of(q, {"1": 1}))
+    monkeypatch.setattr(RatMatrix, "__matmul__", lambda self, other: pytest.fail("walked before both counts"))
+    with pytest.raises(DomainError, match=r"^cycle traces up to length 1000 hold 4028542 .* largest bound under it is 21$"):
+        pi_fingerprint(x, 1000)
+    with pytest.raises(DomainError, match=r"^path entries up to length 1000 .* largest bound under it is 23$"):
+        path_invariants(x, 1000)
+    for necklaces in (True, False):
+        invariants._check_bound(x, 21, necklaces)
+
+
+def test_fingerprint_counts_each_kind_once(monkeypatch):
+    counted = []
+    refusal = invariants._refusal
+    monkeypatch.setattr(
+        invariants, "_refusal", lambda x, bound, necklaces: counted.append(necklaces) or refusal(x, bound, necklaces)
+    )
+    x = d4_bundle().reps["point"]
+    assert pi_fingerprint(x, 6) == _reference_fingerprint(x, 6)
+    assert counted == [False, True]
+
+
 def test_docs_quote_the_walk_budget():
     root = Path(__file__).resolve().parent.parent
     for doc in ("README.md", "docs/formats.md"):

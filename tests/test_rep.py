@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup
 from quivex.ratmat import RatMatrix, rank
 from quivex.rep import (
     FramedRep,
+    GradedEndo,
     cb_apply,
     conjugate,
     direct_sum,
@@ -211,6 +213,62 @@ def test_transpose_involution_and_moment(seed, q, data):
     assert transpose(t) == x
     mu, mu_t = moment_map(x).blocks, moment_map(t).blocks
     assert all(mu_t[i] == mu[i].transpose() for i in x.dq.vertices)
+
+
+KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+
+
+def reference_moment_map(x: FramedRep) -> GradedEndo:
+    """The term-by-term sum: zeros, then one product, sign and ``+`` per term."""
+    blocks = {}
+    for i in x.dq.vertices:
+        n = x.dim_v[i]
+        acc = RatMatrix.zeros(n, n)
+        for a in x.dq.arrows_into(i):
+            term = x.B[a.name] @ x.B[x.dq.bar(a.name)]
+            acc = acc + (term if x.dq.eps(a.name) == 1 else -term)
+        blocks[i] = acc + x.I[i] @ x.J[i]
+    return GradedEndo(blocks)
+
+
+def mixed_rep(dq, v, w, rng, zero_share):
+    """Random blocks with entries over denominators 1..6, each entry 0 with
+    probability ``zero_share``; generally not flat."""
+
+    def m(rows, cols):
+        return RatMatrix.from_rows(
+            [
+                [0 if rng.random() < zero_share else Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(cols)]
+                for _ in range(rows)
+            ],
+            cols=cols,
+        )
+
+    B = {a.name: m(v[a.target], v[a.source]) for a in dq.arrows}
+    I = {i: m(v[i], w[i]) for i in dq.vertices}
+    J = {i: m(w[i], v[i]) for i in dq.vertices}
+    return FramedRep(dq, v, w, B, I, J)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([A2, JORDAN, KRONECKER]), st.sampled_from([0.0, 0.5, 1.0]), st.data())
+@settings(deadline=None, max_examples=60)
+def test_moment_map_equals_term_by_term_reference(seed, q, zero_share, data):
+    # zero fibers included; non-flat points compare their nonzero blocks too
+    v = DimVector.of(q, {i: data.draw(st.integers(0, 3)) for i in q.vertices})
+    w = DimVector.of(q, {i: data.draw(st.integers(0, 2)) for i in q.vertices})
+    x = mixed_rep(double(q), v, w, random.Random(seed), zero_share)
+    for y in (x, cb_apply(x), transpose(x)):
+        assert moment_map(y).blocks == reference_moment_map(y).blocks
+
+
+def test_moment_map_equals_reference_on_flat_and_nonflat_examples():
+    v, w = DimVector.of(A2, {"1": 1, "2": 2}), DimVector.of(A2, {"1": 1, "2": 2})
+    flat = [sample_flat_crystal(DQ2, v, w, seed) for seed in range(6)]
+    nonflat = [mixed_rep(DQ2, v, w, random.Random(seed), 0.0) for seed in range(6)]
+    assert all(is_flat(x) for x in flat) and not any(is_flat(x) for x in nonflat)
+    assert any(not x.J[i].is_zero for x in flat for i in DQ2.vertices)
+    for x in flat + nonflat + [cb_apply(y) for y in flat + nonflat]:
+        assert moment_map(x).blocks == reference_moment_map(x).blocks
 
 
 def test_transpose_swaps_framing_and_reverses_arrows():

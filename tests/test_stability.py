@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivex import acceptance
+from quivex import acceptance, stability
 from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, d4_bundle
 from quivex.errors import NotFlatError, UnsupportedZetaError
 from quivex.hecke import sample_flat_crystal
@@ -297,6 +297,30 @@ def test_max_invariant_matches_decreasing_reference_on_a1_samples():
     assert {is_stable(x, POS1).stable for x in samples} == {True, False}
     for x in samples:
         _check_against_reference(x)
+
+
+def test_witness_is_built_on_first_read_and_equals_reference(monkeypatch):
+    """``stable`` builds no witness; the first read of ``witness`` builds it
+    (one annihilator on the positive side, none on the negative side) and a
+    second read returns the same object."""
+    built = []
+    annihilator = stability._annihilator
+    monkeypatch.setattr(stability, "_annihilator", lambda t: built.append(t) or annihilator(t))
+    seeded = [_seeded_rep(QUIVERS[name], seed, share) for name in sorted(QUIVERS) for share in ZERO_SHARE.values() for seed in range(12)]
+    points = _a1_samples() + [x for x in seeded if is_flat(x)]
+    unstable = {1: 0, -1: 0}
+    for x in points:
+        for sign in (1, -1):
+            built.clear()
+            verdict = is_stable(x, ZetaParam.constant(x.dq, sign))
+            assert not built
+            witness = verdict.witness
+            assert verdict.witness is witness
+            assert len(built) == int(sign > 0 and not verdict.stable)
+            blocks = None if witness is None else witness.blocks
+            assert (verdict.stable, blocks) == _reference_verdict(x, sign)
+            unstable[sign] += not verdict.stable
+    assert len(points) > 100 and min(unstable.values()) > 10
 
 
 def test_transpose_swaps_the_signs(corpus):
