@@ -190,7 +190,7 @@ def _cmd_cb_transform(args) -> int:
         transformed = cb_apply(x)
         result = {
             "quiver": formats.quiver_to_json(transformed.dq.base),
-            "infinity": "inf",
+            "infinity": transformed.dq.vertices[-1],
             "rep": formats.rep_to_json(transformed),
             "flat": is_flat(transformed),
         }

@@ -149,13 +149,7 @@ def double(q: Quiver) -> DoubledQuiver:
     return DoubledQuiver(q)
 
 
-VertexSpace = Union[Quiver, DoubledQuiver, Sequence[str]]
-
-
-def _vertex_tuple(space: VertexSpace) -> tuple[str, ...]:
-    if isinstance(space, (Quiver, DoubledQuiver)):
-        return space.vertices
-    return tuple(space)
+VertexSpace = Union[Quiver, DoubledQuiver]
 
 
 @dataclass(frozen=True)
@@ -174,7 +168,7 @@ class DimVector:
 
     @classmethod
     def of(cls, space: VertexSpace, entries: Mapping[str, int] | Sequence[int]) -> "DimVector":
-        vertices = _vertex_tuple(space)
+        vertices = space.vertices
         if isinstance(entries, Mapping):
             unknown = set(entries) - set(vertices)
             if unknown:
@@ -188,12 +182,12 @@ class DimVector:
 
     @classmethod
     def zero(cls, space: VertexSpace) -> "DimVector":
-        vertices = _vertex_tuple(space)
+        vertices = space.vertices
         return cls(vertices, (0,) * len(vertices))
 
     @classmethod
     def unit(cls, space: VertexSpace, vertex: str) -> "DimVector":
-        vertices = _vertex_tuple(space)
+        vertices = space.vertices
         if vertex not in vertices:
             raise DomainError(f"unknown vertex {vertex!r}")
         return cls(vertices, tuple(1 if v == vertex else 0 for v in vertices))
@@ -234,7 +228,7 @@ class ZetaParam:
 
     @classmethod
     def of(cls, space: VertexSpace, entries: Mapping[str, Scalar]) -> "ZetaParam":
-        vertices = _vertex_tuple(space)
+        vertices = space.vertices
         unknown = set(entries) - set(vertices)
         if unknown:
             raise FormatError(f"zeta keys not in the quiver: {sorted(unknown)}")
@@ -242,7 +236,7 @@ class ZetaParam:
 
     @classmethod
     def constant(cls, space: VertexSpace, value: Scalar) -> "ZetaParam":
-        vertices = _vertex_tuple(space)
+        vertices = space.vertices
         return cls(vertices, (as_fraction(value),) * len(vertices))
 
     def __getitem__(self, vertex: str) -> Fraction:
@@ -301,14 +295,19 @@ def chi(q: Quiver, v1: DimVector, w1: DimVector, v2: DimVector, w2: DimVector) -
     return middle - ends
 
 
-def cb_transform(q: Quiver, w: DimVector, infinity: str = "inf") -> tuple[Quiver, str]:
+def cb_transform(q: Quiver, w: DimVector) -> tuple[Quiver, str]:
     """Adjoin one vertex and w_i parallel arrows from it into each vertex i.
 
-    A dimension vector V for ``q`` extends to the new quiver as V plus a
-    one-dimensional space at the new vertex (see ``cb_extend_dim``).
+    The new vertex comes last and is named ``inf``, or, when ``q`` already
+    has that vertex, the first of ``inf2``, ``inf3``, ... that it lacks; the
+    name is returned with the quiver.  A dimension vector V for ``q`` extends
+    to the new quiver as V plus a one-dimensional space at the new vertex
+    (see ``cb_extend_dim``).
     """
-    if infinity in q.vertices:
-        raise DomainError(f"vertex {infinity!r} already present; pick another marker")
+    infinity, n = "inf", 1
+    while infinity in q.vertices:
+        n += 1
+        infinity = f"inf{n}"
     arrows = list(q.arrows)
     for i in q.vertices:
         for k in range(w[i]):

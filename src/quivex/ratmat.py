@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Sequence, Union
 
-from .errors import DimensionError, FormatError, InconsistentSystemError
+from .errors import DimensionError, FormatError, InconsistentSystemError, InternalCheckError
 
 Scalar = Union[int, str, Fraction]
 IntRows = tuple[tuple[int, ...], ...]
@@ -410,7 +410,12 @@ def solve_exact(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 def inverse(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise DimensionError(f"inverse of non-square {m.shape}")
-    inv = solve_exact(m, RatMatrix.identity(m.rows))
-    if not (m @ inv == RatMatrix.identity(m.rows)):
-        raise InconsistentSystemError("matrix is singular")
+    identity = RatMatrix.identity(m.rows)
+    try:
+        inv = solve_exact(m, identity)
+    except InconsistentSystemError:
+        # m @ X = I has an exact solution exactly when m is invertible
+        raise InconsistentSystemError("matrix is singular") from None
+    if not (m @ inv == identity):
+        raise InternalCheckError("inverse: m @ m^-1 is not the identity")
     return inv

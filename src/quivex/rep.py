@@ -242,15 +242,16 @@ def sample_flat(
     return FramedRep(dq, dim_v, dim_w, B, I, J)
 
 
-def cb_apply(x: FramedRep, infinity: str = "inf") -> FramedRep:
+def cb_apply(x: FramedRep) -> FramedRep:
     """Rewrite the framing as arrow matrices of the one-vertex-extended quiver.
 
-    Column k of I_i becomes the matrix of the k-th new arrow into i, row k of
-    J_i the matrix of its reversal; the new vertex carries a one-dimensional
-    fiber and the result is unframed.  Flat inputs map to flat outputs,
-    including at the new vertex, because the framing traces cancel.
+    The new vertex is the one ``cb_transform`` adds, the last vertex of the
+    result.  Column k of I_i becomes the matrix of the k-th new arrow into i,
+    row k of J_i the matrix of its reversal; the new vertex carries a
+    one-dimensional fiber and the result is unframed.  Flat inputs map to flat
+    outputs, including at the new vertex, because the framing traces cancel.
     """
-    q2, inf = cb_transform(x.dq.base, x.dim_w, infinity)
+    q2, inf = cb_transform(x.dq.base, x.dim_w)
     dq2 = double(q2)
     dim_v2 = cb_extend_dim(x.dim_v, q2, inf)
     B: dict[str, RatMatrix] = {}

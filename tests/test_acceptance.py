@@ -5,6 +5,7 @@ Everything here is exact arithmetic; every comparison is equality with zero
 tolerance.  The same checks back the ``quivex verify`` subcommand.
 """
 
+import dataclasses
 import hashlib
 import os
 import re
@@ -175,6 +176,21 @@ def test_criterion_1_reports_a_non_flat_sample(monkeypatch):
     result = acceptance.criterion_1(acceptance.DEFAULT_SEED)
     assert not result.passed
     assert result.details == {"samples": 1399, "failures": ["non-flat sample at (k=1, n=2)"]}
+
+
+def test_criterion_2_reports_a_non_flat_bundle_point(monkeypatch):
+    bundle = acceptance.an_bundle
+
+    def one_non_flat(n):
+        b = bundle(n)
+        x = b.reps["broken_1"]
+        bad = FramedRep(x.dq, x.dim_v, x.dim_w, x.B, {**x.I, "1": RatMatrix.from_rows([[1]])}, x.J)
+        return dataclasses.replace(b, reps={**b.reps, "broken_1": bad})
+
+    monkeypatch.setattr(acceptance, "an_bundle", one_non_flat)
+    result = acceptance.criterion_2(acceptance.DEFAULT_SEED, ns=(2,))
+    assert not result.passed
+    assert result.details == {"failures": ["A2: broken_1 not flat"]}
 
 
 def test_criterion_7_doubles_each_shape_once(monkeypatch, corpus):

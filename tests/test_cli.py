@@ -13,8 +13,8 @@ import pytest
 from quivex import formats
 from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, d4_bundle
 from quivex.cli import main
-from quivex.quiver import ade_minimal_resolution_setup, cb_transform, double
-from quivex.rep import FramedRep
+from quivex.quiver import DimVector, ade_minimal_resolution_setup, cb_transform, double
+from quivex.rep import FramedRep, cb_apply, sample_flat
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -311,6 +311,40 @@ def test_cb_transform(capsys):
     assert len(report["result"]["quiver"]["arrows"]) == 3
 
 
+def test_cb_transform_rep_reports_the_rewritten_point(capsys, tmp_path):
+    x = a2crystal_bundle().reps["generic"]
+    code, report = run_cli(capsys, "cb-transform", "--rep", write_rep(tmp_path, "x.json", x))
+    assert code == 0
+    assert report["result"]["infinity"] == "inf"
+    assert report["result"]["rep"] == formats.rep_to_json(cb_apply(x))
+    assert report["result"]["flat"] is True
+
+
+def test_cb_transform_rewrites_a_rewritten_quiver(capsys, tmp_path):
+    a1 = ade_minimal_resolution_setup("A1")[0]
+    at1 = cb_transform(a1, DimVector.of(a1, {"1": 2}))[0]
+    q = json.dumps(formats.quiver_to_json(at1))
+    code, report = run_cli(capsys, "cb-transform", "--quiver", q, "--dim-w", '{"1":1}')
+    assert code == 0
+    assert report["result"]["infinity"] == "inf2"
+    assert report["result"]["quiver"]["vertices"] == ["1", "inf", "inf2"]
+    assert {"name": "inf2->1#0", "from": "inf2", "to": "1"} in report["result"]["quiver"]["arrows"]
+    x = sample_flat(double(at1), DimVector.of(at1, {"1": 1, "inf": 1}), DimVector.of(at1, {"1": 1}), 3)
+    code, report = run_cli(capsys, "cb-transform", "--rep", write_rep(tmp_path, "x.json", x))
+    assert code == 0
+    assert report["result"]["infinity"] == "inf2"
+    assert report["result"]["flat"] is True
+
+
+def test_cb_transform_needs_a_mode(capsys):
+    code, report = run_cli(capsys, "cb-transform")
+    assert code == 1
+    assert report["error"] == {
+        "type": "FormatError",
+        "message": "cb-transform needs --rep, or --quiver together with --dim-w",
+    }
+
+
 def test_example_bundle_and_member(capsys):
     code, report = run_cli(capsys, "example", "a1", "--n", "3", "--k", "1")
     assert code == 0
@@ -349,8 +383,9 @@ def test_example_out_dir(capsys, tmp_path):
             ["cb-transform", "--rep", "unread.json", "--dim-v", "{}"],
             "cb-transform --rep takes no --dim-v",
         ),
+        (["verify", "sl2", "--n", "3"], "--n only applies to the 'an' suite"),
     ],
-    ids=["d4-n-k", "an-k", "member-out", "rep-quiver-dim-w", "rep-dim-v"],
+    ids=["d4-n-k", "an-k", "member-out", "rep-quiver-dim-w", "rep-dim-v", "verify-sl2-n"],
 )
 def test_ignored_options_exit_1(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

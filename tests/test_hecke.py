@@ -191,6 +191,15 @@ def test_extend_rejects_non_cocycles():
         extend_i(x, "2", [bad])
 
 
+def test_extend_rejects_a_class_of_the_wrong_shape(crystal):
+    x = crystal.reps["generic"]
+    (rep,) = ext_space_i(x, "1")
+    wrong = RatMatrix.column([0] * (rep.rows + 1))
+    message = rf"^extension class has shape \({rep.rows + 1}, 1\), expected \({rep.rows}, 1\)$"
+    with pytest.raises(DomainError, match=message):
+        extend_i(x, "1", [wrong])
+
+
 def test_reduce_requires_stability():
     zero = FramedRep(DQ2, DimVector.of(A2, {"1": 1, "2": 0}), DimVector.zero(A2))
     with pytest.raises(DomainError):

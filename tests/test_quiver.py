@@ -176,6 +176,17 @@ def test_cb_transform_a1():
     assert all(a.source == inf and a.target == "1" for a in q2.arrows)
 
 
+def test_cb_transform_names_a_vertex_the_quiver_lacks():
+    a1 = ade_minimal_resolution_setup("A1")[0]
+    at1, _ = cb_transform(a1, DimVector.of(a1, {"1": 2}))
+    q2, inf = cb_transform(at1, DimVector.of(at1, {"1": 1, "inf": 1}))
+    assert inf == "inf2" and q2.vertices == ("1", "inf", "inf2")
+    assert [a.name for a in q2.arrows[len(at1.arrows):]] == ["inf2->1#0", "inf2->inf#0"]
+    q3, inf = cb_transform(q2, DimVector.of(q2, {"inf2": 1}))
+    assert inf == "inf3" and q3.vertices == ("1", "inf", "inf2", "inf3")
+    assert q3.arrows[-1].name == "inf3->inf2#0"
+
+
 def test_cb_transform_zero_w_isolated_vertex():
     q = a2()
     q2, inf = cb_transform(q, DimVector.zero(q))

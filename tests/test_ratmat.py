@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from quivex import ratmat
 from quivex.bundles import get_bundle
-from quivex.errors import DimensionError, FormatError, InconsistentSystemError
+from quivex.errors import DimensionError, FormatError, InconsistentSystemError, InternalCheckError
 from quivex.homext import build_complex
 from quivex.invariants import pi_fingerprint
 from quivex.ratmat import (
@@ -394,8 +394,15 @@ def test_solve_inconsistent():
 
 
 def test_inverse_singular():
-    with pytest.raises(InconsistentSystemError):
+    with pytest.raises(InconsistentSystemError, match="^matrix is singular$"):
         inverse(RatMatrix.from_rows([[1, 2], [2, 4]]))
+
+
+def test_inverse_product_check_is_an_internal_check(monkeypatch):
+    # only a wrong solve can fail the product check, so it reports a bug
+    monkeypatch.setattr(ratmat, "solve_exact", lambda a, b: b.scale(2))
+    with pytest.raises(InternalCheckError):
+        inverse(RatMatrix.identity(2))
 
 
 def test_stack_empty_needs_shape():

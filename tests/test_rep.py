@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivex.bundles import an_bundle
-from quivex.errors import BadPathError, DimensionError, DomainError, QuiverMismatchError
+from quivex.errors import BadPathError, DimensionError, DomainError, InconsistentSystemError, QuiverMismatchError
 from quivex.hecke import sample_flat_crystal
-from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, double
+from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, cb_transform, double
 from quivex.ratmat import RatMatrix, rank
 from quivex.rep import (
     FramedRep,
@@ -198,6 +198,13 @@ def test_conjugate_preserves_flatness_and_moment():
     assert y.dim_v == x.dim_v
 
 
+def test_conjugate_by_a_singular_block_names_it():
+    x = FramedRep(DQ2, DimVector.of(A2, {"1": 1, "2": 2}), DimVector.zero(A2))
+    g = {"1": RatMatrix.from_rows([[1]]), "2": RatMatrix.from_rows([[1, 2], [2, 4]])}
+    with pytest.raises(InconsistentSystemError, match="^matrix is singular$"):
+        conjugate(x, g)
+
+
 JORDAN = Quiver(["1"], [Arrow("t", "1", "1")])
 
 
@@ -297,6 +304,19 @@ def test_cb_apply_a1_unpacks_columns():
     assert y.B["inf->1#0*"] == RatMatrix.from_rows([[0]])
     assert y.B["inf->1#1*"] == RatMatrix.from_rows([[1]])
     assert is_flat(y)
+
+
+def test_cb_apply_of_a_framed_affine_point_is_flat():
+    # the rewrite of a point on a rewritten quiver adds a second new vertex
+    at1, _ = cb_transform(A1, DimVector.of(A1, {"1": 2}))
+    v = DimVector.of(at1, {"1": 1, "inf": 2})
+    w = DimVector.of(at1, {"1": 1, "inf": 1})
+    for half in ("forward", "reverse"):
+        x = sample_flat(double(at1), v, w, 5, half=half)
+        y = cb_apply(x)
+        assert y.dq.vertices == ("1", "inf", "inf2")
+        assert y.dim_v.as_dict() == {"1": 1, "inf": 2, "inf2": 1}
+        assert is_flat(y)
 
 
 @given(st.integers(0, 10**6))
