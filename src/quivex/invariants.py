@@ -3,11 +3,14 @@ path entries, plus the explicit relations of the rank-one and chain setups.
 
 One walker enumerates the walks that give an entry, sharing prefix products.
 It searches depth first on an explicit stack, so no bound meets the
-interpreter's recursion limit.  A cycle is emitted once per rotation class,
-as its least rotation: the walker keeps the prenecklace period p, takes no
-arrow named below ``word[n - p]`` and emits a closed walk when p divides n
-(the FKM necklace test; Ruskey, Savage and Wang 1992, "Generating
-necklaces", J. Algorithms 13).  A reversed cycle is a different word in the
+interpreter's recursion limit.  Each stack entry holds its walk's word as a
+tuple and the walk's product times the seed, so a visit costs one matmul and
+a returned walk reuses the entry's word; the arrows out of each vertex are
+read once per call.  A cycle is emitted once per rotation class, as its
+least rotation: the walker keeps the prenecklace period p, takes no arrow
+named below ``word[n - p]`` and emits a closed walk when p divides n (the
+FKM necklace test; Ruskey, Savage and Wang 1992, "Generating necklaces",
+J. Algorithms 13).  A reversed cycle is a different word in the
 doubled quiver.  A branch is cut when its breadth-first distance to the
 origin (cycles) or to the nearest framed vertex (paths) exceeds the arrows
 left.  A zero prefix product is kept as None and gives an exact 0 with no
@@ -99,31 +102,29 @@ def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) 
     max_length from an (origin, seed, dist) start that ends at distance 0,
     with ``necklaces`` only the nonempty closed necklaces.  The product is
     the path matrix times seed, or None when it is zero."""
+    B = x.B
+    # (name, target) per arrow out of each vertex, pushed in reverse so the
+    # first arrow is popped first
+    out_of = {v: [(a.name, a.target) for a in reversed(x.dq.arrows_out_of(v))] for v in x.dq.vertices}
     out: list[tuple] = []
     for origin, seed, dist in starts:
-        word: list[str] = []
-        products = [None if seed.is_zero else seed]  # products[k]: seed times the first k arrows
-        # entries (n, arrow, here, period): reach `here` by the walk word[:n - 1] + [arrow]
-        stack: list[tuple] = [(0, "", origin, 1)]
+        # entries (word, here, product, period): the walk `word` ends at `here`
+        stack: list[tuple] = [((), origin, None if seed.is_zero else seed, 1)]
         while stack:
-            n, name, here, period = stack.pop()
-            if n:
-                del word[n - 1 :]
-                del products[n:]
-                word.append(name)
+            word, here, product, period = stack.pop()
+            n = len(word)
             if dist[here] == 0 and (not necklaces or (n and n % period == 0)):
-                for arrow in word[len(products) - 1 :]:
-                    step = None if products[-1] is None else x.B[arrow] @ products[-1]
-                    products.append(None if step is None or step.is_zero else step)
-                out.append((origin, tuple(word), here, products[-1]))
+                out.append((origin, word, here, product))
             if n == max_length:
                 continue
             least = word[n - period] if necklaces and n else ""  # "" sorts below every name
-            stack.extend(
-                (n + 1, a.name, a.target, period if a.name == least else n + 1)
-                for a in reversed(x.dq.arrows_out_of(here))
-                if a.name >= least and dist.get(a.target, max_length) < max_length - n
-            )
+            left = max_length - n
+            for name, target in out_of[here]:
+                if name >= least and dist.get(target, max_length) < left:
+                    step = None if product is None else B[name] @ product
+                    if step is not None and step.is_zero:
+                        step = None
+                    stack.append((word + (name,), target, step, period if name == least else n + 1))
     return out
 
 
@@ -152,14 +153,15 @@ def path_invariants(x: FramedRep, max_length: int) -> list[tuple[PathLabel, Frac
 
 def _path_invariants(x: FramedRep, max_length: int) -> list[tuple[PathLabel, Fraction]]:
     index = {v: k for k, v in enumerate(x.dq.vertices)}
-    framed = [v for v in x.dq.vertices if x.dim_w[v] > 0]
+    dim_w = x.dim_w.as_dict()
+    framed = [v for v in x.dq.vertices if dim_w[v] > 0]
     dist = _distances(x, framed)
     walks = _walks(x, [(v, x.I[v], dist) for v in framed], max_length, necklaces=False)
     walks.sort(key=lambda t: (len(t[1]), index[t[0]], index[t[2]], t[1]))
-    out = []
+    out, zero = [], Fraction(0)
     for origin, word, end, product in walks:
         if product is None:
-            values = ((Fraction(0),) * x.dim_w[origin],) * x.dim_w[end]
+            values = ((zero,) * dim_w[origin],) * dim_w[end]
         else:
             values = (x.J[end] @ product).data
         for r, row in enumerate(values):

@@ -6,6 +6,7 @@ All types here are immutable values and all operations are pure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -298,21 +299,19 @@ def chi(q: Quiver, v1: DimVector, w1: DimVector, v2: DimVector, w2: DimVector) -
 def cb_transform(q: Quiver, w: DimVector) -> tuple[Quiver, str]:
     """Adjoin one vertex and w_i parallel arrows from it into each vertex i.
 
-    The new vertex comes last and is named ``inf``, or, when ``q`` already
-    has that vertex, the first of ``inf2``, ``inf3``, ... that it lacks; the
-    name is returned with the quiver.  A dimension vector V for ``q`` extends
-    to the new quiver as V plus a one-dimensional space at the new vertex
-    (see ``cb_extend_dim``).
+    The new vertex comes last and its arrows are named ``<name>-><i>#<k>``.
+    Its name is the first of ``inf``, ``inf2``, ``inf3``, ... that is not a
+    vertex of ``q`` and whose arrow names are not arrows of ``q``; it is
+    returned with the quiver.  A dimension vector V for ``q`` extends to the
+    new quiver as V plus a one-dimensional space at the new vertex (see
+    ``cb_extend_dim``).
     """
-    infinity, n = "inf", 1
-    while infinity in q.vertices:
-        n += 1
-        infinity = f"inf{n}"
-    arrows = list(q.arrows)
-    for i in q.vertices:
-        for k in range(w[i]):
-            arrows.append(Arrow(f"{infinity}->{i}#{k}", infinity, i))
-    return Quiver(q.vertices + (infinity,), arrows), infinity
+    taken = {a.name for a in q.arrows}
+    for n in itertools.count(1):
+        infinity = "inf" if n == 1 else f"inf{n}"
+        new = [Arrow(f"{infinity}->{i}#{k}", infinity, i) for i in q.vertices for k in range(w[i])]
+        if infinity not in q.vertices and taken.isdisjoint(a.name for a in new):
+            return Quiver(q.vertices + (infinity,), q.arrows + tuple(new)), infinity
 
 
 def cb_extend_dim(v: DimVector, transformed: Quiver, infinity: str) -> DimVector:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from quivex import formats
+from quivex.acceptance import DEFAULT_SEED, build_corpus
 from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, d4_bundle
 from quivex.cli import main
 from quivex.quiver import DimVector, ade_minimal_resolution_setup, cb_transform, double
@@ -408,6 +409,27 @@ def test_report_determinism(capsys, tmp_path):
     code = main(["check-moment", "--rep", rep])
     second = capsys.readouterr().out
     assert first == second
+
+
+def _stdout_under_hash_seed(argv, seed):
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivex.cli", *argv],
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed}, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("command", ["invariants", "hom-ext"])
+def test_report_is_byte_identical_across_hash_seeds(tmp_path, command):
+    """String hashing, and so set and dict-of-set order, varies with
+    PYTHONHASHSEED; no report may depend on it."""
+    if command == "invariants":
+        argv = ["invariants", "--rep", write_rep(tmp_path, "x.json", d4_bundle().reps["point"]), "--max-length", "10"]
+    else:
+        d4 = build_corpus(DEFAULT_SEED).pools["D4"]
+        argv = ["hom-ext", "--rep1", write_rep(tmp_path, "x.json", d4[0]), "--rep2", write_rep(tmp_path, "y.json", d4[2])]
+    assert _stdout_under_hash_seed(argv, "0") == _stdout_under_hash_seed(argv, "1")
 
 
 def test_verify_single_suite(capsys):

@@ -189,6 +189,42 @@ def test_fingerprint_matches_two_phase_reference(name):
         assert pi_fingerprint(x, bound) == _reference_fingerprint(x, bound)
 
 
+def _affine_d4_forward() -> FramedRep:
+    """A forward sample of the framing rewrite of the D4 setup at 2 delta."""
+    q, v, w = ade_minimal_resolution_setup("D4")
+    affine, infinity = cb_transform(q, w)
+    delta = cb_extend_dim(v, affine, infinity)
+    return sample_flat(double(affine), delta + delta, DimVector.zero(affine), 1, half="forward")
+
+
+LADDER_D4 = ({"1": 2, "2": 4, "3": 2, "4": 2}, {"1": 1, "2": 2, "3": 1, "4": 1})
+
+# (point, bounds): larger points than REFERENCE_SAMPLES, each at bounds its
+# reference enumeration stays cheap at; None is the default degree bound
+REFERENCE_POINTS = {
+    "affine-D4-2delta-forward": (_affine_d4_forward, range(9)),
+    **{
+        f"c2-A{n}-{rep}": (lambda n=n, rep=rep: an_bundle(n).reps[rep], [None])
+        for n in (2, 3, 4, 5, 6)
+        for rep in an_bundle(n).reps
+    },
+    "D4-ladder-forward": (
+        lambda: sample_flat(double(D4), *(DimVector.of(D4, d) for d in LADDER_D4), 2, half="forward"),
+        range(9),
+    ),
+    "D4-ladder-dense": (lambda: _dense(D4, *LADDER_D4, 9), range(9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_POINTS))
+def test_fingerprint_matches_the_reference_on_larger_points(name):
+    make, bounds = REFERENCE_POINTS[name]
+    x = make()
+    for bound in bounds:
+        reference = _reference_fingerprint(x, default_degree_bound(x) if bound is None else bound)
+        assert pi_fingerprint(x, bound) == reference
+
+
 def test_new_reference_samples_are_away_from_the_zero_fiber():
     for name in ("A3-chain-0", "A3-chain-1", "A4-chain-0", "A4-chain-1"):
         res = an_xyz(REFERENCE_SAMPLES[name]())
@@ -198,8 +234,8 @@ def test_new_reference_samples_are_away_from_the_zero_fiber():
 
 
 def test_walker_shares_prefix_products(monkeypatch):
-    """Each product the walker computes is a prefix of an emitted word, one
-    matmul per prefix, against L - 1 per word of length L for the reference."""
+    """The walker computes one matmul per visited walk whose prefix product
+    is nonzero, against L - 1 per word of length L for the reference."""
     calls = []
     matmul = RatMatrix.__matmul__
 
@@ -215,14 +251,38 @@ def test_walker_shares_prefix_products(monkeypatch):
     calls.clear()
     assert pi_fingerprint(x, bound) == expected
     assert reference_calls == 4350
-    assert len(calls) < reference_calls
+    assert len(calls) == 12
 
 
 def test_walker_visits_only_walks_that_can_end_within_the_bound(monkeypatch):
-    """arrows_out_of is called once per visit that may still extend its walk.
-    Filtering after visiting took 2182 cycle visits and 727 path visits on
-    this point at bound 10, 1210 and 484 of them extending.  No path visit
-    can be cut here: every vertex is one arrow from the framed centre."""
+    """The walker reads dist[here] once per visit, to test whether the walk
+    ends there.  Filtering after visiting took 2182 cycle visits and 727 path
+    visits on this point at bound 10, 1210 and 484 of them extending; the
+    walker's 333 cycle visits are 274 that extend and 59 of length 10.  No
+    path visit can be cut here: every vertex is one arrow from the framed
+    centre, so the 727 path visits are the 484 that extend and the 243 closed
+    walks of length 10 at the centre, one entry each."""
+    visits = []
+    distances = invariants._distances
+
+    class Counted(dict):
+        def __getitem__(self, vertex):
+            visits.append(vertex)
+            return dict.__getitem__(self, vertex)
+
+    monkeypatch.setattr(invariants, "_distances", lambda x, targets: Counted(distances(x, targets)))
+    x = d4_bundle().reps["point"]
+    assert len(cycle_traces(x, 10)) == 95
+    cycle_visits = len(visits)
+    visits.clear()
+    full_length = sum(len(label[1]) == 10 for label, _ in path_invariants(x, 10))
+    path_visits = len(visits)
+    extending_paths = path_visits - full_length
+    assert (cycle_visits, path_visits, extending_paths) == (333, 727, 484)
+    assert cycle_visits < 2182 and extending_paths < 727
+
+
+def test_walker_reads_the_adjacency_once_per_call(monkeypatch):
     calls = []
     arrows_out_of = DoubledQuiver.arrows_out_of
 
@@ -232,13 +292,8 @@ def test_walker_visits_only_walks_that_can_end_within_the_bound(monkeypatch):
 
     monkeypatch.setattr(DoubledQuiver, "arrows_out_of", counted)
     x = d4_bundle().reps["point"]
-    assert len(cycle_traces(x, 10)) == 95
-    cycle_visits = len(calls)
-    calls.clear()
-    path_invariants(x, 10)
-    path_visits = len(calls)
-    assert (cycle_visits, path_visits) == (274, 484)
-    assert cycle_visits < 2182 and path_visits < 727
+    pi_fingerprint(x, 10)
+    assert calls == list(x.dq.vertices) * 2
 
 
 def test_walker_multiplies_only_nonzero_prefixes(monkeypatch):

@@ -187,6 +187,13 @@ def test_cb_transform_names_a_vertex_the_quiver_lacks():
     assert q3.arrows[-1].name == "inf3->inf2#0"
 
 
+def test_cb_transform_names_a_vertex_whose_arrow_names_are_free():
+    q = Quiver(["1", "x"], [Arrow("inf->1#0", "x", "1")])
+    q2, inf = cb_transform(q, DimVector.of(q, {"1": 1}))
+    assert inf == "inf2" and q2.vertices == ("1", "x", "inf2")
+    assert [a.name for a in q2.arrows] == ["inf->1#0", "inf2->1#0"]
+
+
 def test_cb_transform_zero_w_isolated_vertex():
     q = a2()
     q2, inf = cb_transform(q, DimVector.zero(q))
