@@ -247,16 +247,17 @@ def criterion_2(seed: int, ns: tuple[int, ...] = (2, 3, 4, 5, 6)) -> CriterionRe
 
 def criterion_3() -> CriterionResult:
     """Star setup: zero-weight multiplicity 4, moduli dimension 2, and total
-    adjoint dimension 28 summed over the weight box."""
+    adjoint dimension 28 summed over the weight box; one multiplicity session
+    over the box answers both multiplicity questions."""
     q, v, w = ade_minimal_resolution_setup("D4")
     failures: list[str] = []
-    count = kacmoody.predicted_component_count(q, v, w)
+    roots = kacmoody.roots_for_quiver(q, 2 * v.total())
+    session = kacmoody.MultiplicitySession(roots, w.values)
+    count = session.multiplicity(v.values)
     if count != 4:
         failures.append(f"zero-weight multiplicity {count} != 4")
     if d_of(q, v, w) != 2:
         failures.append("moduli dimension != 2")
-    roots = kacmoody.roots_for_quiver(q, 2 * v.total())
-    session = kacmoody.MultiplicitySession(roots, w.values)
     total = 0
     ranges = [range(0, 2 * m + 1) for m in v.values]
     for drop in itertools.product(*ranges):

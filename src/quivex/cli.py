@@ -29,20 +29,24 @@ class _Inputs:
     def __init__(self):
         self.records: dict[str, dict] = {}
 
-    def json_arg(self, label: str, value: str):
-        """A CLI value that is either a path, '-' for stdin, or inline JSON."""
+    def json_arg(self, label: str, value: str | Path):
+        """A CLI value that is either a path, '-' for stdin, or inline JSON;
+        a ``Path`` is a path."""
         payload, self.records[label] = formats.read_input(label, value)
         return payload
 
 
 def _load_rep(inputs: _Inputs, label: str, value: str):
-    """A representation; a relative quiver path inside a regular file
-    resolves against that file's directory, and inside a pipe, a FIFO,
-    stdin or an inline value against the working directory."""
+    """A representation.  A quiver it names by path is read as the input
+    ``<label>.quiver``: a relative path inside a regular file resolves
+    against that file's directory, and inside a pipe, a FIFO, stdin or an
+    inline value against the working directory."""
     obj = inputs.json_arg(label, value)
-    path = inputs.records[label].get("path")
-    base_dir = Path(path).parent if path and Path(path).is_file() else None
-    return formats.rep_from_json(obj, base_dir=base_dir)
+    if isinstance(obj, dict) and isinstance(obj.get("quiver"), str):
+        path = inputs.records[label].get("path")
+        base = Path(path).parent if path and Path(path).is_file() else Path()
+        obj = {**obj, "quiver": inputs.json_arg(f"{label}.quiver", base / obj["quiver"])}
+    return formats.rep_from_json(obj)
 
 
 def _zeta_for(rep, inputs: _Inputs, value: str) -> ZetaParam:

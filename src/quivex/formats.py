@@ -7,7 +7,8 @@ docs/formats.md for the full schemas.
 
 Decoding is strict: a value of the wrong JSON type is never coerced, and
 every malformed payload raises ``FormatError`` (or ``DomainError`` when it
-is well-formed JSON describing an impossible object).
+is well-formed JSON describing an impossible object).  Every decoder is a
+function of a JSON value; only ``read_input`` reads bytes.
 """
 
 from __future__ import annotations
@@ -118,13 +119,12 @@ def rep_to_json(x: FramedRep) -> dict:
     return payload
 
 
-def rep_from_json(obj: Any, base_dir: Path | None = None) -> FramedRep:
+def rep_from_json(obj: Any) -> FramedRep:
+    """A representation with its quiver inline; a quiver named by path is
+    the caller's to read, and decodes here as a malformed quiver."""
     if not isinstance(obj, dict):
         raise FormatError("representation must be a JSON object")
-    quiver_field = obj.get("quiver")
-    if isinstance(quiver_field, str):
-        quiver_field, _ = read_input("quiver", Path(base_dir or "", quiver_field))
-    quiver = quiver_from_json(quiver_field)
+    quiver = quiver_from_json(obj.get("quiver"))
     dq = double(quiver)
     if "dimV" not in obj:
         raise FormatError("representation needs 'dimV'")

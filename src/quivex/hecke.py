@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DependentClassesError, DomainError, InternalCheckError, QuiverMismatchError
 from .quiver import DimVector, DoubledQuiver, ZetaParam, chi as chi_formula, d_of
-from .ratmat import RatMatrix, column_space_echelon, hstack, kernel_basis, rank, solve_exact, vstack
+from .ratmat import RatMatrix, column_space_echelon, hstack, kernel_basis, rank, vstack
 from .rep import FramedRep, ensure_flat, is_flat, simple_rep
 from .stability import is_stable
 from . import homext
@@ -63,18 +63,38 @@ def _check_d_identity(q, v_big: DimVector, v_small: DimVector, w: DimVector, i: 
         raise InternalCheckError(f"dimension identity failed at {i!r}: {gap} vs {expected}")
 
 
+def _pivot_rows(basis: RatMatrix) -> list[int]:
+    """The row of each column's leading 1 in an echelon column basis, such as
+    ``column_space_echelon`` returns: on these rows the basis is the identity."""
+    # the first nonzero row of each column; the columns are a basis, so none is zero
+    return [next(row for row, a in enumerate(col) if a) for col in zip(*basis.nums)]
+
+
+def _corestrict(image: RatMatrix, pivots: list[int], m: RatMatrix, what: str) -> RatMatrix:
+    """The matrix n with image @ n == m, for m mapping into the span of the
+    echelon basis image: the rows of m at the pivot rows."""
+    rows = RatMatrix.from_integers(len(pivots), m.cols, tuple(m.nums[r] for r in pivots), m.den)
+    if image @ rows != m:
+        raise InternalCheckError(f"{what} does not map into the image of beta")
+    return rows
+
+
 def reduce_i(x: FramedRep, i: str) -> ReductionResult:
     """Strip every copy of the simple at vertex i off the top of x.
 
     The new fiber at i is the image of beta in the complex with the simple
-    first (echelon basis, so the construction is a function); all maps are
-    restricted or corestricted along it.  The result is flat, has no Hom to
-    the simple at i, keeps the quotient-invariant fingerprint, and satisfies
-    the exact dimension identity, which is checked.
+    first (echelon basis, so the construction is a function), eliminated
+    once: maps out of i are restricted along it, and maps into i keep its
+    pivot rows, checked to factor through it.  The result is flat, has no
+    Hom to the simple at i, keeps the quotient-invariant fingerprint, and
+    satisfies the exact dimension identity, which is checked.
     """
-    c = _against_simple(x, i, "reduce_i")
-    if not is_stable(x, ZetaParam.constant(x.dq, 1)).stable:
+    _require_loop_free(x, "reduce_i")
+    verdict = is_stable(x, ZetaParam.constant(x.dq, 1))  # refuses a non-flat x first
+    simple = simple_rep(x.dq, i)  # refuses an unknown vertex before an unstable x
+    if not verdict.stable:
         raise DomainError("reduce_i needs a stable input")
+    c = homext.build_complex(simple, x)
     if c.hom_dim() != 0:
         raise InternalCheckError("stable point admits the simple as a submodule")
     image = column_space_echelon(c.beta)
@@ -84,18 +104,19 @@ def reduce_i(x: FramedRep, i: str) -> ReductionResult:
     }
     if r == 0:
         return ReductionResult(x, 0, inclusion)
+    pivots = _pivot_rows(image)
     dim_small = x.dim_v.replace(i, image.cols)
     B = {}
     for a in x.dq.arrows:
         m = x.B[a.name]
         if a.target == i:
-            m = solve_exact(image, m)
+            m = _corestrict(image, pivots, m, f"arrow {a.name!r}")
         if a.source == i:
             m = m @ image
         B[a.name] = m
     I = dict(x.I)
     J = dict(x.J)
-    I[i] = solve_exact(image, x.I[i])
+    I[i] = _corestrict(image, pivots, x.I[i], f"I at {i!r}")
     J[i] = x.J[i] @ image
     reduced = FramedRep(x.dq, dim_small, x.dim_w, B, I, J)
     if not is_flat(reduced):
@@ -219,9 +240,7 @@ def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[R
     """
     if reduction.r == 0:
         return []
-    inclusion = reduction.inclusion[i]
-    # the first nonzero row of each column; the columns are a basis, so none is zero
-    pivot_rows = {next(row for row, a in enumerate(col) if a) for col in zip(*inclusion.nums)}
+    pivot_rows = set(_pivot_rows(reduction.inclusion[i]))
     complement = [row for row in range(x.dim_v[i]) if row not in pivot_rows]
     if len(complement) != reduction.r:
         raise InternalCheckError(f"complement at {i!r} has {len(complement)} rows, not {reduction.r}")

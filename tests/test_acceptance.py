@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from quivex import acceptance, homext, rep, stability
+from quivex import acceptance, homext, kacmoody, rep, stability
 from quivex.cli import main
 from quivex.errors import DomainError
 from quivex.ratmat import RatMatrix, kernel_basis
@@ -159,6 +159,14 @@ def test_criterion_1_checks_each_sample_once_and_builds_no_witness(monkeypatch):
     result = acceptance.criterion_1(acceptance.DEFAULT_SEED)
     assert result.passed and result.details["samples"] == 1400
     assert (len(moment_maps), len(annihilators)) == (1400, 0)
+
+
+def test_criterion_3_builds_its_root_system_and_session_once(monkeypatch):
+    # the zero-weight count is read from the session over the weight box
+    roots = _count_calls(monkeypatch, "roots_for_quiver", kacmoody)
+    sessions = _count_calls(monkeypatch, "MultiplicitySession", kacmoody)
+    assert acceptance.criterion_3().passed
+    assert (len(roots), len(sessions)) == (1, 1)
 
 
 def test_criterion_1_reports_a_non_flat_sample(monkeypatch):

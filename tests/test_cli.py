@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quivex import formats
+from quivex import formats, hecke
 from quivex.acceptance import DEFAULT_SEED, build_corpus
 from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, d4_bundle
 from quivex.cli import main
@@ -300,6 +300,38 @@ def test_reduce_then_extend_round_trip(capsys, tmp_path):
     assert report["result"]["stable"] is True
 
 
+REDUCE_EXTEND_SHA256 = {
+    "d4.point": (
+        "b9c339d39b95bfd348a256ae9c51338fe2da95eebc57503f5cd32b74c0c1ecaa",
+        "6059cf16fb437c959333ebbefaa31c78f86264bc99c7a678c02576f0c173bd3b",
+    ),
+    "a2crystal.generic": (
+        "df58d19c4c35679d84ff8f9fa4bfa04e7b52d21e31f97f3c3ca42423082fdf10",
+        "ccaa8e8d8dc4cdd8d34f4ced62d685900533683c48aec1a4223d53d4977d0fa8",
+    ),
+    "a2crystal.special": (
+        "9b0892a7835cb95854d8585e4b61fd2b0ec7b2db0ff929b8ea3c2d58bcbda8f8",
+        "5562d2b8ed4cfb42e41592365e71d832a20d6bebf34e7600fe6ecaed2efbf91a",
+    ),
+}
+
+
+@pytest.mark.parametrize("point", sorted(REDUCE_EXTEND_SHA256))
+def test_reduce_and_extend_reports_pinned(capsys, point):
+    """The stdout bytes of ``reduce --vertex 2`` on an inline rep, and of the
+    ``extend`` that its reduced rep and recovery classes feed."""
+    bundle, member = point.split(".")
+    x = {"d4": d4_bundle, "a2crystal": a2crystal_bundle}[bundle]().reps[member]
+    assert main(["reduce", "--rep", json.dumps(formats.rep_to_json(x)), "--vertex", "2"]) == 0
+    reduced = capsys.readouterr().out
+    result = json.loads(reduced)["result"]
+    classes = json.dumps(result["recovery_classes"])
+    assert main(["extend", "--rep", json.dumps(result["reduced"]), "--vertex", "2", "--classes", classes]) == 0
+    extended = capsys.readouterr().out
+    digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in (reduced, extended))
+    assert digests == REDUCE_EXTEND_SHA256[point]
+
+
 def test_cb_transform(capsys):
     q = json.dumps(formats.quiver_to_json(an_bundle(2).dq.base))
     code, report = run_cli(
@@ -518,7 +550,87 @@ def test_quiver_path_in_a_piped_rep_resolves_against_the_working_directory(tmp_p
     finally:
         os.close(read_end)
     assert proc.returncode == 0, proc.stdout
-    assert json.loads(proc.stdout)["result"]["flat"] is True
+    report = json.loads(proc.stdout)
+    assert report["result"]["flat"] is True
+    assert report["inputs"]["rep.quiver"] == {
+        "path": "quiver.json",
+        "sha256": hashlib.sha256((tmp_path / "quiver.json").read_bytes()).hexdigest(),
+    }
+
+
+GENERIC = a2crystal_bundle().reps["generic"]
+# the classes that extend the generic a2crystal point at vertex 1
+CLASSES = json.dumps(
+    formats.classes_to_json(hecke.class_layout(GENERIC, "1"), "1", hecke.ext_space_i(GENERIC, "1"))
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-moment", "--rep", "REP"],
+        ["hom-ext", "--rep1", "REP", "--rep2", "REP"],
+        ["stability", "--rep", "REP", "--zeta", "pos"],
+        ["invariants", "--rep", "REP", "--max-length", "4"],
+        ["reduce", "--rep", "REP", "--vertex", "2"],
+        ["extend", "--rep", "REP", "--vertex", "1", "--classes", CLASSES],
+        ["cb-transform", "--rep", "REP"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_rep_with_quiver_path(capsys, tmp_path, argv):
+    """A quiver that a rep file names by a relative path is read from the rep
+    file's directory and recorded as ``<label>.quiver``; the result is that
+    of the same rep with its quiver inline."""
+    inline = formats.rep_to_json(GENERIC)
+    quiver = json.dumps(inline["quiver"]).encode()
+    (tmp_path / "quiver.json").write_bytes(quiver)
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({**inline, "quiver": "quiver.json"}))
+    code, named = run_cli(capsys, *[str(rep) if a == "REP" else a for a in argv])
+    assert code == 0
+    assert main([json.dumps(inline) if a == "REP" else a for a in argv]) == 0
+    assert named["result"] == json.loads(capsys.readouterr().out)["result"]
+    record = {"path": str(tmp_path / "quiver.json"), "sha256": hashlib.sha256(quiver).hexdigest()}
+    labels = [flag.lstrip("-") for flag, value in zip(argv, argv[1:]) if value == "REP"]
+    assert {k: v for k, v in named["inputs"].items() if k.endswith(".quiver")} == {
+        f"{label}.quiver": record for label in labels
+    }
+
+
+def test_quiver_file_bytes_reach_the_inputs(capsys, tmp_path, monkeypatch):
+    # an inline rep resolves its quiver path against the working directory
+    monkeypatch.chdir(tmp_path)
+    inline = formats.rep_to_json(GENERIC)
+    rep = json.dumps({**inline, "quiver": "quiver.json"})
+    reports = []
+    for indent in (None, 2):
+        (tmp_path / "quiver.json").write_text(json.dumps(inline["quiver"], indent=indent))
+        code, report = run_cli(capsys, "check-moment", "--rep", rep)
+        assert code == 0
+        reports.append(report)
+    assert reports[0]["result"] == reports[1]["result"]
+    assert reports[0]["inputs"]["rep"] == reports[1]["inputs"]["rep"]
+    assert reports[0]["inputs"]["rep.quiver"] != reports[1]["inputs"]["rep.quiver"]
+
+
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        (None, {"type": "FileNotFoundError", "message": "[Errno 2] No such file or directory: '{path}'"}),
+        ("nope", {"type": "FormatError", "message": "{path}: invalid JSON (Expecting value: line 1 column 1 (char 0))"}),
+    ],
+    ids=["missing", "malformed"],
+)
+def test_unreadable_quiver_file_exit_1(capsys, tmp_path, content, error):
+    qpath = tmp_path / "quiver.json"
+    if content is not None:
+        qpath.write_text(content)
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({**formats.rep_to_json(GENERIC), "quiver": "quiver.json"}))
+    code, report = run_cli(capsys, "check-moment", "--rep", str(rep))
+    assert code == 1
+    assert report["error"] == {**error, "message": error["message"].format(path=qpath)}
 
 
 def test_closed_stdout_exit_1_without_traceback():

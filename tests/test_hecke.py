@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivex import homext
+from quivex import hecke, homext
 from quivex.bundles import a2crystal_bundle, d4_bundle
-from quivex.errors import DependentClassesError, DomainError
+from quivex.errors import DependentClassesError, DomainError, InternalCheckError
 from quivex.hecke import (
     are_isomorphic,
     epsilon_i,
@@ -262,6 +262,20 @@ def test_d4_point_reduces_to_core():
     assert are_isomorphic(red.reduced, core)
     rebuilt = extend_i(red.reduced, "2", recovery_classes(point, "2", red))
     assert are_isomorphic(rebuilt, point)
+
+
+def test_reduce_eliminates_the_image_once(eliminations):
+    # maps into vertex 2 keep the image's pivot rows instead of solving
+    # [image | m] each; the flatness and epsilon post-checks stay
+    reduce_i(d4_bundle().reps["point"], "2")
+    assert len(eliminations) == 14
+
+
+def test_reduce_checks_maps_into_the_vertex_factor_through_the_image(monkeypatch):
+    # on the d4 point beta's image at 2 is e_1; e_2 misses every arrow into 2
+    monkeypatch.setattr(hecke, "column_space_echelon", lambda m: RatMatrix.from_rows([[0], [1]]))
+    with pytest.raises(InternalCheckError, match="^arrow '1->2' does not map into the image of beta$"):
+        reduce_i(d4_bundle().reps["point"], "2")
 
 
 @given(st.integers(0, 10**6))

@@ -66,25 +66,39 @@ def test_all_lists_exactly_the_public_imports():
     assert sorted(n for n in imported if not n.startswith("_") and n not in quivex.__all__) == []
 
 
+def _scoped(node, scope):
+    """Every node below node, with the dotted name of the function or class
+    that encloses it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
 def test_only_formats_reads_inputs():
-    # one reader: formats reads each input once and hashes the bytes it
-    # parsed, so no other module opens, reads or decodes an input itself
+    # one reader: formats.read_input reads each input once and hashes the
+    # bytes it parsed, and only the CLI's _Inputs calls it, so every input
+    # is recorded in the report and every decoder is a function of JSON
     readers = {"open", "json.load", "json.loads", "sys.stdin", ".read_bytes", ".read_text"}
     offenders = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "formats.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, node in _scoped(tree, path.stem):
             if isinstance(node, ast.ImportFrom):
                 names = {f"{node.module}.{alias.name}" for alias in node.names}
+                names |= {f".{alias.name}" for alias in node.names}
             elif isinstance(node, ast.Attribute):
                 names = {ast.unparse(node), f".{node.attr}"}
             elif isinstance(node, ast.Name):
-                names = {node.id}
+                names = {node.id, f".{node.id}"}
             else:
                 continue
-            if names & readers:
-                offenders.append(f"{path.name}:{node.lineno}")
+            if names & readers and scope != "formats.read_input":
+                offenders.append(f"{path.name}:{node.lineno} reads in {scope}")
+            if ".read_input" in names and not scope.startswith("cli._Inputs."):
+                offenders.append(f"{path.name}:{node.lineno} calls read_input in {scope}")
     assert offenders == []
 
 
