@@ -12,7 +12,7 @@ import pytest
 
 from quivex import formats, hecke
 from quivex.acceptance import DEFAULT_SEED, build_corpus
-from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, d4_bundle
+from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, an_chain_sample, d4_bundle
 from quivex.cli import main
 from quivex.quiver import DimVector, ade_minimal_resolution_setup, cb_transform, double
 from quivex.rep import FramedRep, cb_apply, sample_flat
@@ -330,6 +330,44 @@ def test_reduce_and_extend_reports_pinned(capsys, point):
     extended = capsys.readouterr().out
     digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in (reduced, extended))
     assert digests == REDUCE_EXTEND_SHA256[point]
+
+
+D4_QUIVER = ade_minimal_resolution_setup("D4")[0]
+
+# (point, --max-length or None for the default bound): the two d4 points
+# have only zero entries, the a1 stable point a nonzero path entry, and the
+# A4 chain point nonzero cycle traces and path entries
+INVARIANTS_POINTS = {
+    "d4.point": (lambda: d4_bundle().reps["point"], 10),
+    "d4-ladder-forward": (
+        lambda: sample_flat(
+            double(D4_QUIVER),
+            DimVector.of(D4_QUIVER, {"1": 2, "2": 4, "3": 2, "4": 2}),
+            DimVector.of(D4_QUIVER, {"1": 1, "2": 2, "3": 1, "4": 1}),
+            2,
+            half="forward",
+        ),
+        8,
+    ),
+    "a1.stable": (lambda: a1_bundle(2, 1).reps["stable"], None),
+    "a4-chain-0": (lambda: an_chain_sample(4, 0), None),
+}
+
+INVARIANTS_SHA256 = {
+    "d4.point": "beaf3e43f0bf78f43cc2e559ef560951f58d4d4dd65bcd10abd372ad8c55723f",
+    "d4-ladder-forward": "24653d1f38c516cd873bb8bd8ce2426264d63ae2ea06edbbe4f48d243bddea01",
+    "a1.stable": "0f8a765c5fc182666236702ed56987c188727e075f458a99b836a0d9491fe36b",
+    "a4-chain-0": "c9168dac69c0cc2891c44aa99a5cac057f4780f0e19f7c5da3818ed6f8e8e13e",
+}
+
+
+@pytest.mark.parametrize("point", sorted(INVARIANTS_SHA256))
+def test_invariants_report_pinned(capsys, point):
+    """The stdout bytes of ``invariants`` on an inline rep."""
+    make, bound = INVARIANTS_POINTS[point]
+    argv = ["invariants", "--rep", json.dumps(formats.rep_to_json(make()))]
+    assert main(argv + ([] if bound is None else ["--max-length", str(bound)])) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == INVARIANTS_SHA256[point]
 
 
 def test_cb_transform(capsys):
