@@ -6,17 +6,21 @@ It searches depth first on an explicit stack, so no bound meets the
 interpreter's recursion limit.  Each stack entry holds its walk's word as a
 tuple and the walk's product times the seed, so a visit costs one matmul and
 a returned walk reuses the entry's word; the arrows out of each vertex are
-read once per call.  A cycle is emitted once per rotation class, as its
-least rotation: the walker keeps the prenecklace period p, takes no arrow
-named below ``word[n - p]`` and emits a closed walk when p divides n (the
-FKM necklace test; Ruskey, Savage and Wang 1992, "Generating necklaces",
-J. Algorithms 13).  A reversed cycle is a different word in the
-doubled quiver.  A branch is cut when its breadth-first distance to the
-origin (cycles) or to the nearest framed vertex (paths) exceeds the arrows
-left.  A zero prefix product is kept as None and gives an exact 0 with no
+read once per call and taken in name order.  A cycle is emitted once per
+rotation class, as its least rotation: the walker keeps the prenecklace
+period p, takes no arrow named below ``word[n - p]`` and emits a closed walk
+when p divides n (the FKM necklace test; Ruskey, Savage and Wang 1992,
+"Generating necklaces", J. Algorithms 13).  A reversed cycle is a different
+word in the doubled quiver.  A branch is cut when its breadth-first distance
+to the origin (cycles) or to the nearest framed vertex (paths) exceeds the
+arrows left.  A zero prefix product is kept as None and gives an exact 0 with no
 further matmul.  Path products start from I_origin, so each path entry is
-J_end times one.  Labels are plain tuples, ordered deterministically, so two
-fingerprints can be compared entry by entry.  Before any matmul, the entries
+J_end times one.  Labels are plain tuples, each built once, so two
+fingerprints can be compared entry by entry.  Their order needs no sort over
+walks: a depth-first walk that takes arrows in name order meets the words of
+one length in increasing order, so the walker buckets each walk by its
+length and first arrow (cycles) or by its length, origin and end (paths),
+and only the bucket keys are sorted.  Before any matmul, the entries
 plus letters a call returns are counted exactly from the powers of the
 doubled quiver's adjacency matrix; past WALK_BUDGET the call raises a
 DomainError naming the count and the largest bound under the budget.
@@ -26,6 +30,7 @@ names the smaller of their largest bounds.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -43,6 +48,8 @@ FingerprintEntry = tuple[tuple, Fraction]
 # call may hold.  The E6 setup passes up to bound 21; at its default 22 its
 # cycles hold 5,600,266 and its paths 12,575,136.
 WALK_BUDGET = 4_000_000
+
+_ZERO = Fraction(0)  # the value of every entry whose walk product is zero
 
 
 def _distances(x: FramedRep, targets: list[str]) -> dict[str, int]:
@@ -97,16 +104,19 @@ def _check_bound(x: FramedRep, max_length: int, necklaces: bool) -> None:
         raise DomainError(refusal[1])
 
 
-def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) -> list[tuple]:
-    """(origin, word, end, product) for every walk of length at most
-    max_length from an (origin, seed, dist) start that ends at distance 0,
-    with ``necklaces`` only the nonempty closed necklaces.  The product is
-    the path matrix times seed, or None when it is zero."""
+def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) -> dict[tuple, list[tuple]]:
+    """(word, product) for every walk of length at most max_length from an
+    (origin, seed, dist) start that ends at distance 0, with ``necklaces``
+    only the nonempty closed necklaces.  The walks are bucketed by (length,
+    first arrow) with ``necklaces`` and by (length, origin, end) without,
+    each bucket in increasing word order.  The product is the path matrix
+    times seed, or None when it is zero."""
     B = x.B
-    # (name, target) per arrow out of each vertex, pushed in reverse so the
-    # first arrow is popped first
-    out_of = {v: [(a.name, a.target) for a in reversed(x.dq.arrows_out_of(v))] for v in x.dq.vertices}
-    out: list[tuple] = []
+    # (name, target) per arrow out of each vertex, pushed in decreasing name
+    # order so the least name is popped first: the walk is then a preorder
+    # in name order, which meets the words of one length in increasing order
+    out_of = {v: sorted(((a.name, a.target) for a in x.dq.arrows_out_of(v)), reverse=True) for v in x.dq.vertices}
+    buckets: dict[tuple, list[tuple]] = defaultdict(list)
     for origin, seed, dist in starts:
         # entries (word, here, product, period): the walk `word` ends at `here`
         stack: list[tuple] = [((), origin, None if seed.is_zero else seed, 1)]
@@ -114,7 +124,7 @@ def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) 
             word, here, product, period = stack.pop()
             n = len(word)
             if dist[here] == 0 and (not necklaces or (n and n % period == 0)):
-                out.append((origin, word, here, product))
+                buckets[(n, word[0]) if necklaces else (n, origin, here)].append((word, product))
             if n == max_length:
                 continue
             least = word[n - period] if necklaces and n else ""  # "" sorts below every name
@@ -125,48 +135,51 @@ def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) 
                     if step is not None and step.is_zero:
                         step = None
                     stack.append((word + (name,), target, step, period if name == least else n + 1))
-    return out
+    return buckets
 
 
 def cycle_traces(x: FramedRep, max_length: int) -> list[tuple[CycleLabel, Fraction]]:
     """Traces of the closed walks of length 1..max_length, one per rotation
-    class, sorted by (length, word)."""
+    class, in (length, word) order."""
     _check_bound(x, max_length, necklaces=True)
     return _cycle_traces(x, max_length)
 
 
-def _cycle_traces(x: FramedRep, max_length: int) -> list[tuple[CycleLabel, Fraction]]:
+def _cycle_traces(x: FramedRep, max_length: int, tagged: bool = False) -> list[tuple[tuple, Fraction]]:
+    """The cycle traces, each label led by "cycle" when ``tagged``."""
+    kind = ("cycle",) if tagged else ()
     starts = [(v, RatMatrix.identity(x.dim_v[v]), _distances(x, [v])) for v in x.dq.vertices]
-    out = [
-        (word, Fraction(0) if product is None else product.trace())
-        for _, word, _, product in _walks(x, starts, max_length, necklaces=True)
+    buckets = _walks(x, starts, max_length, necklaces=True)
+    return [
+        (kind + word, _ZERO if product is None else product.trace())
+        for key in sorted(buckets)
+        for word, product in buckets[key]
     ]
-    return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
 
 def path_invariants(x: FramedRep, max_length: int) -> list[tuple[PathLabel, Fraction]]:
     """Entries of J_end (path product) I_origin for every walk between framed
-    vertices (both ends with positive W), the empty walk included."""
+    vertices (both ends with positive W), the empty walk included, in
+    (length, origin index, end index, word, row, column) order."""
     _check_bound(x, max_length, necklaces=False)
     return _path_invariants(x, max_length)
 
 
-def _path_invariants(x: FramedRep, max_length: int) -> list[tuple[PathLabel, Fraction]]:
+def _path_invariants(x: FramedRep, max_length: int, tagged: bool = False) -> list[tuple[tuple, Fraction]]:
+    """The path entries, each label led by "path" when ``tagged``."""
     index = {v: k for k, v in enumerate(x.dq.vertices)}
     dim_w = x.dim_w.as_dict()
     framed = [v for v in x.dq.vertices if dim_w[v] > 0]
     dist = _distances(x, framed)
-    walks = _walks(x, [(v, x.I[v], dist) for v in framed], max_length, necklaces=False)
-    walks.sort(key=lambda t: (len(t[1]), index[t[0]], index[t[2]], t[1]))
-    out, zero = [], Fraction(0)
-    for origin, word, end, product in walks:
-        if product is None:
-            values = ((zero,) * dim_w[origin],) * dim_w[end]
-        else:
-            values = (x.J[end] @ product).data
-        for r, row in enumerate(values):
-            for c, value in enumerate(row):
-                out.append(((origin, word, end, r, c), value))
+    buckets = _walks(x, [(v, x.I[v], dist) for v in framed], max_length, necklaces=False)
+    out = []
+    for key in sorted(buckets, key=lambda k: (k[0], index[k[1]], index[k[2]])):
+        _, origin, end = key
+        zeros, J = ((_ZERO,) * dim_w[origin],) * dim_w[end], x.J[end]
+        for word, product in buckets[key]:
+            for r, row in enumerate(zeros if product is None else (J @ product).data):
+                for c, value in enumerate(row):
+                    out.append((("path", origin, word, end, r, c) if tagged else (origin, word, end, r, c), value))
     return out
 
 
@@ -187,8 +200,7 @@ def pi_fingerprint(x: FramedRep, max_length: int | None = None) -> list[Fingerpr
     refusals = [r for r in (_refusal(x, bound, False), _refusal(x, bound, True)) if r]
     if refusals:
         raise DomainError(min(refusals, key=lambda r: r[0])[1])
-    cycles = [(("cycle",) + word, value) for word, value in _cycle_traces(x, bound)]
-    return cycles + [(("path",) + label, value) for label, value in _path_invariants(x, bound)]
+    return _cycle_traces(x, bound, tagged=True) + _path_invariants(x, bound, tagged=True)
 
 
 def fingerprint_is_zero(entries: list[FingerprintEntry]) -> bool:

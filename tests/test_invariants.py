@@ -225,6 +225,44 @@ def test_fingerprint_matches_the_reference_on_larger_points(name):
         assert pi_fingerprint(x, bound) == reference
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_POINTS))
+def test_entries_come_out_in_label_order(name):
+    """Cycle traces in (length, word) order; path entries in (length, origin
+    index, end index, word) order, a walk's entries in row-major order."""
+    make, bounds = REFERENCE_POINTS[name]
+    x = make()
+    index = {v: k for k, v in enumerate(x.dq.vertices)}
+    for bound in bounds:
+        bound = default_degree_bound(x) if bound is None else bound
+        cycles = cycle_traces(x, bound)
+        assert cycles == sorted(cycles, key=lambda t: (len(t[0]), t[0]))
+        paths = path_invariants(x, bound)
+        origin, word, end = (lambda t: t[0][0]), (lambda t: t[0][1]), (lambda t: t[0][2])
+        assert paths == sorted(paths, key=lambda t: (len(word(t)), index[origin(t)], index[end(t)], word(t)))
+
+
+# Declared in decreasing name order, with vertex "9" before "10" although
+# "10" < "9" as strings, so no vertex's arrows or the vertices themselves
+# are declared in the order the labels sort by.
+REVERSED_NAMES = Quiver(
+    ["9", "10"],
+    [Arrow("9->10", "9", "10"), Arrow("10->9", "10", "9"), Arrow("10->10", "10", "10")],
+)
+
+
+@pytest.mark.parametrize("q", [REVERSED_NAMES, JORDAN], ids=["reversed-names", "Jordan"])
+def test_fingerprint_order_does_not_follow_the_declared_order(q):
+    dq = double(q)
+    names = [a.name for a in q.arrows]
+    assert q is JORDAN or (names == sorted(names, reverse=True) and list(q.vertices) != sorted(q.vertices))
+    assert q is JORDAN or all(
+        [a.name for a in dq.arrows_out_of(v)] != sorted(a.name for a in dq.arrows_out_of(v)) for v in dq.vertices
+    )
+    x = _dense(q, {v: 2 - k for k, v in enumerate(q.vertices)}, dict.fromkeys(q.vertices, 1), 10)
+    for bound in range(9):
+        assert pi_fingerprint(x, bound) == _reference_fingerprint(x, bound)
+
+
 def test_new_reference_samples_are_away_from_the_zero_fiber():
     for name in ("A3-chain-0", "A3-chain-1", "A4-chain-0", "A4-chain-1"):
         res = an_xyz(REFERENCE_SAMPLES[name]())
