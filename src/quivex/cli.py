@@ -10,6 +10,7 @@ consistency check.  No mathematical logic lives here.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -273,7 +274,11 @@ def _cmd_verify(args) -> int:
     return 0 if payload["all_passed"] else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later
+    ``main`` call in the process: argparse makes a help formatter per
+    argument, which costs more than a small command's own work."""
     parser = argparse.ArgumentParser(
         prog="quivex",
         description="Exact computations with framed representations of preprojective algebras.",

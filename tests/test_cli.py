@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from quivex import formats, hecke
 from quivex.acceptance import DEFAULT_SEED, build_corpus
 from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, an_chain_sample, d4_bundle
-from quivex.cli import main
+from quivex.cli import build_parser, main
 from quivex.quiver import DimVector, ade_minimal_resolution_setup, cb_transform, double
 from quivex.rep import FramedRep, cb_apply, sample_flat
 
@@ -368,6 +369,44 @@ def test_invariants_report_pinned(capsys, point):
     argv = ["invariants", "--rep", json.dumps(formats.rep_to_json(make()))]
     assert main(argv + ([] if bound is None else ["--max-length", str(bound)])) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == INVARIANTS_SHA256[point]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    """The first ``main`` call builds the parser and its 12 subparsers, and
+    a later call builds none and prints the same bytes."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    rep = json.dumps(formats.rep_to_json(a2crystal_bundle().reps["generic"]))
+    printed, counts = [], []
+    for _ in range(2):
+        assert main(["hom-ext", "--rep1", rep, "--rep2", rep]) == 0
+        printed.append(capsys.readouterr().out)
+        counts.append(len(built))
+        built.clear()
+    assert counts == [13, 0]
+    assert printed[0] == printed[1]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--version"], 0), (["-h"], 0), (["invariants", "-h"], 0), (["invariants", "--max-length", "x"], 2), ([], 2)],
+)
+def test_parser_exits_print_the_same_bytes_on_a_repeated_call(capsys, argv, code):
+    printed = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert printed[0].out if code == 0 else printed[0].err.startswith("usage: quivex")
 
 
 def test_cb_transform(capsys):
