@@ -115,7 +115,9 @@ def _walks(x: FramedRep, starts: list[tuple], max_length: int, necklaces: bool) 
     # (name, target) per arrow out of each vertex, pushed in decreasing name
     # order so the least name is popped first: the walk is then a preorder
     # in name order, which meets the words of one length in increasing order
-    out_of = {v: sorted(((a.name, a.target) for a in x.dq.arrows_out_of(v)), reverse=True) for v in x.dq.vertices}
+    out_of = {
+        v: sorted(((a.name, a.target) for a in x.dq.arrows_out_of(v)), reverse=True) for v in x.dq.vertices
+    }
     buckets: dict[tuple, list[tuple]] = defaultdict(list)
     for origin, seed, dist in starts:
         # entries (word, here, product, period): the walk `word` ends at `here`
@@ -179,7 +181,8 @@ def _path_invariants(x: FramedRep, max_length: int, tagged: bool = False) -> lis
         for word, product in buckets[key]:
             for r, row in enumerate(zeros if product is None else (J @ product).data):
                 for c, value in enumerate(row):
-                    out.append((("path", origin, word, end, r, c) if tagged else (origin, word, end, r, c), value))
+                    label = ("path", origin, word, end, r, c) if tagged else (origin, word, end, r, c)
+                    out.append((label, value))
     return out
 
 
