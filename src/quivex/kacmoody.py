@@ -2,14 +2,15 @@
 attached to a loop-free quiver.
 
 Positive roots come from exact reflection enumeration in finite type and
-from the Peterson recursion up to a height cutoff otherwise.  In finite type
-the simple roots are closed under the raising reflections only, s_i where
-the pairing with alpha_i is negative, which reach every positive root and no
-negative one.  Weight multiplicities of the integrable highest-weight module
-come from Freudenthal's formula on dominant weights only: multiplicities are
-invariant under the Weyl group, so each drop is reduced to the dominant drop
-of its orbit, and the dominant drops a query needs are evaluated from a
-worklist in order of height, with no recursion.
+otherwise from Peterson's recursion up to a height cutoff, which sums only
+over the pairs whose coefficients it has already found nonzero.  In finite
+type the simple roots are closed under the raising reflections only, s_i
+where the pairing with alpha_i is negative, which reach every positive root
+and no negative one.  Weight multiplicities of the integrable highest-weight
+module come from Freudenthal's formula on dominant weights only:
+multiplicities are invariant under the Weyl group, so each drop is reduced to
+the dominant drop of its orbit, and the dominant drops a query needs are
+evaluated from a worklist in order of height, with no recursion.
 
 The Cartan matrix is walked as sparse rows, the (column, entry) pairs with a
 nonzero entry; it is symmetric, so a row is also a column.  The finite
@@ -27,7 +28,6 @@ external locking (one session per thread is the supported pattern).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,10 +71,6 @@ def is_finite_type(gcm: GCM) -> bool:
     return True
 
 
-def _dot(gcm: GCM, a: Coeffs, b: Coeffs) -> int:
-    return sum(a[i] * gcm[i][j] * b[j] for i in range(len(a)) for j in range(len(a)))
-
-
 def _sparse_rows(gcm: GCM) -> Rows:
     """Each row of the GCM as its (column, entry) pairs with the entry
     nonzero.  The GCM is symmetric, so row i is also column i."""
@@ -111,43 +107,44 @@ def _finite_positive_roots(gcm: GCM) -> list[tuple[Coeffs, int]]:
     return [(b, 1) for b in sorted(seen, key=lambda b: (sum(b), b))]
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def _peterson_roots(gcm: GCM, cutoff: int) -> list[tuple[Coeffs, int]]:
-    """Root multiplicities up to the height cutoff by Peterson's recursion on
-    the auxiliary coefficients c_beta = sum over divisors of mult/k."""
+    """Root multiplicities up to the height cutoff by Peterson's recursion
+    (Kac, *Infinite-dimensional Lie algebras*, Ex. 11.11) on the coefficients
+    c_beta = sum over divisors k of mult(beta/k)/k:
+    ((beta, beta) - 2 ht(beta)) c_beta = sum over gamma + delta = beta of
+    (gamma, delta) c_gamma c_delta.  Each height sums over the ordered pairs
+    from the support (the beta found with c_beta != 0) at heights l and h - l,
+    keyed by gamma + delta, and only those keys get a c.  That is complete:
+    c_beta != 0 needs a nonzero sum, which has such a pair, or a nonzero
+    divisor part, and then beta = k gamma = gamma + (k - 1) gamma with
+    c_gamma >= mult(gamma) > 0 and c_{(k-1) gamma} >= mult(gamma)/(k - 1) > 0."""
+    rows = _sparse_rows(gcm)
     n = len(gcm)
-    c: dict[Coeffs, Fraction] = {}
     mult: dict[Coeffs, int] = {}
+    # support[h]: (beta, c_beta, pairings of beta) at height h with c_beta != 0
+    support: list[list[tuple[Coeffs, Fraction, Coeffs]]] = [[], []]
     for i in range(n):
         alpha = tuple(1 if j == i else 0 for j in range(n))
-        c[alpha] = Fraction(1)
         mult[alpha] = 1
+        support[1].append((alpha, Fraction(1), _pairings(rows, alpha)))
     for height in range(2, cutoff + 1):
-        for beta in _compositions(height, n):
-            numerator = Fraction(0)
-            ranges = [range(b + 1) for b in beta]
-            for part in itertools.product(*ranges):
-                if not any(part) or part == beta:
-                    continue
-                rest = tuple(b - p for b, p in zip(beta, part))
-                cp = c.get(part)
-                cr = c.get(rest)
-                if cp and cr:
-                    numerator += _dot(gcm, part, rest) * cp * cr
+        sums: dict[Coeffs, Fraction] = {}
+        for low in range(1, height):
+            for gamma, c_gamma, gamma_pair in support[low]:
+                for delta, c_delta, _ in support[height - low]:
+                    beta = tuple(g + d for g, d in zip(gamma, delta))
+                    pairing = sum(d * p for d, p in zip(delta, gamma_pair))
+                    sums[beta] = sums.get(beta, 0) + pairing * c_gamma * c_delta
+        found = []
+        for beta in sorted(sums):
+            numerator = sums[beta]
             divisor_part = Fraction(0)
             for k in range(2, height + 1):
                 if all(b % k == 0 for b in beta):
                     sub = tuple(b // k for b in beta)
                     divisor_part += Fraction(mult.get(sub, 0), k)
-            denominator = _dot(gcm, beta, beta) - 2 * height
+            beta_pair = _pairings(rows, beta)
+            denominator = sum(b * p for b, p in zip(beta, beta_pair)) - 2 * height
             if denominator:
                 c_beta = numerator / denominator
             elif numerator:
@@ -160,10 +157,11 @@ def _peterson_roots(gcm: GCM, cutoff: int) -> list[tuple[Coeffs, int]]:
             if m.denominator != 1 or m < 0:
                 raise InternalCheckError(f"non-integral root multiplicity at {beta}")
             if c_beta:
-                c[beta] = c_beta
+                found.append((beta, c_beta, beta_pair))
             if m:
                 mult[beta] = int(m)
-    return sorted(((b, m) for b, m in mult.items() if m > 0), key=lambda t: (sum(t[0]), t[0]))
+        support.append(found)
+    return sorted(mult.items(), key=lambda t: (sum(t[0]), t[0]))
 
 
 @dataclass(frozen=True)
@@ -339,7 +337,7 @@ def predicted_component_count(q: Quiver, v: DimVector, w: DimVector) -> int:
     """What the top-homology geometry would produce: the weight multiplicity
     at the drop v below the highest weight w.  Freudenthal at v only uses
     roots below v, so the root height cutoff is the height of v."""
-    if w.vertices != v.vertices:
-        raise DomainError("highest weight and drop over mismatched vertex sets")
+    if not q.vertices == v.vertices == w.vertices:
+        raise DomainError("quiver, drop and highest weight over mismatched vertex sets")
     roots = roots_for_quiver(q, v.total())
     return MultiplicitySession(roots, w.values).multiplicity(v.values)

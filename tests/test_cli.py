@@ -105,18 +105,29 @@ def test_weight_mult(capsys):
     assert report["result"]["finite_type"] is True
 
 
-def test_weight_mult_affine_triangle(capsys):
-    # the framing rewrite of the A2 setup; the root height comes from the drop
-    q, _, w = ade_minimal_resolution_setup("A2")
-    triangle = json.dumps(formats.quiver_to_json(cb_transform(q, w)[0]))
+@pytest.mark.parametrize(
+    "label, dim_v, multiplicity, cutoff",
+    [
+        pytest.param("A2", '{"1": 1, "2": 1, "inf": 1}', 2, 3, id="triangle"),
+        pytest.param(
+            "E6", '{"1": 1, "2": 2, "3": 2, "4": 3, "5": 2, "6": 1, "inf": 1}', 6, 12, id="affine-E6"
+        ),
+    ],
+)
+def test_weight_mult_affine_triangle(capsys, label, dim_v, multiplicity, cutoff):
+    # the framing rewrite of an ADE setup at the drop delta; the root height
+    # comes from the drop
+    q, _, w = ade_minimal_resolution_setup(label)
+    affine = json.dumps(formats.quiver_to_json(cb_transform(q, w)[0]))
     code, report = run_cli(
-        capsys, "weight-mult", "--quiver", triangle,
-        "--dim-v", '{"1": 1, "2": 1, "inf": 1}', "--dim-w", '{"inf": 1}',
+        capsys, "weight-mult", "--quiver", affine, "--dim-v", dim_v, "--dim-w", '{"inf": 1}',
     )
     assert code == 0
-    assert report["result"]["multiplicity"] == 2
+    assert set(report) == {"command", "version", "inputs", "result"}
+    assert set(report["result"]) == {"multiplicity", "weight", "finite_type", "cutoff"}
+    assert report["result"]["multiplicity"] == multiplicity
     assert report["result"]["finite_type"] is False
-    assert report["result"]["cutoff"] == 3
+    assert report["result"]["cutoff"] == cutoff
 
 
 A2_QUIVER = '{"vertices": ["1", "2"], "arrows": [{"name": "a", "from": "1", "to": "2"}]}'

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +22,7 @@ from quivex.quiver import (
     Quiver,
     ade_minimal_resolution_setup,
     cartan_matrix,
+    cb_extend_dim,
     cb_transform,
     d_of,
 )
@@ -122,35 +125,147 @@ def test_affine_root_multiplicities_by_peterson():
     assert (2, 0) not in table and (3, 1) not in table
 
 
+def compositions(total, parts):
+    """Every vector of ``parts`` nonnegative entries summing to ``total``, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def affine_rewrite_gcm(label):
+    """The Cartan matrix of the framing rewrite of an ADE setup."""
+    q, _, w = ade_minimal_resolution_setup(label)
+    return cartan_matrix(cb_transform(q, w)[0])
+
+
 def affine_roots_from_norm(gcm, cutoff):
     """Independent oracle for untwisted affine simply-laced type: positive
     vectors of norm 2 are the real roots (multiplicity 1), those of norm 0
-    the multiples of delta (multiplicity the rank of the finite type)."""
+    the multiples of delta (multiplicity the rank of the finite type).  The
+    vectors are enumerated by height, not over the whole cube."""
     n = len(gcm)
     roots = {}
-    for beta in itertools.product(range(cutoff + 1), repeat=n):
-        if not any(beta) or sum(beta) > cutoff:
-            continue
-        norm = sum(beta[i] * gcm[i][j] * beta[j] for i in range(n) for j in range(n))
-        if norm in (0, 2):
-            roots[beta] = 1 if norm == 2 else n - 1
+    for height in range(1, cutoff + 1):
+        for beta in compositions(height, n):
+            norm = form(gcm, beta, beta)
+            if norm in (0, 2):
+                roots[beta] = 1 if norm == 2 else n - 1
     return roots
 
 
 @pytest.mark.parametrize(
     "label,cutoff,delta_mults",
-    [("A2", 6, {(1, 1, 1): 2, (2, 2, 2): 2}), ("D4", 8, {(1, 2, 1, 1, 1): 4})],
+    [
+        ("A2", 6, {(1, 1, 1): 2, (2, 2, 2): 2}),
+        ("D4", 8, {(1, 2, 1, 1, 1): 4}),
+        ("E6", 12, {(1, 2, 2, 3, 2, 1, 1): 6}),
+    ],
 )
 def test_affine_roots_past_zero_pivots(label, cutoff, delta_mults):
     # (beta, beta) = 2 ht(beta) at twice a real root, e.g. 2(alpha_1 + alpha_2)
     # on the triangle: Peterson's pivot vanishes there and c_beta is the
     # divisor part alone
-    q, _, w = ade_minimal_resolution_setup(label)
-    affine, _ = cb_transform(q, w)
-    gcm = cartan_matrix(affine)
+    gcm = affine_rewrite_gcm(label)
     table = dict(root_multiplicities(gcm, cutoff).positive_roots)
     assert table == affine_roots_from_norm(gcm, cutoff)
     assert {beta: m for beta, m in table.items() if m > 1} == delta_mults
+
+
+def composition_peterson_roots(gcm, cutoff):
+    """Peterson's recursion over every composition beta of each height and
+    every part of beta's box: the reference for the sum over support pairs
+    in ``kacmoody._peterson_roots``."""
+    n = len(gcm)
+    c = {}
+    mult = {}
+    for i in range(n):
+        alpha = tuple(1 if j == i else 0 for j in range(n))
+        c[alpha] = Fraction(1)
+        mult[alpha] = 1
+    for height in range(2, cutoff + 1):
+        for beta in compositions(height, n):
+            numerator = Fraction(0)
+            for part in itertools.product(*(range(b + 1) for b in beta)):
+                if not any(part) or part == beta:
+                    continue
+                rest = tuple(b - p for b, p in zip(beta, part))
+                if c.get(part) and c.get(rest):
+                    numerator += form(gcm, part, rest) * c[part] * c[rest]
+            divisor_part = Fraction(0)
+            for k in range(2, height + 1):
+                if all(b % k == 0 for b in beta):
+                    divisor_part += Fraction(mult.get(tuple(b // k for b in beta), 0), k)
+            denominator = form(gcm, beta, beta) - 2 * height
+            if denominator:
+                c_beta = numerator / denominator
+            else:
+                assert not numerator, beta
+                c_beta = divisor_part
+            m = c_beta - divisor_part
+            assert m.denominator == 1 and m >= 0, beta
+            if c_beta:
+                c[beta] = c_beta
+            if m:
+                mult[beta] = int(m)
+    return sorted(mult.items(), key=lambda t: (sum(t[0]), t[0]))
+
+
+def random_non_finite_gcms(count, seed):
+    """Seeded symmetric GCMs of rank 2-5 with off-diagonal entries in
+    {0, -1, -2}, keeping the ones not of finite type (affine, hyperbolic and
+    beyond, connected or not)."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        n = rng.randint(2, 5)
+        gcm = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                gcm[i][j] = gcm[j][i] = rng.choice((0, -1, -2))
+        gcm = tuple(map(tuple, gcm))
+        if not is_finite_type(gcm):
+            found.append(gcm)
+    return found
+
+
+# the top cutoff per rank keeps the reference's box walk to about a second
+RANDOM_CUTOFFS = {2: 10, 3: 7, 4: 6, 5: 5}
+
+
+@pytest.mark.parametrize(
+    "gcm,top",
+    [
+        pytest.param(((2, -2), (-2, 2)), 12, id="rank2-minus2"),
+        pytest.param(((2, -3), (-3, 2)), 12, id="rank2-minus3"),
+        pytest.param(affine_rewrite_gcm("A2"), 8, id="triangle"),
+        pytest.param(affine_rewrite_gcm("D4"), 10, id="affine-D4"),
+    ]
+    + [
+        pytest.param(gcm, RANDOM_CUTOFFS[len(gcm)], id=f"random-{k}")
+        for k, gcm in enumerate(random_non_finite_gcms(40, 0))
+    ],
+)
+def test_peterson_roots_match_composition_reference(gcm, top):
+    reference = composition_peterson_roots(gcm, top)
+    for cutoff in range(1, top + 1):
+        expected = [(beta, m) for beta, m in reference if sum(beta) <= cutoff]
+        assert list(root_multiplicities(gcm, cutoff).positive_roots) == expected, cutoff
+
+
+@pytest.mark.parametrize("label,n,expected", [("D4", 1, 4), ("E6", 1, 6), ("E7", 1, 7), ("D4", 2, 14)])
+def test_basic_representation_multiplicities(label, n, expected):
+    # Frenkel-Kac: in the basic representation L(Lambda_0) of an untwisted
+    # affine simply-laced algebra of rank l, mult(Lambda_0 - delta) = l and
+    # mult(Lambda_0 - 2 delta) = l(l + 3)/2
+    q, v, w = ade_minimal_resolution_setup(label)
+    affine, infinity = cb_transform(q, w)
+    delta = cb_extend_dim(v, affine, infinity)
+    drop = DimVector(affine.vertices, tuple(n * d for d in delta.values))
+    assert predicted_component_count(affine, drop, DimVector.of(affine, {infinity: 1})) == expected
 
 
 def test_sl2_weight_multiplicities():
@@ -277,6 +392,10 @@ def test_mismatched_vertex_sets_rejected():
     jordan = Quiver(["1"], [Arrow("l", "1", "1")])
     with pytest.raises(DomainError, match="mismatched vertex sets"):
         predicted_component_count(jordan, DimVector(("1",), (1,)), DimVector(("2",), (1,)))
+    # v and w agree with each other but not with the quiver
+    xy = DimVector(("x", "y"), (1, 1))
+    with pytest.raises(DomainError, match="mismatched vertex sets"):
+        predicted_component_count(q, xy, xy)
 
 
 class RecursiveReference:
