@@ -173,12 +173,12 @@ def _cmd_weight_mult(args) -> int:
     q = formats.quiver_from_json(inputs.json_arg("quiver", args.quiver))
     v = formats.dimvec_from_json(q, inputs.json_arg("dimV", args.dim_v))
     w = formats.dimvec_from_json(q, inputs.json_arg("dimW", args.dim_w))
-    roots = kacmoody.roots_for_quiver(q, v.total())
+    multiplicity, cutoff = kacmoody.weight_multiplicity(q, v, w)
     result = {
-        "multiplicity": kacmoody.MultiplicitySession(roots, w.values).multiplicity(v.values),
+        "multiplicity": multiplicity,
         "weight": {"highest": w.as_dict(), "drop": v.as_dict()},
-        "finite_type": roots.finite,
-        "cutoff": roots.cutoff,
+        "finite_type": cutoff is None,
+        "cutoff": cutoff,
     }
     return _emit(args.command, inputs=inputs.records, result=result)
 

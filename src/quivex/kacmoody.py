@@ -2,15 +2,17 @@
 attached to a loop-free quiver.
 
 Positive roots come from exact reflection enumeration in finite type and
-otherwise from Peterson's recursion up to a height cutoff, which sums only
-over the pairs whose coefficients it has already found nonzero.  In finite
-type the simple roots are closed under the raising reflections only, s_i
-where the pairing with alpha_i is negative, which reach every positive root
-and no negative one.  Weight multiplicities of the integrable highest-weight
-module come from Freudenthal's formula on dominant weights only:
-multiplicities are invariant under the Weyl group, so each drop is reduced to
-the dominant drop of its orbit, and the dominant drops a query needs are
-evaluated from a worklist in order of height, with no recursion.
+otherwise from Peterson's recursion up to a height cutoff, which sums once
+over each unordered pair whose coefficients it has already found nonzero;
+a single multiplicity at the drop v builds only the roots in the box of v,
+all that Freudenthal at v reads.  In finite type the simple roots are closed
+under the raising reflections only, s_i where the pairing with alpha_i is
+negative, which reach every positive root and no negative one.  Weight
+multiplicities of the integrable highest-weight module come from
+Freudenthal's formula on dominant weights only: multiplicities are invariant
+under the Weyl group, so each drop is reduced to the dominant drop of its
+orbit, and the dominant drops a query needs are evaluated from a worklist in
+order of height, with no recursion.
 
 The Cartan matrix is walked as sparse rows, the (column, entry) pairs with a
 nonzero entry; it is symmetric, so a row is also a column.  The finite
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import add, le, mul, sub
 
 from .errors import CutoffError, DomainError, InternalCheckError, InvalidCartanError
 from .quiver import DimVector, Quiver, cartan_matrix, chi
@@ -107,46 +111,56 @@ def _finite_positive_roots(gcm: GCM) -> list[tuple[Coeffs, int]]:
     return [(b, 1) for b in sorted(seen, key=lambda b: (sum(b), b))]
 
 
-def _peterson_roots(gcm: GCM, cutoff: int) -> list[tuple[Coeffs, int]]:
+def _peterson_roots(gcm: GCM, cutoff: int, box: Coeffs | None = None) -> list[tuple[Coeffs, int]]:
     """Root multiplicities up to the height cutoff by Peterson's recursion
     (Kac, *Infinite-dimensional Lie algebras*, Ex. 11.11) on the coefficients
     c_beta = sum over divisors k of mult(beta/k)/k:
     ((beta, beta) - 2 ht(beta)) c_beta = sum over gamma + delta = beta of
-    (gamma, delta) c_gamma c_delta.  Each height sums over the ordered pairs
-    from the support (the beta found with c_beta != 0) at heights l and h - l,
-    keyed by gamma + delta, and only those keys get a c.  That is complete:
-    c_beta != 0 needs a nonzero sum, which has such a pair, or a nonzero
-    divisor part, and then beta = k gamma = gamma + (k - 1) gamma with
-    c_gamma >= mult(gamma) > 0 and c_{(k-1) gamma} >= mult(gamma)/(k - 1) > 0."""
+    (gamma, delta) c_gamma c_delta.  Each height sums over the unordered pairs
+    from the support (the beta found with c_beta != 0) at heights l <= h - l,
+    weight 2 off the diagonal, keyed by gamma + delta, and only those keys get
+    a c.  That is complete: c_beta != 0 needs a nonzero sum, which has such a
+    pair, or a nonzero divisor part, and then beta = k gamma = gamma + (k - 1)
+    gamma with c_gamma >= mult(gamma) > 0 and c_{(k-1) gamma} >=
+    mult(gamma)/(k - 1) > 0.  With a box, a sum outside it gets no key: both
+    parts of a pair summing to beta, and beta/k, are <= beta, so that loses
+    nothing inside the box."""
     rows = _sparse_rows(gcm)
     n = len(gcm)
     mult: dict[Coeffs, int] = {}
-    # support[h]: (beta, c_beta, pairings of beta) at height h with c_beta != 0
-    support: list[list[tuple[Coeffs, Fraction, Coeffs]]] = [[], []]
+    # support[h]: (beta, c_beta, pairings of beta) at height h with c_beta != 0;
+    # an integral c_beta is kept as an int, whose products are cheaper
+    support: list[list[tuple[Coeffs, Fraction | int, Coeffs]]] = [[], []]
     for i in range(n):
-        alpha = tuple(1 if j == i else 0 for j in range(n))
-        mult[alpha] = 1
-        support[1].append((alpha, Fraction(1), _pairings(rows, alpha)))
+        if box is None or box[i]:
+            alpha = tuple(1 if j == i else 0 for j in range(n))
+            mult[alpha] = 1
+            support[1].append((alpha, 1, _pairings(rows, alpha)))
     for height in range(2, cutoff + 1):
-        sums: dict[Coeffs, Fraction] = {}
-        for low in range(1, height):
-            for gamma, c_gamma, gamma_pair in support[low]:
-                for delta, c_delta, _ in support[height - low]:
-                    beta = tuple(g + d for g, d in zip(gamma, delta))
-                    pairing = sum(d * p for d, p in zip(delta, gamma_pair))
-                    sums[beta] = sums.get(beta, 0) + pairing * c_gamma * c_delta
+        sums: dict[Coeffs, Fraction | int] = {}
+        for low in range(1, height // 2 + 1):
+            for a, (gamma, c_gamma, gamma_pair) in enumerate(support[low]):
+                partners = support[height - low]
+                if 2 * low == height:
+                    partners = partners[a:]  # gamma itself, then the later ones
+                twice = 2 * c_gamma
+                for delta, c_delta, _ in partners:
+                    beta = tuple(map(add, gamma, delta))
+                    if box is None or all(map(le, beta, box)):
+                        term = sum(map(mul, delta, gamma_pair)) * c_delta
+                        sums[beta] = sums.get(beta, 0) + term * (c_gamma if delta is gamma else twice)
         found = []
         for beta in sorted(sums):
             numerator = sums[beta]
-            divisor_part = Fraction(0)
-            for k in range(2, height + 1):
-                if all(b % k == 0 for b in beta):
-                    sub = tuple(b // k for b in beta)
-                    divisor_part += Fraction(mult.get(sub, 0), k)
+            divisor_part = 0
+            common = gcd(*beta)
+            for k in range(2, common + 1):
+                if common % k == 0:
+                    divisor_part += Fraction(mult.get(tuple(b // k for b in beta), 0), k)
             beta_pair = _pairings(rows, beta)
-            denominator = sum(b * p for b, p in zip(beta, beta_pair)) - 2 * height
+            denominator = sum(map(mul, beta, beta_pair)) - 2 * height
             if denominator:
-                c_beta = numerator / denominator
+                c_beta = Fraction(numerator, denominator)
             elif numerator:
                 raise InternalCheckError("Peterson recursion hit a zero pivot with nonzero sum")
             else:
@@ -157,7 +171,7 @@ def _peterson_roots(gcm: GCM, cutoff: int) -> list[tuple[Coeffs, int]]:
             if m.denominator != 1 or m < 0:
                 raise InternalCheckError(f"non-integral root multiplicity at {beta}")
             if c_beta:
-                found.append((beta, c_beta, beta_pair))
+                found.append((beta, int(c_beta) if c_beta.denominator == 1 else c_beta, beta_pair))
             if m:
                 mult[beta] = int(m)
         support.append(found)
@@ -183,12 +197,18 @@ class RootSystemData:
 
 
 def root_multiplicities(gcm: GCM, cutoff: int = 1) -> RootSystemData:
+    return _root_system(gcm, cutoff)
+
+
+def _root_system(gcm: GCM, cutoff: int, box: Coeffs | None = None) -> RootSystemData:
+    """Outside finite type, with a box, only the roots in it: such data answers
+    only drops in the box, so it is never handed to a caller."""
     validate_gcm(gcm)
     if cutoff < 1:
         raise DomainError("height cutoff must be at least 1")
     if is_finite_type(gcm):
         return RootSystemData(gcm, tuple(_finite_positive_roots(gcm)), True, None)
-    return RootSystemData(gcm, tuple(_peterson_roots(gcm, cutoff)), False, cutoff)
+    return RootSystemData(gcm, tuple(_peterson_roots(gcm, cutoff, box)), False, cutoff)
 
 
 class MultiplicitySession:
@@ -226,19 +246,21 @@ class MultiplicitySession:
         self._memo: dict[Coeffs, int] = {(0,) * roots.rank: 1}
 
     def multiplicity(self, drop: Coeffs) -> int:
-        if len(drop) != self.roots.rank:
+        if len(drop) != len(self.highest):
             raise DomainError("weight drop has the wrong rank")
-        if any(d < 0 for d in drop):
+        if drop and min(drop) < 0:
             return 0
-        height = sum(drop)
-        if not self.roots.finite and height > self.roots.cutoff:
+        if not self.roots.finite and sum(drop) > self.roots.cutoff:
             raise CutoffError(
-                f"weight at height {height} exceeds the root cutoff {self.roots.cutoff}; "
+                f"weight at height {sum(drop)} exceeds the root cutoff {self.roots.cutoff}; "
                 "rebuild the root system with a larger cutoff"
             )
         target = self._dominant(drop, self._coroot_values(drop))
         if target is None:
             return 0
+        known = self._memo.get(target)
+        if known is not None:
+            return known
         pending: dict[Coeffs, dict[Coeffs, int]] = {}
         worklist = [target]
         while worklist:
@@ -253,9 +275,9 @@ class MultiplicitySession:
     def _coroot_values(self, drop: Coeffs) -> list[int]:
         """c_i = w_i - (C drop)_i, the value of the weight on the coroot i."""
         values = list(self.highest)
-        for j, d in enumerate(drop):
+        for d, row in zip(drop, self._rows):
             if d:
-                for i, g in self._rows[j]:
+                for i, g in row:
                     values[i] -= g * d
         return values
 
@@ -265,20 +287,18 @@ class MultiplicitySession:
         weight (multiplicity 0).  Each reflection lowers the height, so the
         loop ends.  ``values`` holds the coroot values of ``drop`` and is
         updated in place; a reflection at i changes only the values on the
-        columns of row i."""
+        columns of row i.  The order of the reflections changes neither the
+        dominant drop nor the None verdict, so the least value picks one."""
         rows = self._rows
         reduced = list(drop)
-        while True:
-            for i, c in enumerate(values):
-                if c < 0:
-                    break
-            else:
-                return tuple(reduced)
+        while values and (c := min(values)) < 0:
+            i = values.index(c)
             reduced[i] += c
             if reduced[i] < 0:
                 return None
             for j, g in rows[i]:
                 values[j] -= g * c
+        return tuple(reduced)
 
     def _freudenthal_terms(self, drop: Coeffs) -> dict[Coeffs, int]:
         """Freudenthal's sum at a dominant drop as {dominant drop: coefficient};
@@ -287,19 +307,20 @@ class MultiplicitySession:
         values = self._coroot_values(drop)
         terms: dict[Coeffs, int] = {}
         for alpha, alpha_mult, alpha_pair, norm, highest_alpha in self._root_table:
-            if any(a > d for a, d in zip(alpha, drop)):
+            if not all(map(le, alpha, drop)):
                 continue
-            drop_alpha = sum(d * p for d, p in zip(drop, alpha_pair))
-            k = 1
+            # at drop - k alpha: mult(alpha) ((highest, alpha) - (drop, alpha) + k (alpha, alpha))
+            coefficient = alpha_mult * (highest_alpha - sum(map(mul, drop, alpha_pair)))
+            shifted, shifted_values = drop, values
             while True:
-                shifted = tuple(d - k * a for d, a in zip(drop, alpha))
-                if any(s < 0 for s in shifted):
+                shifted = tuple(map(sub, shifted, alpha))
+                if min(shifted) < 0:
                     break
-                key = self._dominant(shifted, [c + k * p for c, p in zip(values, alpha_pair)])
+                shifted_values = list(map(add, shifted_values, alpha_pair))
+                coefficient += alpha_mult * norm
+                key = self._dominant(shifted, shifted_values.copy())
                 if key is not None:
-                    coefficient = alpha_mult * (highest_alpha - drop_alpha + k * norm)
                     terms[key] = terms.get(key, 0) + coefficient
-                k += 1
         return terms
 
     def _evaluate(self, drop: Coeffs, terms: dict[Coeffs, int]) -> int:
@@ -316,9 +337,13 @@ class MultiplicitySession:
 
 
 def roots_for_quiver(q: Quiver, height: int) -> RootSystemData:
+    return _root_system(_quiver_gcm(q), max(1, height))
+
+
+def _quiver_gcm(q: Quiver) -> GCM:
     if q.has_edge_loops:
         raise InvalidCartanError("quiver has edge loops; no Kac-Moody algebra attached here")
-    return root_multiplicities(cartan_matrix(q), max(1, height))
+    return cartan_matrix(q)
 
 
 def h_eigenvalue(q: Quiver, v: DimVector, w: DimVector, i: str) -> int:
@@ -336,8 +361,16 @@ def h_eigenvalue(q: Quiver, v: DimVector, w: DimVector, i: str) -> int:
 def predicted_component_count(q: Quiver, v: DimVector, w: DimVector) -> int:
     """What the top-homology geometry would produce: the weight multiplicity
     at the drop v below the highest weight w.  Freudenthal at v only uses
-    roots below v, so the root height cutoff is the height of v."""
+    roots below v, so the root height cutoff is the height of v, and only the
+    roots in the box of v are built."""
+    return weight_multiplicity(q, v, w)[0]
+
+
+def weight_multiplicity(q: Quiver, v: DimVector, w: DimVector) -> tuple[int, int | None]:
+    """The multiplicity at the drop v below the highest weight w, and the root
+    height cutoff: max(1, height of v), or None in finite type.  Dominant
+    reduction only shrinks a drop, so the roots in the box of v are enough."""
     if not q.vertices == v.vertices == w.vertices:
         raise DomainError("quiver, drop and highest weight over mismatched vertex sets")
-    roots = roots_for_quiver(q, v.total())
-    return MultiplicitySession(roots, w.values).multiplicity(v.values)
+    roots = _root_system(_quiver_gcm(q), max(1, v.total()), v.values)
+    return MultiplicitySession(roots, w.values).multiplicity(v.values), roots.cutoff

@@ -106,19 +106,25 @@ def test_weight_mult(capsys):
 
 
 @pytest.mark.parametrize(
-    "label, dim_v, multiplicity, cutoff",
+    "label, factor, dim_v, multiplicity, cutoff",
     [
-        pytest.param("A2", '{"1": 1, "2": 1, "inf": 1}', 2, 3, id="triangle"),
+        pytest.param("A2", 1, '{"1": 1, "2": 1, "inf": 1}', 2, 3, id="triangle"),
         pytest.param(
-            "E6", '{"1": 1, "2": 2, "3": 2, "4": 3, "5": 2, "6": 1, "inf": 1}', 6, 12, id="affine-E6"
+            "E6", 1, '{"1": 1, "2": 2, "3": 2, "4": 3, "5": 2, "6": 1, "inf": 1}', 6, 12, id="affine-E6"
+        ),
+        pytest.param(
+            "E6", 2, '{"1": 2, "2": 4, "3": 4, "4": 6, "5": 4, "6": 2, "inf": 1}', 36, 23, id="E6x2-rewrite"
         ),
     ],
 )
-def test_weight_mult_affine_triangle(capsys, label, dim_v, multiplicity, cutoff):
-    # the framing rewrite of an ADE setup at the drop delta; the root height
-    # comes from the drop
+def test_weight_mult_affine_triangle(capsys, label, factor, dim_v, multiplicity, cutoff):
+    # the framing rewrite of an ADE setup with w scaled by factor, at the
+    # drop delta (factor 1) or at 2v + e_inf (factor 2, the hyperbolic
+    # rewrite, whose multiplicity is the finite one at 2v below 2w); the root
+    # height comes from the drop
     q, _, w = ade_minimal_resolution_setup(label)
-    affine = json.dumps(formats.quiver_to_json(cb_transform(q, w)[0]))
+    scaled = DimVector(w.vertices, tuple(factor * x for x in w.values))
+    affine = json.dumps(formats.quiver_to_json(cb_transform(q, scaled)[0]))
     code, report = run_cli(
         capsys, "weight-mult", "--quiver", affine, "--dim-v", dim_v, "--dim-w", '{"inf": 1}',
     )

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from quivex import kacmoody
 from quivex.errors import CutoffError, DomainError, InvalidCartanError
 from quivex.kacmoody import (
     MultiplicitySession,
@@ -175,19 +176,23 @@ def test_affine_roots_past_zero_pivots(label, cutoff, delta_mults):
     assert {beta: m for beta, m in table.items() if m > 1} == delta_mults
 
 
-def composition_peterson_roots(gcm, cutoff):
+def composition_peterson_roots(gcm, cutoff, box=None):
     """Peterson's recursion over every composition beta of each height and
     every part of beta's box: the reference for the sum over support pairs
-    in ``kacmoody._peterson_roots``."""
+    in ``kacmoody._peterson_roots``.  Given a box, it walks only the
+    compositions in it; each one reads only its own parts, which are in it."""
     n = len(gcm)
     c = {}
     mult = {}
     for i in range(n):
         alpha = tuple(1 if j == i else 0 for j in range(n))
-        c[alpha] = Fraction(1)
-        mult[alpha] = 1
+        if box is None or box[i]:
+            c[alpha] = Fraction(1)
+            mult[alpha] = 1
     for height in range(2, cutoff + 1):
         for beta in compositions(height, n):
+            if box is not None and any(b > m for b, m in zip(beta, box)):
+                continue
             numerator = Fraction(0)
             for part in itertools.product(*(range(b + 1) for b in beta)):
                 if not any(part) or part == beta:
@@ -254,6 +259,85 @@ def test_peterson_roots_match_composition_reference(gcm, top):
     for cutoff in range(1, top + 1):
         expected = [(beta, m) for beta, m in reference if sum(beta) <= cutoff]
         assert list(root_multiplicities(gcm, cutoff).positive_roots) == expected, cutoff
+
+
+def scaled_rewrite(label, factor):
+    """The framing rewrite of an ADE setup with v and w scaled by ``factor``:
+    the rewritten quiver, the drop v + e_inf and the highest weight
+    Lambda_inf.  At factor 2 the rewrite has two arrows into some vertex, so
+    it is not of finite or affine type."""
+    q, v, w = ade_minimal_resolution_setup(label)
+    affine, infinity = cb_transform(q, DimVector(w.vertices, tuple(factor * x for x in w.values)))
+    drop = cb_extend_dim(DimVector(v.vertices, tuple(factor * x for x in v.values)), affine, infinity)
+    return affine, drop, DimVector.of(affine, {infinity: 1})
+
+
+def in_box(beta, box):
+    return all(b <= m for b, m in zip(beta, box))
+
+
+def test_box_reference_is_the_reference_restricted_to_the_box():
+    gcm = affine_rewrite_gcm("D4")
+    for box in ((1, 2, 1, 1, 1), (2, 1, 0, 1, 2)):
+        full = composition_peterson_roots(gcm, sum(box))
+        expected = [(beta, m) for beta, m in full if in_box(beta, box)]
+        assert composition_peterson_roots(gcm, sum(box), box) == expected, box
+
+
+@pytest.mark.parametrize(
+    "label,factor,scale",
+    [pytest.param("D4", 1, 2, id="affine-D4-2delta"), pytest.param("D4", 2, 1, id="D4x2-rewrite")],
+)
+def test_box_roots_match_composition_reference(label, factor, scale):
+    # the box of the drop of the rewrite, times scale
+    affine, drop, _ = scaled_rewrite(label, factor)
+    box = tuple(scale * d for d in drop.values)
+    gcm = cartan_matrix(affine)
+    roots = kacmoody._root_system(gcm, sum(box), box)
+    assert not roots.finite and roots.cutoff == sum(box)
+    assert list(roots.positive_roots) == composition_peterson_roots(gcm, sum(box), box)
+
+
+@pytest.mark.parametrize(
+    "gcm", [pytest.param(gcm, id=f"random-{k}") for k, gcm in enumerate(random_non_finite_gcms(10, 1))]
+)
+def test_random_box_roots_match_composition_reference(gcm):
+    # boxes with zero entries leave some simple roots out
+    rng = random.Random(len(gcm) + sum(map(sum, gcm)))
+    box = tuple(rng.randint(0, 3) for _ in gcm)
+    roots = kacmoody._root_system(gcm, max(1, sum(box)), box)
+    assert list(roots.positive_roots) == composition_peterson_roots(gcm, sum(box), box)
+
+
+@pytest.mark.parametrize("label,count", [("D4", 12), ("D5", 20), ("E6", 36)])
+def test_doubled_rewrite_multiplicity_is_the_finite_count(label, count):
+    # Crawley-Boevey (2001): the multiplicity of the framing rewrite at
+    # v + e_inf in L(Lambda_inf) is the one at v in L(w); with v and w
+    # doubled the rewrite is hyperbolic, and its roots are built on the box
+    # of the drop alone
+    q, v, w = ade_minimal_resolution_setup(label)
+    doubled_v = DimVector(v.vertices, tuple(2 * x for x in v.values))
+    doubled_w = DimVector(w.vertices, tuple(2 * x for x in w.values))
+    assert predicted_component_count(q, doubled_v, doubled_w) == count
+    affine, drop, highest = scaled_rewrite(label, 2)
+    assert not is_finite_type(cartan_matrix(affine))
+    assert predicted_component_count(affine, drop, highest) == count
+    assert kacmoody.weight_multiplicity(affine, drop, highest) == (count, drop.total())
+
+
+def test_count_builds_only_the_roots_in_the_box(monkeypatch):
+    built = []
+    peterson = kacmoody._peterson_roots
+
+    def recording(*args):
+        built.append(peterson(*args))
+        return built[-1]
+
+    monkeypatch.setattr(kacmoody, "_peterson_roots", recording)
+    affine, drop, highest = scaled_rewrite("D4", 2)
+    assert predicted_component_count(affine, drop, highest) == 12
+    [roots] = built
+    assert roots and all(in_box(beta, drop.values) for beta, _ in roots)
 
 
 @pytest.mark.parametrize("label,n,expected", [("D4", 1, 4), ("E6", 1, 6), ("E7", 1, 7), ("D4", 2, 14)])
@@ -509,6 +593,55 @@ def test_cartan_entry_minus_two_matches_recursive_reference(make_quiver):
         values = [session.multiplicity(d) for d in drops]
         assert values == [reference.multiplicity(d) for d in drops], highest
         assert_dominant_memo(session)
+
+
+def first_negative_dominant(gcm, highest, drop):
+    """Dominant reduction that reflects at the first negative coroot value,
+    recomputing every value from the Cartan matrix: the reference for the
+    least-value order of ``MultiplicitySession._dominant``."""
+    reduced = list(drop)
+    while True:
+        values = [h - sum(g * d for g, d in zip(row, reduced)) for h, row in zip(highest, gcm)]
+        negative = [i for i, c in enumerate(values) if c < 0]
+        if not negative:
+            return tuple(reduced)
+        reduced[negative[0]] += values[negative[0]]
+        if reduced[negative[0]] < 0:
+            return None
+
+
+def dominant_reduction_cases():
+    """(quiver, highest weight, drops): the E6 adjoint box, the affine-D4
+    rewrite boxes of ``test_affine_rewrites_match_recursive_reference`` and
+    the box of the D4 x2 rewrite."""
+    q, v, w = ade_minimal_resolution_setup("E6")
+    yield q, w.values, list(itertools.product(*(range(2 * m + 1) for m in v.values)))
+    q, _, w = ade_minimal_resolution_setup("D4")
+    affine, _ = cb_transform(q, w)
+    drops = [d for d in itertools.product(range(3), repeat=5) if sum(d) <= 8]
+    for highest in itertools.product(range(2), repeat=5):
+        yield affine, highest, drops
+    rewrite, drop, highest = scaled_rewrite("D4", 2)
+    yield rewrite, highest.values, list(itertools.product(*(range(d + 1) for d in drop.values)))
+
+
+def test_dominant_reduction_is_order_independent():
+    verdicts = set()
+    for q, highest, drops in dominant_reduction_cases():
+        gcm = cartan_matrix(q)
+        session = MultiplicitySession(roots_for_quiver(q, 1), highest)
+        for drop in drops:
+            expected = first_negative_dominant(gcm, highest, drop)
+            assert session._dominant(drop, session._coroot_values(drop)) == expected, (highest, drop)
+            verdicts.add(expected is None)
+    assert verdicts == {True, False}
+
+
+def test_rank_zero_session():
+    session = MultiplicitySession(root_multiplicities(()), ())
+    assert session.multiplicity(()) == 1
+    with pytest.raises(DomainError, match="wrong rank"):
+        session.multiplicity((0,))
 
 
 def test_e6_adjoint_box_sum_is_the_dimension():
