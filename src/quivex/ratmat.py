@@ -386,12 +386,17 @@ def kernel_vectors(echelon: Echelon, cols: int, free: Sequence[int]) -> list[Rat
     return basis
 
 
+def _row_basis(m: RatMatrix) -> RatMatrix:
+    """Canonical ordered basis of the row space, as the rows of one matrix:
+    the nonzero rows of ``rref(m)``."""
+    reduced, pivots = rref(m)
+    return RatMatrix.from_integers(len(pivots), m.cols, reduced.nums[: len(pivots)], reduced.den)
+
+
 def column_space_echelon(m: RatMatrix) -> RatMatrix:
     """Canonical ordered basis of the column space, as the columns of one
-    matrix: the nonzero rows of the row echelon form of the transpose."""
-    reduced, pivots = rref(m.transpose())
-    basis = RatMatrix.from_integers(len(pivots), m.rows, reduced.nums[: len(pivots)], reduced.den)
-    return basis.transpose()
+    matrix: the transposed ``_row_basis`` of the transpose."""
+    return _row_basis(m.transpose()).transpose()
 
 
 def solve_exact(a: RatMatrix, b: RatMatrix) -> RatMatrix:

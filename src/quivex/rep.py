@@ -100,34 +100,40 @@ class FramedRep:
         return f"FramedRep(dimV={self.dim_v.values}, dimW={self.dim_w.values})"
 
 
-def moment_map(x: FramedRep) -> GradedEndo:
-    """Per-vertex sum of eps(h) B_h B_hbar over arrows into the vertex, plus I J.
-
-    Each vertex takes one integer pass: every term with no zero factor adds
-    its integer product into one grid over the lcm of the term denominators,
-    and the grid becomes one matrix in lowest terms."""
+def _moment_grid(x: FramedRep, i: str) -> tuple[list[list[int]], int]:
+    """The moment map at vertex i: the integer products of its terms with no
+    zero factor, summed into one grid over the lcm of their denominators."""
     dq = x.dq
+    n = x.dim_v[i]
+    terms = [(dq.eps(a.name), x.B[a.name], x.B[dq.bar(a.name)]) for a in dq.arrows_into(i)]
+    terms.append((1, x.I[i], x.J[i]))
+    terms = [(e, l, r) for e, l, r in terms if not (l.is_zero or r.is_zero)]
+    den = lcm(*(l.den * r.den for _, l, r in terms))
+    grid = [[0] * n for _ in range(n)]
+    for e, l, r in terms:
+        k = e * (den // (l.den * r.den))
+        cols = list(zip(*r.nums))
+        for row, l_row in zip(grid, l.nums):
+            if any(l_row):
+                for j, c in enumerate(cols):
+                    row[j] += k * sum(map(mul, l_row, c))
+    return grid, den
+
+
+def moment_map(x: FramedRep) -> GradedEndo:
+    """Per-vertex sum of eps(h) B_h B_hbar over arrows into the vertex, plus
+    I J: each vertex's ``_moment_grid`` as one matrix in lowest terms."""
     blocks = {}
-    for i in dq.vertices:
-        n = x.dim_v[i]
-        terms = [(dq.eps(a.name), x.B[a.name], x.B[dq.bar(a.name)]) for a in dq.arrows_into(i)]
-        terms.append((1, x.I[i], x.J[i]))
-        terms = [(e, l, r) for e, l, r in terms if not (l.is_zero or r.is_zero)]
-        den = lcm(*(l.den * r.den for _, l, r in terms))
-        grid = [[0] * n for _ in range(n)]
-        for e, l, r in terms:
-            k = e * (den // (l.den * r.den))
-            cols = list(zip(*r.nums))
-            for row, l_row in zip(grid, l.nums):
-                if any(l_row):
-                    for j, c in enumerate(cols):
-                        row[j] += k * sum(map(mul, l_row, c))
-        blocks[i] = RatMatrix.from_integers(n, n, tuple(map(tuple, grid)), den)
+    for i in x.dq.vertices:
+        grid, den = _moment_grid(x, i)
+        blocks[i] = RatMatrix.from_integers(len(grid), len(grid), tuple(map(tuple, grid)), den)
     return GradedEndo(blocks)
 
 
 def is_flat(x: FramedRep) -> bool:
-    return moment_map(x).is_zero
+    """Whether each vertex's ``_moment_grid`` is zero, checked up to the first
+    nonzero one; no matrix is built."""
+    return not any(any(map(any, _moment_grid(x, i)[0])) for i in x.dq.vertices)
 
 
 def ensure_flat(x: FramedRep) -> None:

@@ -1,14 +1,15 @@
 """Sign-definite stability for framed representations.
 
-For an all-negative parameter, a flat point is stable exactly when the
-smallest invariant graded subspace over Im I is everything; one increasing
-fixed point computes it.  For an all-positive parameter, exactly when the
-largest invariant graded subspace inside Ker J vanishes.  That subspace is
-the annihilator of the smallest invariant subspace over Im J^T of the
-transposed point, so the same fixed point decides both signs.  Its
-dimensions alone give the verdict; the witness subspace is built on first
-read.  Mixed-sign parameters would require quantifying over invariant
-subspaces of every dimension vector and are rejected as unsupported.
+One increasing fixed point, ``_invariant_rows``, decides both signs: the
+smallest graded row space holding the rows of J and closed under
+R_j -> R_j B_a for every arrow a: i -> j.  It annihilates the largest
+invariant subspace inside Ker J, so for an all-positive parameter a flat
+point is stable exactly when every block has full rank.  On the transposed
+point it is the transpose of the smallest invariant subspace over Im I,
+which decides an all-negative parameter; only that side transposes.  The
+verdict reads ranks only; the witness subspace is built on first read.
+Mixed-sign parameters would require quantifying over invariant subspaces of
+every dimension vector and are rejected as unsupported.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import UnsupportedZetaError
+from .errors import QuiverMismatchError, UnsupportedZetaError
 from .quiver import DimVector, ZetaParam
-from .ratmat import RatMatrix, column_space_echelon, hstack, kernel_basis
+from .ratmat import RatMatrix, _row_basis, column_space_echelon, hstack, kernel_basis, vstack
 from .rep import FramedRep, ensure_flat, transpose
 from . import homext
 
@@ -42,59 +43,59 @@ class GradedSubspace:
         return all(m.cols == dim_v[v] for v, m in self.blocks.items())
 
 
-def max_invariant_in_kerJ(x: FramedRep) -> GradedSubspace:
-    """Largest graded subspace inside Ker J preserved by every arrow matrix.
-
-    It is the annihilator of ``min_invariant_over_imI(transpose(x))``:
-    (Ker J)^perp = Im J^T, and (S meet B_a^-1 S')^perp = S^perp + B_a^T S'^perp.
-    """
-    return _annihilator(min_invariant_over_imI(transpose(x)))
-
-
-def _annihilator(t: GradedSubspace) -> GradedSubspace:
-    """The orthogonal complement at each vertex, in canonical echelon form."""
-    return GradedSubspace(
-        {
-            i: column_space_echelon(hstack(kernel_basis(m.transpose()), rows=m.rows))
-            for i, m in t.blocks.items()
-        }
-    )
-
-
-def min_invariant_over_imI(x: FramedRep) -> GradedSubspace:
-    """Smallest graded subspace containing every Im I and preserved by B;
-    increasing fixed-point iteration.
-
-    Passes run over the vertices in order and recompute the stale ones. At
-    first every vertex with an arrow in is stale; a vertex becomes stale again
-    only when an in-neighbour grows after its last recomputation, so a loop
-    arrow i -> i keeps a grown i stale.  Each basis is the canonical echelon
-    form of its span, so the fixed point does not depend on the order of the
-    updates.
-    """
+def _invariant_rows(x: FramedRep) -> dict[str, RatMatrix]:
+    """The fixed point as the canonical row basis (the nonzero rows of the
+    RREF) at each vertex.  Passes run over the vertices in order and
+    recompute the stale ones: at first every vertex with an arrow out, later
+    a vertex only when an arrow target grew after its last recomputation, so
+    a loop arrow keeps a grown vertex stale.  The bases are canonical, so the
+    fixed point does not depend on the order of the updates."""
     dq = x.dq
-    basis = {i: column_space_echelon(x.I[i]) for i in dq.vertices}
-    stale = {a.target for a in dq.arrows}
+    rows = {i: _row_basis(x.J[i]) for i in dq.vertices}
+    stale = {a.source for a in dq.arrows}
     while stale:
         for i in dq.vertices:
             if i not in stale:
                 continue
             stale.discard(i)
-            pieces = [basis[i]] + [x.B[a.name] @ basis[a.source] for a in dq.arrows_into(i)]
-            new = column_space_echelon(hstack(pieces, rows=x.dim_v[i]))
-            if new.cols != basis[i].cols:
-                stale.update(a.target for a in dq.arrows_out_of(i))
-            basis[i] = new
-    return GradedSubspace(basis)
+            pieces = [rows[i]] + [rows[a.target] @ x.B[a.name] for a in dq.arrows_out_of(i)]
+            new = _row_basis(vstack(pieces, cols=x.dim_v[i]))
+            if new.rows != rows[i].rows:
+                stale.update(a.source for a in dq.arrows_into(i))
+            rows[i] = new
+    return rows
+
+
+def _annihilator(rows: dict[str, RatMatrix]) -> GradedSubspace:
+    """The common kernel of each row block, in canonical echelon form."""
+    return GradedSubspace(
+        {i: column_space_echelon(hstack(kernel_basis(r), rows=r.cols)) for i, r in rows.items()}
+    )
+
+
+def _transposed(rows: dict[str, RatMatrix]) -> GradedSubspace:
+    return GradedSubspace({i: r.transpose() for i, r in rows.items()})
+
+
+def max_invariant_in_kerJ(x: FramedRep) -> GradedSubspace:
+    """Largest graded subspace inside Ker J preserved by every arrow matrix:
+    (Ker J)^perp = rows of J, (S meet B_a^-1 S')^perp = S^perp + S'^perp B_a."""
+    return _annihilator(_invariant_rows(x))
+
+
+def min_invariant_over_imI(x: FramedRep) -> GradedSubspace:
+    """Smallest graded subspace containing every Im I and preserved by B: on
+    ``transpose(x)``, J is I^T and each arrow carries a reversed one's B^T."""
+    return _transposed(_invariant_rows(transpose(x)))
 
 
 class StabilityResult:
-    """A stability verdict.  ``stable`` reads only the dimensions of the fixed
+    """A stability verdict.  ``stable`` reads only the ranks of the fixed
     point; the witness is built on first read of ``witness`` and cached."""
 
-    def __init__(self, stable: bool, fixed_point: GradedSubspace, positive: bool):
+    def __init__(self, stable: bool, rows: dict[str, RatMatrix], positive: bool):
         self.stable = stable
-        self._fixed_point = fixed_point
+        self._rows = rows
         self._positive = positive
 
     @cached_property
@@ -104,7 +105,7 @@ class StabilityResult:
         parameter, the smallest one over Im I for a negative one."""
         if self.stable:
             return None
-        return _annihilator(self._fixed_point) if self._positive else self._fixed_point
+        return _annihilator(self._rows) if self._positive else _transposed(self._rows)
 
     @property
     def verdict(self) -> str:
@@ -116,8 +117,11 @@ def is_stable(x: FramedRep, zeta: ZetaParam) -> StabilityResult:
     subspace violating the strict inequality when unstable.
 
     Under sign-definiteness stability and semistability coincide, so a
-    single extremal subspace decides the verdict.
+    single extremal subspace decides the verdict: the ranks of
+    ``_invariant_rows`` on x (positive) or on its transpose (negative).
     """
+    if zeta.vertices != x.dq.vertices:
+        raise QuiverMismatchError("stability parameter keyed to a different quiver")
     ensure_flat(x)
     sign = zeta.sign_class
     if sign == "mixed":
@@ -126,8 +130,8 @@ def is_stable(x: FramedRep, zeta: ZetaParam) -> StabilityResult:
             "use an all-positive or all-negative zeta"
         )
     positive = sign == "positive"
-    t = min_invariant_over_imI(transpose(x) if positive else x)
-    return StabilityResult(t.equals_ambient(x.dim_v), t, positive)
+    rows = _invariant_rows(x if positive else transpose(x))
+    return StabilityResult(all(r.rows == r.cols for r in rows.values()), rows, positive)
 
 
 def stabilizer_trivial(x: FramedRep) -> bool:

@@ -151,14 +151,16 @@ def test_criterion_1_builds_its_a1_setup_once(monkeypatch):
 
 
 def test_criterion_1_checks_each_sample_once_and_builds_no_witness(monkeypatch):
-    """Counted calls, not seconds: one moment map per sample (the flatness
-    check inside ``is_stable``) and no annihilator, since only ``stable`` is
-    read."""
-    moment_maps = _count_calls(monkeypatch, "moment_map", rep)
+    """Counted calls, not seconds: one moment-map grid per sample at the one
+    A1 vertex (the flatness check inside ``is_stable``), no annihilator,
+    since only ``stable`` is read, and no transposed point, since zeta is
+    positive."""
+    grids = _count_calls(monkeypatch, "_moment_grid", rep)
     annihilators = _count_calls(monkeypatch, "_annihilator", stability)
+    transposes = _count_calls(monkeypatch, "transpose", stability)
     result = acceptance.criterion_1(acceptance.DEFAULT_SEED)
     assert result.passed and result.details["samples"] == 1400
-    assert (len(moment_maps), len(annihilators)) == (1400, 0)
+    assert (len(grids), len(annihilators), len(transposes)) == (1400, 0, 0)
 
 
 def test_criterion_3_builds_its_root_system_and_session_once(monkeypatch):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from quivex import acceptance, stability
 from quivex.bundles import a1_bundle, a2crystal_bundle, an_bundle, d4_bundle
-from quivex.errors import NotFlatError, UnsupportedZetaError
+from quivex.errors import NotFlatError, QuiverMismatchError, UnsupportedZetaError
 from quivex.hecke import sample_flat_crystal
-from quivex.quiver import Arrow, DimVector, Quiver, ZetaParam, ade_minimal_resolution_setup, double
+from quivex.quiver import Arrow, DimVector, Quiver, ZetaParam, ade_minimal_resolution_setup, cb_transform, double
 from quivex.ratmat import RatMatrix, column_space_echelon, hstack, kernel_basis, rank, vstack
 from quivex.rep import (
     FramedRep,
@@ -34,6 +34,9 @@ DQ2 = double(A2)
 POS1 = ZetaParam.constant(A1, 1)
 NEG1 = ZetaParam.constant(A1, -1)
 POS2 = ZetaParam.constant(A2, 1)
+D4, _, D4_W = ade_minimal_resolution_setup("D4")
+AFFINE_D4 = cb_transform(D4, D4_W)[0]  # the framing rewrite: a fourth leg at the centre
+E6 = ade_minimal_resolution_setup("E6")[0]
 
 
 def test_a1_positive_zeta_iff_J_injective():
@@ -116,6 +119,18 @@ def test_mixed_zeta_rejected():
     x = simple_rep(DQ2, "1")
     with pytest.raises(UnsupportedZetaError):
         is_stable(x, ZetaParam.of(A2, {"1": 1, "2": -1}))
+
+
+@pytest.mark.parametrize("other", [A1, D4], ids=["A1", "D4"])
+def test_zeta_of_another_quiver_rejected(other):
+    # checked before flatness, so a non-flat point gets the same error
+    one = RatMatrix.from_rows([[1]])
+    v = DimVector.of(A2, {"1": 1, "2": 1})
+    bad = FramedRep(DQ2, v, DimVector.zero(A2), B={"1->2": one, "1->2*": one})
+    for x in (simple_rep(DQ2, "1"), bad):
+        for sign in (1, -1):
+            with pytest.raises(QuiverMismatchError):
+                is_stable(x, ZetaParam.constant(other, sign))
 
 
 def test_nonflat_rejected():
@@ -210,7 +225,6 @@ def _reference_verdict(x: FramedRep, sign: int) -> tuple:
 JORDAN = Quiver(["1"], [Arrow("t", "1", "1")])
 KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
 A3 = ade_minimal_resolution_setup("A3")[0]
-D4 = ade_minimal_resolution_setup("D4")[0]
 
 
 def _seeded_rep(q: Quiver, seed: int, zero_share: float) -> FramedRep:
@@ -247,7 +261,7 @@ def corpus():
     return acceptance.build_corpus(acceptance.DEFAULT_SEED).all_samples()
 
 
-QUIVERS = {"Jordan": JORDAN, "Kronecker": KRONECKER, "A3": A3, "D4": D4}
+QUIVERS = {"Jordan": JORDAN, "Kronecker": KRONECKER, "A3": A3, "D4": D4, "affine-D4": AFFINE_D4, "E6": E6}
 ZERO_SHARE = {"dense": 0.0, "sparse": 0.7, "zero": 1.0}
 
 
@@ -358,3 +372,18 @@ def test_fixed_point_recomputes_only_stale_vertices(eliminations):
 
     assert positive_verdict_calls(a1_bundle(3, 1).reps["stable"]) == 1
     assert positive_verdict_calls(d4_bundle().reps["point"]) == 10
+
+
+def test_only_the_negative_verdict_transposes_the_point(monkeypatch):
+    """Counted calls: a positive verdict runs the fixed point on the point
+    itself, a negative one on one transposed copy; neither witness
+    transposes the point again."""
+    transposes = []
+    real = stability.transpose
+    monkeypatch.setattr(stability, "transpose", lambda x: transposes.append(x) or real(x))
+    for x in [y for b in (a1_bundle(3, 2), an_bundle(3), d4_bundle()) for y in b.reps.values()]:
+        for sign, expected in ((1, []), (-1, [x])):
+            transposes.clear()
+            verdict = is_stable(x, ZetaParam.constant(x.dq, sign))
+            verdict.witness
+            assert transposes == expected
