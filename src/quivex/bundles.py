@@ -77,7 +77,7 @@ def an_bundle(n: int) -> ExampleBundle:
     for i in range(1, n + 1):
         B = {}
         for j in range(1, i):
-            B[f"{j}->{j + 1}*"] = one
+            B[dq.bar(f"{j}->{j + 1}")] = one
         for j in range(i, n):
             B[f"{j}->{j + 1}"] = one
         reps[f"broken_{i}"] = FramedRep(
@@ -111,7 +111,7 @@ def an_chain_sample(n: int, seed: int) -> FramedRep:
     for j in range(1, n):
         forward = nonzero()
         B[f"{j}->{j + 1}"] = RatMatrix.from_rows([[forward]])
-        B[f"{j}->{j + 1}*"] = RatMatrix.from_rows([[c / forward]])
+        B[dq.bar(f"{j}->{j + 1}")] = RatMatrix.from_rows([[c / forward]])
     j1 = nonzero()
     jn = nonzero()
     I = {"1": RatMatrix.from_rows([[c / j1]]), str(n): RatMatrix.from_rows([[-c / jn]])}

@@ -1,6 +1,12 @@
 """Command-line front door: parse JSON inputs, dispatch to the library, emit
 a machine-readable report on stdout.
 
+Each command reads its JSON values through ``_json_arg``, which records
+every input in the call's ``inputs`` dict, and returns its ``result`` dict;
+``main`` writes the one envelope, on success or failure.  Only ``verify``
+(whose envelope adds ``seed``) and ``example --member`` (a bare
+representation) write their own output and return their exit code.
+
 The report is byte-identical for identical inputs and seed: no timestamps,
 sorted keys, pinned version string.  Exit codes: 0 success, 1 I/O or parse
 trouble, 2 domain errors (precondition failures), 3 a failed internal
@@ -24,38 +30,42 @@ from .rep import cb_apply, is_flat, moment_map
 from .stability import is_stable, stabilizer_trivial
 
 
-class _Inputs:
-    """Collects label -> source and sha256 records for the report envelope."""
-
-    def __init__(self):
-        self.records: dict[str, dict] = {}
-
-    def json_arg(self, label: str, value: str | Path):
-        """A CLI value that is either a path, '-' for stdin, or inline JSON;
-        a ``Path`` is a path."""
-        payload, self.records[label] = formats.read_input(label, value)
-        return payload
+def _json_arg(inputs: dict[str, dict], label: str, value: str | Path):
+    """A CLI value that is either a path, '-' for stdin, or inline JSON; a
+    ``Path`` is a path.  Its source and sha256 go to ``inputs[label]``."""
+    payload, inputs[label] = formats.read_input(label, value)
+    return payload
 
 
-def _load_rep(inputs: _Inputs, label: str, value: str):
+def _load_rep(inputs: dict[str, dict], label: str, value: str):
     """A representation.  A quiver it names by path is read as the input
     ``<label>.quiver``: a relative path inside a regular file resolves
     against that file's directory, and inside a pipe, a FIFO, stdin or an
     inline value against the working directory."""
-    obj = inputs.json_arg(label, value)
+    obj = _json_arg(inputs, label, value)
     if isinstance(obj, dict) and isinstance(obj.get("quiver"), str):
-        path = inputs.records[label].get("path")
+        path = inputs[label].get("path")
         base = Path(path).parent if path and Path(path).is_file() else Path()
-        obj = {**obj, "quiver": inputs.json_arg(f"{label}.quiver", base / obj["quiver"])}
+        obj = {**obj, "quiver": _json_arg(inputs, f"{label}.quiver", base / obj["quiver"])}
     return formats.rep_from_json(obj)
 
 
-def _zeta_for(rep, inputs: _Inputs, value: str) -> ZetaParam:
+def _load_vectors(inputs: dict[str, dict], quiver: str, **vectors: str | None):
+    """The quiver and, in the order given, each labelled dimension vector
+    over it; None for a vector whose value is None."""
+    q = formats.quiver_from_json(_json_arg(inputs, "quiver", quiver))
+    return q, *(
+        None if value is None else formats.dimvec_from_json(q, _json_arg(inputs, label, value))
+        for label, value in vectors.items()
+    )
+
+
+def _zeta_for(rep, inputs: dict[str, dict], value: str) -> ZetaParam:
     if value == "pos":
         return ZetaParam.constant(rep.dq, 1)
     if value == "neg":
         return ZetaParam.constant(rep.dq, -1)
-    return formats.zeta_from_json(rep.dq.base, inputs.json_arg("zeta", value))
+    return formats.zeta_from_json(rep.dq.base, _json_arg(inputs, "zeta", value))
 
 
 def _write_json(obj, stream) -> None:
@@ -73,147 +83,114 @@ def _emit(command: str, **fields) -> int:
     return 0
 
 
-def _cmd_check_moment(args) -> int:
-    inputs = _Inputs()
-    x = _load_rep(inputs, "rep", args.rep)
-    mu = moment_map(x)
-    result = {
+def _cmd_check_moment(args, inputs) -> dict:
+    mu = moment_map(_load_rep(inputs, "rep", args.rep))
+    return {
         "flat": mu.is_zero,
         "moment": {i: formats.matrix_to_json(m) for i, m in sorted(mu.blocks.items())},
     }
-    return _emit(args.command, inputs=inputs.records, result=result)
 
 
-def _cmd_hom_ext(args) -> int:
-    inputs = _Inputs()
+def _cmd_hom_ext(args, inputs) -> dict:
     x1 = _load_rep(inputs, "rep1", args.rep1)
     x2 = _load_rep(inputs, "rep2", args.rep2)
-    return _emit(args.command, inputs=inputs.records, result=homext.hom_ext_report(x1, x2))
+    return homext.hom_ext_report(x1, x2)
 
 
-def _cmd_stability(args) -> int:
-    inputs = _Inputs()
+def _cmd_stability(args, inputs) -> dict:
     x = _load_rep(inputs, "rep", args.rep)
-    zeta = _zeta_for(x, inputs, args.zeta)
-    verdict = is_stable(x, zeta)
-    result = {
+    verdict = is_stable(x, _zeta_for(x, inputs, args.zeta))
+    return {
         "verdict": verdict.verdict,
         "witness_dims": verdict.witness.dims() if verdict.witness else None,
         "stabilizer_trivial": stabilizer_trivial(x),
     }
-    return _emit(args.command, inputs=inputs.records, result=result)
 
 
-def _cmd_dim(args) -> int:
-    inputs = _Inputs()
-    q = formats.quiver_from_json(inputs.json_arg("quiver", args.quiver))
-    v = formats.dimvec_from_json(q, inputs.json_arg("dimV", args.dim_v))
-    w = formats.dimvec_from_json(q, inputs.json_arg("dimW", args.dim_w))
-    result = {"dim_bigM": dim_bigM(q, v, w), "d": d_of(q, v, w)}
-    return _emit(args.command, inputs=inputs.records, result=result)
+def _cmd_dim(args, inputs) -> dict:
+    q, v, w = _load_vectors(inputs, args.quiver, dimV=args.dim_v, dimW=args.dim_w)
+    return {"dim_bigM": dim_bigM(q, v, w), "d": d_of(q, v, w)}
 
 
-def _cmd_chi(args) -> int:
-    inputs = _Inputs()
-    q = formats.quiver_from_json(inputs.json_arg("quiver", args.quiver))
-    v1 = formats.dimvec_from_json(q, inputs.json_arg("v1", args.v1))
-    w1 = formats.dimvec_from_json(q, inputs.json_arg("w1", args.w1))
-    v2 = formats.dimvec_from_json(q, inputs.json_arg("v2", args.v2))
-    w2 = formats.dimvec_from_json(q, inputs.json_arg("w2", args.w2))
-    return _emit(args.command, inputs=inputs.records, result={"chi": chi(q, v1, w1, v2, w2)})
+def _cmd_chi(args, inputs) -> dict:
+    q, *vectors = _load_vectors(inputs, args.quiver, v1=args.v1, w1=args.w1, v2=args.v2, w2=args.w2)
+    return {"chi": chi(q, *vectors)}
 
 
-def _cmd_invariants(args) -> int:
-    inputs = _Inputs()
+def _cmd_invariants(args, inputs) -> dict:
     x = _load_rep(inputs, "rep", args.rep)
     bound = args.max_length if args.max_length is not None else invariants.default_degree_bound(x)
     fingerprint = invariants.pi_fingerprint(x, bound)
-    result = {
+    return {
         "max_length": bound,
         "fingerprint": formats.fingerprint_to_json(fingerprint),
         "all_zero": invariants.fingerprint_is_zero(fingerprint),
     }
-    return _emit(args.command, inputs=inputs.records, result=result)
 
 
-def _cmd_reduce(args) -> int:
-    inputs = _Inputs()
+def _cmd_reduce(args, inputs) -> dict:
     x = _load_rep(inputs, "rep", args.rep)
     red = hecke.reduce_i(x, args.vertex)
     classes = hecke.recovery_classes(x, args.vertex, red)
     layout = hecke.class_layout(red.reduced, args.vertex)
-    result = {
+    return {
         "r": red.r,
         "dimV_reduced": red.reduced.dim_v.as_dict(),
         "reduced": formats.rep_to_json(red.reduced),
         "inclusion": {i: formats.matrix_to_json(m) for i, m in sorted(red.inclusion.items())},
         "recovery_classes": formats.classes_to_json(layout, args.vertex, classes),
     }
-    return _emit(args.command, inputs=inputs.records, result=result)
 
 
-def _cmd_extend(args) -> int:
-    inputs = _Inputs()
+def _cmd_extend(args, inputs) -> dict:
     x = _load_rep(inputs, "rep", args.rep)
-    payload = inputs.json_arg("classes", args.classes)
+    payload = _json_arg(inputs, "classes", args.classes)
     layout = hecke.class_layout(x, args.vertex)
     classes = formats.classes_from_json(payload, layout, args.vertex)
     extended = hecke.extend_i(x, args.vertex, classes)
-    result = {
+    return {
         "extended": formats.rep_to_json(extended),
         "dimV": extended.dim_v.as_dict(),
         "flat": is_flat(extended),
         "stable": is_stable(extended, ZetaParam.constant(extended.dq, 1)).stable,
     }
-    return _emit(args.command, inputs=inputs.records, result=result)
 
 
-def _cmd_weight_mult(args) -> int:
-    inputs = _Inputs()
-    q = formats.quiver_from_json(inputs.json_arg("quiver", args.quiver))
-    v = formats.dimvec_from_json(q, inputs.json_arg("dimV", args.dim_v))
-    w = formats.dimvec_from_json(q, inputs.json_arg("dimW", args.dim_w))
+def _cmd_weight_mult(args, inputs) -> dict:
+    q, v, w = _load_vectors(inputs, args.quiver, dimV=args.dim_v, dimW=args.dim_w)
     multiplicity, cutoff = kacmoody.weight_multiplicity(q, v, w)
-    result = {
+    return {
         "multiplicity": multiplicity,
         "weight": {"highest": w.as_dict(), "drop": v.as_dict()},
         "finite_type": cutoff is None,
         "cutoff": cutoff,
     }
-    return _emit(args.command, inputs=inputs.records, result=result)
 
 
-def _cmd_cb_transform(args) -> int:
-    inputs = _Inputs()
-    result: dict
+def _cmd_cb_transform(args, inputs) -> dict:
     if args.rep:
         given = {"--quiver": args.quiver, "--dim-w": args.dim_w, "--dim-v": args.dim_v}
         ignored = [flag for flag, value in given.items() if value is not None]
         if ignored:
             raise FormatError(f"cb-transform --rep takes no {', '.join(ignored)}")
-        x = _load_rep(inputs, "rep", args.rep)
-        transformed = cb_apply(x)
-        result = {
+        transformed = cb_apply(_load_rep(inputs, "rep", args.rep))
+        return {
             "quiver": formats.quiver_to_json(transformed.dq.base),
             "infinity": transformed.dq.vertices[-1],
             "rep": formats.rep_to_json(transformed),
             "flat": is_flat(transformed),
         }
-    else:
-        if not args.quiver or not args.dim_w:
-            raise FormatError("cb-transform needs --rep, or --quiver together with --dim-w")
-        q = formats.quiver_from_json(inputs.json_arg("quiver", args.quiver))
-        w = formats.dimvec_from_json(q, inputs.json_arg("dimW", args.dim_w))
-        q2, inf = cb_transform(q, w)
-        result = {"quiver": formats.quiver_to_json(q2), "infinity": inf}
-        if args.dim_v:
-            v = formats.dimvec_from_json(q, inputs.json_arg("dimV", args.dim_v))
-            result["dimV_extended"] = cb_extend_dim(v, q2, inf).as_dict()
-    return _emit(args.command, inputs=inputs.records, result=result)
+    if not args.quiver or not args.dim_w:
+        raise FormatError("cb-transform needs --rep, or --quiver together with --dim-w")
+    q, w, v = _load_vectors(inputs, args.quiver, dimW=args.dim_w, dimV=args.dim_v or None)
+    q2, inf = cb_transform(q, w)
+    result = {"quiver": formats.quiver_to_json(q2), "infinity": inf}
+    if v is not None:
+        result["dimV_extended"] = cb_extend_dim(v, q2, inf).as_dict()
+    return result
 
 
-def _cmd_example(args) -> int:
-    inputs = _Inputs()
+def _cmd_example(args, inputs) -> dict | int:
     params = {}
     if args.n is not None:
         params["n"] = args.n
@@ -239,12 +216,11 @@ def _cmd_example(args) -> int:
         for name, obj in files.items():
             with (outdir / name).open("w") as stream:
                 _write_json(obj, stream)
-        result = {"bundle": args.name, "written": sorted(files)}
-        return _emit(args.command, inputs=inputs.records, result=result)
-    return _emit(args.command, inputs=inputs.records, result=payload)
+        return {"bundle": args.name, "written": sorted(files)}
+    return payload
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, inputs) -> int:
     seed = args.seed if args.seed is not None else acceptance.DEFAULT_SEED
     numbers: set[int] = set()
     for suite in args.suites or ["all"]:
@@ -270,7 +246,7 @@ def _cmd_verify(args) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    _emit(args.command, inputs={}, result=payload, seed=seed)
+    _emit(args.command, inputs=inputs, result=payload, seed=seed)
     return 0 if payload["all_passed"] else 2
 
 
@@ -371,9 +347,12 @@ _EXIT_CODES = {FormatError: 1, OSError: 1, DomainError: 2, InternalCheckError: 3
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    inputs: dict[str, dict] = {}
     try:
         try:
-            code = args.func(args)
+            code = args.func(args, inputs)
+            if isinstance(code, dict):
+                code = _emit(args.command, inputs=inputs, result=code)
         except tuple(_EXIT_CODES) as exc:
             _emit(args.command, error={"type": type(exc).__name__, "message": str(exc)})
             code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -29,7 +29,9 @@ class DimensionError(DomainError):
 
 
 class QuiverMismatchError(DomainError):
-    """Two objects live over different quivers."""
+    """Two objects live over different quivers, or a dimension vector or
+    stability parameter is keyed to another vertex set (or order) than the
+    quiver it is used with."""
 
 
 class NotFlatError(DomainError):

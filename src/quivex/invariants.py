@@ -144,16 +144,15 @@ def cycle_traces(x: FramedRep, max_length: int) -> list[tuple[CycleLabel, Fracti
     """Traces of the closed walks of length 1..max_length, one per rotation
     class, in (length, word) order."""
     _check_bound(x, max_length, necklaces=True)
-    return _cycle_traces(x, max_length)
+    return [(label[1:], value) for label, value in _cycle_traces(x, max_length)]
 
 
-def _cycle_traces(x: FramedRep, max_length: int, tagged: bool = False) -> list[tuple[tuple, Fraction]]:
-    """The cycle traces, each label led by "cycle" when ``tagged``."""
-    kind = ("cycle",) if tagged else ()
+def _cycle_traces(x: FramedRep, max_length: int) -> list[FingerprintEntry]:
+    """The cycle traces, each label led by "cycle"."""
     starts = [(v, RatMatrix.identity(x.dim_v[v]), _distances(x, [v])) for v in x.dq.vertices]
     buckets = _walks(x, starts, max_length, necklaces=True)
     return [
-        (kind + word, _ZERO if product is None else product.trace())
+        (("cycle",) + word, _ZERO if product is None else product.trace())
         for key in sorted(buckets)
         for word, product in buckets[key]
     ]
@@ -164,11 +163,11 @@ def path_invariants(x: FramedRep, max_length: int) -> list[tuple[PathLabel, Frac
     vertices (both ends with positive W), the empty walk included, in
     (length, origin index, end index, word, row, column) order."""
     _check_bound(x, max_length, necklaces=False)
-    return _path_invariants(x, max_length)
+    return [(label[1:], value) for label, value in _path_invariants(x, max_length)]
 
 
-def _path_invariants(x: FramedRep, max_length: int, tagged: bool = False) -> list[tuple[tuple, Fraction]]:
-    """The path entries, each label led by "path" when ``tagged``."""
+def _path_invariants(x: FramedRep, max_length: int) -> list[FingerprintEntry]:
+    """The path entries, each label led by "path"."""
     index = {v: k for k, v in enumerate(x.dq.vertices)}
     dim_w = x.dim_w.as_dict()
     framed = [v for v in x.dq.vertices if dim_w[v] > 0]
@@ -181,8 +180,7 @@ def _path_invariants(x: FramedRep, max_length: int, tagged: bool = False) -> lis
         for word, product in buckets[key]:
             for r, row in enumerate(zeros if product is None else (J @ product).data):
                 for c, value in enumerate(row):
-                    label = ("path", origin, word, end, r, c) if tagged else (origin, word, end, r, c)
-                    out.append((label, value))
+                    out.append((("path", origin, word, end, r, c), value))
     return out
 
 
@@ -203,7 +201,7 @@ def pi_fingerprint(x: FramedRep, max_length: int | None = None) -> list[Fingerpr
     refusals = [r for r in (_refusal(x, bound, False), _refusal(x, bound, True)) if r]
     if refusals:
         raise DomainError(min(refusals, key=lambda r: r[0])[1])
-    return _cycle_traces(x, bound, tagged=True) + _path_invariants(x, bound, tagged=True)
+    return _cycle_traces(x, bound) + _path_invariants(x, bound)
 
 
 def fingerprint_is_zero(entries: list[FingerprintEntry]) -> bool:

@@ -36,7 +36,7 @@ from math import gcd
 from operator import add, le, mul, sub
 
 from .errors import CutoffError, DomainError, InternalCheckError, InvalidCartanError
-from .quiver import DimVector, Quiver, cartan_matrix, chi
+from .quiver import DimVector, Quiver, cartan_matrix, check_vertices, chi
 
 GCM = tuple[tuple[int, ...], ...]
 Coeffs = tuple[int, ...]
@@ -349,6 +349,7 @@ def _quiver_gcm(q: Quiver) -> GCM:
 def h_eigenvalue(q: Quiver, v: DimVector, w: DimVector, i: str) -> int:
     """w_i minus the Cartan pairing with v; agrees with the Euler
     characteristic of the complex against the simple at i (checked)."""
+    check_vertices(q.vertices, v, w)
     gcm = cartan_matrix(q)
     idx = q.index(i)
     value = w[i] - sum(gcm[idx][j] * v.values[j] for j in range(len(q.vertices)))
@@ -370,7 +371,6 @@ def weight_multiplicity(q: Quiver, v: DimVector, w: DimVector) -> tuple[int, int
     """The multiplicity at the drop v below the highest weight w, and the root
     height cutoff: max(1, height of v), or None in finite type.  Dominant
     reduction only shrinks a drop, so the roots in the box of v are enough."""
-    if not q.vertices == v.vertices == w.vertices:
-        raise DomainError("quiver, drop and highest weight over mismatched vertex sets")
+    check_vertices(q.vertices, v, w)
     roots = _root_system(_quiver_gcm(q), max(1, v.total()), v.values)
     return MultiplicitySession(roots, w.values).multiplicity(v.values), roots.cutoff

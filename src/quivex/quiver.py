@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .errors import DomainError, FormatError, InternalCheckError, UnknownExampleError
+from .errors import DomainError, FormatError, InternalCheckError, QuiverMismatchError, UnknownExampleError
 from .ratmat import Scalar, as_fraction
 
 REVERSED_SUFFIX = "*"
@@ -153,6 +153,16 @@ def double(q: Quiver) -> DoubledQuiver:
 VertexSpace = Union[Quiver, DoubledQuiver]
 
 
+def check_vertices(vertices: tuple[str, ...], *keyed) -> None:
+    """Raise QuiverMismatchError unless every keyed value (a dimension
+    vector or stability parameter) lists exactly ``vertices``, in order."""
+    for k in keyed:
+        if k.vertices != vertices:
+            raise QuiverMismatchError(
+                f"mismatched vertex sets: {list(k.vertices)} where {list(vertices)} is expected"
+            )
+
+
 @dataclass(frozen=True)
 class DimVector:
     """A nonnegative integer for every vertex, in quiver vertex order."""
@@ -206,18 +216,16 @@ class DimVector:
         return sum(self.values)
 
     def __add__(self, other: "DimVector") -> "DimVector":
-        self._check_compatible(other)
+        check_vertices(self.vertices, other)
         return DimVector(self.vertices, tuple(a + b for a, b in zip(self.values, other.values)))
 
     def replace(self, vertex: str, value: int) -> "DimVector":
+        if vertex not in self.vertices:
+            raise DomainError(f"unknown vertex {vertex!r}")
         return DimVector(
             self.vertices,
             tuple(value if v == vertex else n for v, n in zip(self.vertices, self.values)),
         )
-
-    def _check_compatible(self, other: "DimVector") -> None:
-        if self.vertices != other.vertices:
-            raise DomainError("dimension vectors over different vertex sets")
 
 
 @dataclass(frozen=True)
@@ -248,17 +256,18 @@ class ZetaParam:
 
     @property
     def sign_class(self) -> str:
-        if self.values and all(v > 0 for v in self.values):
+        """The empty parameter, on the quiver with no vertices, is vacuously
+        of both signs and counts as positive."""
+        if all(v > 0 for v in self.values):
             return "positive"
-        if self.values and all(v < 0 for v in self.values):
+        if all(v < 0 for v in self.values):
             return "negative"
         return "mixed"
 
 
 def zeta_pair(z: ZetaParam, v: DimVector) -> Fraction:
     """The pairing sum(zeta_i * v_i)."""
-    if z.vertices != v.vertices:
-        raise DomainError("zeta and dimension vector over different vertex sets")
+    check_vertices(z.vertices, v)
     return sum((zv * n for zv, n in zip(z.values, v.values)), Fraction(0))
 
 
@@ -277,6 +286,7 @@ def cartan_matrix(q: Quiver) -> tuple[tuple[int, ...], ...]:
 
 def dim_bigM(q: Quiver, v: DimVector, w: DimVector) -> int:
     """Ambient dimension of the doubled-arrow plus framing space."""
+    check_vertices(q.vertices, v, w)
     arrows_part = sum(2 * v[a.source] * v[a.target] for a in q.arrows)
     framing_part = 2 * sum(w[i] * v[i] for i in q.vertices)
     return arrows_part + framing_part
@@ -290,6 +300,7 @@ def d_of(q: Quiver, v: DimVector, w: DimVector) -> int:
 def chi(q: Quiver, v1: DimVector, w1: DimVector, v2: DimVector, w2: DimVector) -> int:
     """Middle minus both ends of the three-term complex for the two dimension
     pairs; with (v1, w1) a unit vertex this is w_i - sum_j a_ij v_j."""
+    check_vertices(q.vertices, v1, w1, v2, w2)
     middle = sum(v1[a.source] * v2[a.target] + v1[a.target] * v2[a.source] for a in q.arrows)
     middle += sum(w1[i] * v2[i] + v1[i] * w2[i] for i in q.vertices)
     ends = 2 * sum(v1[i] * v2[i] for i in q.vertices)
@@ -315,6 +326,9 @@ def cb_transform(q: Quiver, w: DimVector) -> tuple[Quiver, str]:
 
 
 def cb_extend_dim(v: DimVector, transformed: Quiver, infinity: str) -> DimVector:
+    """V over the rewritten quiver's other vertices, with a one-dimensional
+    space at ``infinity``."""
+    check_vertices(tuple(u for u in transformed.vertices if u != infinity), v)
     entries = v.as_dict()
     entries[infinity] = 1
     return DimVector.of(transformed, entries)

@@ -263,9 +263,10 @@ def cb_apply(x: FramedRep) -> FramedRep:
     B: dict[str, RatMatrix] = {}
     for a in x.dq.arrows:
         B[a.name] = x.B[a.name]
+    new = iter(q2.arrows[len(x.dq.base.arrows) :])  # cb_transform's arrows, by vertex i, then k
     for i in x.dq.vertices:
         for k in range(x.dim_w[i]):
-            name = f"{inf}->{i}#{k}"
+            name = next(new).name
             B[name] = x.I[i].column_matrix(k)
             B[dq2.bar(name)] = RatMatrix.from_integers(1, x.dim_v[i], (x.J[i].nums[k],), x.J[i].den)
     return FramedRep(dq2, dim_v2, DimVector.zero(q2), B)

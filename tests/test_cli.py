@@ -73,6 +73,15 @@ def test_stability_mixed_zeta_exit_2(capsys, tmp_path):
     assert report["error"]["type"] == "UnsupportedZetaError"
 
 
+@pytest.mark.parametrize("zeta", ["pos", "neg"])
+def test_stability_on_the_quiver_with_no_vertices(capsys, zeta):
+    # the empty zeta is vacuously all-positive and all-negative
+    rep = '{"quiver": {"vertices": [], "arrows": []}, "dimV": {}}'
+    code, report = run_cli(capsys, "stability", "--rep", rep, "--zeta", zeta)
+    assert code == 0
+    assert report["result"] == {"verdict": "stable", "witness_dims": None, "stabilizer_trivial": True}
+
+
 def test_missing_file_exit_1(capsys):
     code, report = run_cli(capsys, "check-moment", "--rep", "no/such/file.json")
     assert code == 1

@@ -79,7 +79,7 @@ def _scoped(node, scope):
 
 def test_only_formats_reads_inputs():
     # one reader: formats.read_input reads each input once and hashes the
-    # bytes it parsed, and only the CLI's _Inputs calls it, so every input
+    # bytes it parsed, and only the CLI's _json_arg calls it, so every input
     # is recorded in the report and every decoder is a function of JSON
     readers = {"open", "json.load", "json.loads", "sys.stdin", ".read_bytes", ".read_text"}
     offenders = []
@@ -97,9 +97,24 @@ def test_only_formats_reads_inputs():
                 continue
             if names & readers and scope != "formats.read_input":
                 offenders.append(f"{path.name}:{node.lineno} reads in {scope}")
-            if ".read_input" in names and not scope.startswith("cli._Inputs."):
+            if ".read_input" in names and scope != "cli._json_arg":
                 offenders.append(f"{path.name}:{node.lineno} calls read_input in {scope}")
     assert offenders == []
+
+
+def test_only_main_and_verify_write_the_envelope():
+    # commands return their result and main writes the one envelope; verify
+    # (which adds a seed) calls _emit itself, and only example --member
+    # writes a bare representation to stdout
+    path = PACKAGE / "cli.py"
+    emits, stdout = set(), set()
+    for scope, node in _scoped(ast.parse(path.read_text(), filename=str(path)), "cli"):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_emit":
+            emits.add(scope)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout":
+            stdout.add(scope)
+    assert emits == {"cli.main", "cli._cmd_verify"}
+    assert stdout == {"cli._emit", "cli.main", "cli._cmd_example"}
 
 
 def test_failed_internal_check_exit_3(capsys, monkeypatch, tmp_path):

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivex.errors import DomainError, FormatError, UnknownExampleError
+from quivex.errors import DomainError, FormatError, QuiverMismatchError, UnknownExampleError
+from quivex.kacmoody import h_eigenvalue, weight_multiplicity
 from quivex.quiver import (
     Arrow,
     DimVector,
@@ -258,3 +259,34 @@ def test_quiver_validation():
         Quiver(["1"], [Arrow("a*", "1", "1")])
     with pytest.raises(DomainError):
         Quiver(["1"], [Arrow("a", "1", "1"), Arrow("a", "1", "1")])
+
+
+_A2_VECTOR = DimVector(("1", "2"), (1, 0))
+_VECTOR_CALLS = {
+    "dim_bigM": lambda bad: dim_bigM(a2(), bad, _A2_VECTOR),
+    "d_of": lambda bad: d_of(a2(), _A2_VECTOR, bad),
+    "chi": lambda bad: chi(a2(), _A2_VECTOR, _A2_VECTOR, bad, _A2_VECTOR),
+    "h_eigenvalue": lambda bad: h_eigenvalue(a2(), bad, _A2_VECTOR, "1"),
+    "cb_extend_dim": lambda bad: cb_extend_dim(bad, *cb_transform(a2(), _A2_VECTOR)),
+    "DimVector.__add__": lambda bad: _A2_VECTOR + bad,
+    "zeta_pair": lambda bad: zeta_pair(ZetaParam.constant(a2(), 1), bad),
+    "weight_multiplicity": lambda bad: weight_multiplicity(a2(), _A2_VECTOR, bad),
+}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [DimVector(("2", "1"), (1, 0)), DimVector(("1", "2", "3"), (1, 0, 0))],
+    ids=["reordered", "A3"],
+)
+@pytest.mark.parametrize("call", [*_VECTOR_CALLS, "DimVector.replace"])
+def test_vector_over_another_vertex_set_rejected(call, bad):
+    # every function keyed to a quiver's vertices rejects a vector in
+    # another order or over another quiver, instead of reading it by name
+    # or by position; replace rejects a vertex the vector lacks
+    if call == "DimVector.replace":
+        with pytest.raises(DomainError, match="unknown vertex '9'"):
+            bad.replace("9", 5)
+    else:
+        with pytest.raises(QuiverMismatchError, match="mismatched vertex sets"):
+            _VECTOR_CALLS[call](bad)

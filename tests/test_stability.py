@@ -345,8 +345,9 @@ def test_transpose_swaps_the_signs(corpus):
 
 
 def test_kerJ_side_eliminates_less_than_reference(eliminations):
-    """Ker J through the transpose: one elimination per vertex per pass plus
-    the annihilator, against three per vertex per pass for the reference."""
+    """Ker J by the row-space fixed point on the point itself: one
+    elimination per vertex per pass plus the annihilator, against three per
+    vertex per pass for the reference; the verdict skips the annihilator."""
     x = d4_bundle().reps["point"]
     expected = _reference_max_invariant_in_kerJ(x)
     reference_calls = len(eliminations)
