@@ -28,7 +28,7 @@ from .quiver import (
     dim_bigM,
     double,
 )
-from .ratmat import hstack, kernel_basis, rank
+from .ratmat import kernel_rows, rank
 from .rep import (
     FramedRep,
     _random_matrix,
@@ -154,8 +154,8 @@ def _a1_flat_sample(dq: DoubledQuiver, v: DimVector, w: DimVector, rng: random.R
         J = _random_matrix(rng, n, t) @ _random_matrix(rng, t, k)
     else:
         J = _random_matrix(rng, n, k)
-    left_kernel = hstack(kernel_basis(J.transpose()), rows=n)
-    I = _random_matrix(rng, k, left_kernel.cols) @ left_kernel.transpose()
+    left = kernel_rows(J.transpose())
+    I = _random_matrix(rng, k, left.rows) @ left
     return FramedRep(dq, v, w, I={"1": I}, J={"1": J})
 
 

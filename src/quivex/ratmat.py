@@ -14,10 +14,12 @@ denominators.  Elimination has one kernel, ``_echelon``, the forward pass:
 sparse rows kept primitive, updated only where the pivot column hits them.
 ``pivot_columns`` and ``rank`` read its pivots alone.  ``_back_substitute``
 reduces its rows above the pivots; ``rref`` puts the reduced rows over one
-denominator and ``kernel_vectors`` scatters them into kernel vectors.  So
+denominator, and ``kernel_vectors`` and ``kernel_rows`` scatter them into
+kernel vectors, one matrix per vector or all of them as the rows of one.  So
 ``rref``, ``kernel_basis`` and ``homext.Complex3`` share one forward pass
-and one back-substitution, and each caller stops at the depth it reads.  The
-pivot columns and the reduced form are those of any exact elimination.
+and one back-substitution, and each caller stops at the depth it reads: a
+stability verdict stops at the forward pass (``_echelon_rows``).  The pivot
+columns and the reduced form are those of any exact elimination.
 """
 
 from __future__ import annotations
@@ -358,25 +360,28 @@ def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
     return kernel_vectors(echelon, m.cols, free_columns(echelon, m.cols))
 
 
+def kernel_rows(m: RatMatrix) -> RatMatrix:
+    """The ``kernel_basis(m)`` vectors as the rows of one matrix, over the
+    lcm of every pivot that reaches one of them."""
+    echelon = _echelon(m)
+    hits = _kernel_hits(echelon, m.cols, free_columns(echelon, m.cols))
+    den = lcm(*[p for hit in hits.values() for _, p, _ in hit])
+    nums = []
+    for f, hit in hits.items():
+        vec = [0] * m.cols
+        vec[f] = den
+        for pc, p, x in hit:
+            vec[pc] = -x * (den // p)
+        nums.append(tuple(vec))
+    return RatMatrix.from_integers(len(nums), m.cols, tuple(nums), den)
+
+
 def kernel_vectors(echelon: Echelon, cols: int, free: Sequence[int]) -> list[RatMatrix]:
     """The ``kernel_basis`` vectors at the free columns ``free`` of a matrix
-    with ``cols`` columns and ``_echelon`` rows ``echelon``.
-
-    The vector of free column f is 1 at f, 0 at every other free column and
-    -R_c[f] / R_c[c] at each pivot column c, with R_c the reduced row of c.
-    Each reduced row hands its entries to the vectors of their free columns,
-    so the cost is in the nonzeros; a vector goes over the lcm of the pivots
-    that reach it."""
-    hits: dict[int, list[tuple[int, int, int]]] = {f: [] for f in free}
-    if hits:
-        for pc, row in _back_substitute(echelon, cols).items():
-            p = row[pc]
-            for j, x in row.items():
-                hit = hits.get(j)
-                if hit is not None:
-                    hit.append((pc, p, x))
+    with ``cols`` columns and ``_echelon`` rows ``echelon``, each over the
+    lcm of the pivots that reach it."""
     basis = []
-    for f, hit in hits.items():
+    for f, hit in _kernel_hits(echelon, cols, free).items():
         den = lcm(*[p for _, p, _ in hit])
         vec = [(0,)] * cols
         vec[f] = (den,)
@@ -386,11 +391,34 @@ def kernel_vectors(echelon: Echelon, cols: int, free: Sequence[int]) -> list[Rat
     return basis
 
 
+def _kernel_hits(echelon: Echelon, cols: int, free: Sequence[int]) -> dict[int, list[tuple[int, int, int]]]:
+    """For each free column f, the (pivot column c, R_c[c], R_c[f]) of the
+    reduced rows R_c nonzero at f.  The kernel vector of f is 1 at f, 0 at
+    every other free column and -R_c[f] / R_c[c] at each c, so building the
+    vectors costs the nonzeros of the reduced rows."""
+    hits: dict[int, list[tuple[int, int, int]]] = {f: [] for f in free}
+    if hits:
+        for pc, row in _back_substitute(echelon, cols).items():
+            p = row[pc]
+            for j, x in row.items():
+                hit = hits.get(j)
+                if hit is not None:
+                    hit.append((pc, p, x))
+    return hits
+
+
 def _row_basis(m: RatMatrix) -> RatMatrix:
     """Canonical ordered basis of the row space, as the rows of one matrix:
     the nonzero rows of ``rref(m)``."""
     reduced, pivots = rref(m)
     return RatMatrix.from_integers(len(pivots), m.cols, reduced.nums[: len(pivots)], reduced.den)
+
+
+def _echelon_rows(m: RatMatrix) -> RatMatrix:
+    """A basis of the row space: the ``_echelon`` rows, as one den-1 matrix."""
+    cols = range(m.cols)
+    nums = tuple([tuple(map(row.get, cols, repeat(0))) for _, row in _echelon(m)])
+    return RatMatrix.from_integers(len(nums), m.cols, nums)
 
 
 def column_space_echelon(m: RatMatrix) -> RatMatrix:

@@ -212,7 +212,7 @@ def transpose(x: FramedRep) -> FramedRep:
 def _random_matrix(rng: random.Random, rows: int, cols: int) -> RatMatrix:
     # entries stay in {-3..3} to bound rational growth downstream
     return RatMatrix.from_integers(
-        rows, cols, tuple(tuple([rng.randint(-3, 3) for _ in range(cols)]) for _ in range(rows))
+        rows, cols, tuple(tuple([rng.randrange(-3, 4) for _ in range(cols)]) for _ in range(rows))
     )
 
 

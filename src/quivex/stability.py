@@ -6,8 +6,10 @@ R_j -> R_j B_a for every arrow a: i -> j.  It annihilates the largest
 invariant subspace inside Ker J, so for an all-positive parameter a flat
 point is stable exactly when every block has full rank.  On the transposed
 point it is the transpose of the smallest invariant subspace over Im I,
-which decides an all-negative parameter; only that side transposes.  The
-verdict reads ranks only; the witness subspace is built on first read.
+which decides an all-negative parameter; only that side transposes.  Each
+block is a basis of its span, the forward-pass rows of one elimination, so
+the verdict reads ranks only and makes no back-substitution; the witness
+subspace, in canonical echelon form, is built on first read.
 Mixed-sign parameters would require quantifying over invariant subspaces of
 every dimension vector and are rejected as unsupported.
 """
@@ -19,7 +21,7 @@ from functools import cached_property
 
 from .errors import QuiverMismatchError, UnsupportedZetaError
 from .quiver import DimVector, ZetaParam
-from .ratmat import RatMatrix, _row_basis, column_space_echelon, hstack, kernel_basis, vstack
+from .ratmat import RatMatrix, _echelon_rows, _row_basis, kernel_rows, vstack
 from .rep import FramedRep, ensure_flat, transpose
 from . import homext
 
@@ -44,14 +46,15 @@ class GradedSubspace:
 
 
 def _invariant_rows(x: FramedRep) -> dict[str, RatMatrix]:
-    """The fixed point as the canonical row basis (the nonzero rows of the
-    RREF) at each vertex.  Passes run over the vertices in order and
-    recompute the stale ones: at first every vertex with an arrow out, later
-    a vertex only when an arrow target grew after its last recomputation, so
-    a loop arrow keeps a grown vertex stale.  The bases are canonical, so the
-    fixed point does not depend on the order of the updates."""
+    """The fixed point at each vertex as the ``_echelon`` rows of the stacked
+    pieces: a basis of its span, not reduced.  Passes run over the vertices
+    in order and recompute the stale ones: at first every vertex with an
+    arrow out, later a vertex only when an arrow target grew after its last
+    recomputation, so a loop arrow keeps a grown vertex stale.  A span only
+    grows, so its row count tells whether it grew; the spans are the
+    smallest closed ones, so they do not depend on the order of the updates."""
     dq = x.dq
-    rows = {i: _row_basis(x.J[i]) for i in dq.vertices}
+    rows = {i: _echelon_rows(x.J[i]) for i in dq.vertices}
     stale = {a.source for a in dq.arrows}
     while stale:
         for i in dq.vertices:
@@ -59,7 +62,7 @@ def _invariant_rows(x: FramedRep) -> dict[str, RatMatrix]:
                 continue
             stale.discard(i)
             pieces = [rows[i]] + [rows[a.target] @ x.B[a.name] for a in dq.arrows_out_of(i)]
-            new = _row_basis(vstack(pieces, cols=x.dim_v[i]))
+            new = _echelon_rows(vstack(pieces, cols=x.dim_v[i]))
             if new.rows != rows[i].rows:
                 stale.update(a.source for a in dq.arrows_into(i))
             rows[i] = new
@@ -67,14 +70,14 @@ def _invariant_rows(x: FramedRep) -> dict[str, RatMatrix]:
 
 
 def _annihilator(rows: dict[str, RatMatrix]) -> GradedSubspace:
-    """The common kernel of each row block, in canonical echelon form."""
-    return GradedSubspace(
-        {i: column_space_echelon(hstack(kernel_basis(r), rows=r.cols)) for i, r in rows.items()}
-    )
+    """The common kernel of each row block, in canonical echelon form; the
+    kernel basis of a block depends on its span alone."""
+    return GradedSubspace({i: _row_basis(kernel_rows(r)).transpose() for i, r in rows.items()})
 
 
 def _transposed(rows: dict[str, RatMatrix]) -> GradedSubspace:
-    return GradedSubspace({i: r.transpose() for i, r in rows.items()})
+    """The span of each row block, as the columns of its canonical basis."""
+    return GradedSubspace({i: _row_basis(r).transpose() for i, r in rows.items()})
 
 
 def max_invariant_in_kerJ(x: FramedRep) -> GradedSubspace:

@@ -22,3 +22,32 @@ def eliminations(monkeypatch):
         if name.split(".")[0] == "quivex" and getattr(module, "_echelon", None) is echelon:
             monkeypatch.setattr(module, "_echelon", counted)
     return shapes
+
+
+@pytest.fixture
+def ratmat_calls(monkeypatch):
+    """``ratmat_calls(name)`` returns the argument tuples of the calls of
+    ``ratmat.<name>`` from here on, in call order, counted through every
+    loaded quivex module that binds it."""
+
+    def count(name):
+        calls = []
+        real = getattr(ratmat, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "quivex" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return count
+
+
+@pytest.fixture
+def back_substitutions(ratmat_calls):
+    """The ``ratmat._back_substitute`` calls from here on: every reduction
+    above the pivots, whether for ``rref`` or for kernel vectors."""
+    return ratmat_calls("_back_substitute")

@@ -8,6 +8,7 @@ tolerance.  The same checks back the ``quivex verify`` subcommand.
 import dataclasses
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import pytest
 from quivex import acceptance, homext, kacmoody, rep, stability
 from quivex.cli import main
 from quivex.errors import DomainError
+from quivex.quiver import DimVector, ade_minimal_resolution_setup, double
 from quivex.ratmat import RatMatrix, kernel_basis
 from quivex.rep import FramedRep
 
@@ -27,6 +29,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # sha256 of the whole ``quivex verify`` report on stdout, so a change to any
 # number, name or detail of a criterion fails here rather than going unseen
 VERIFY_STDOUT_SHA256 = "7257fb3771cd8fefcfc7abc81ed94665c2d9ab5cbe629e987b05229c26832e09"
+
+# sha256 over the I and J (nums, den) of criterion 1's 1,400 samples at
+# DEFAULT_SEED, in criterion order, so the sampler's random stream is pinned
+C1_SAMPLES_SHA256 = "66ccad373ecb17e012124a827ca8d328c42c2ade6cfc395a21e1a4bf5c3e9870"
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +167,32 @@ def test_criterion_1_checks_each_sample_once_and_builds_no_witness(monkeypatch):
     result = acceptance.criterion_1(acceptance.DEFAULT_SEED)
     assert result.passed and result.details["samples"] == 1400
     assert (len(grids), len(annihilators), len(transposes)) == (1400, 0, 0)
+
+
+def test_criterion_1_samples_pinned():
+    q = ade_minimal_resolution_setup("A1")[0]
+    dq = double(q)
+    h = hashlib.sha256()
+    samples = 0
+    for n in range(7):
+        for k in range(n + 1):
+            rng = random.Random(acceptance.DEFAULT_SEED + 101 * n + k)
+            v, w = DimVector.of(q, {"1": k}), DimVector.of(q, {"1": n})
+            for _ in range(50):
+                x = acceptance._a1_flat_sample(dq, v, w, rng)
+                for m in (x.I["1"], x.J["1"]):
+                    h.update(repr((m.nums, m.den)).encode())
+                samples += 1
+    assert samples == 1400
+    assert h.hexdigest() == C1_SAMPLES_SHA256
+
+
+def test_criterion_1_takes_each_left_kernel_as_one_matrix_of_rows(ratmat_calls):
+    """Counted calls: one ``kernel_rows`` per sample, and no per-vector
+    ``kernel_basis`` or ``hstack`` anywhere in the criterion."""
+    rows, kernels, stacks = (ratmat_calls(name) for name in ("kernel_rows", "kernel_basis", "hstack"))
+    assert acceptance.criterion_1(acceptance.DEFAULT_SEED).passed
+    assert (len(rows), len(kernels), len(stacks)) == (1400, 0, 0)
 
 
 def test_criterion_3_builds_its_root_system_and_session_once(monkeypatch):

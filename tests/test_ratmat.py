@@ -193,6 +193,16 @@ def test_kernel_basis_equals_dense_reading(m):
     assert ratmat.kernel_vectors(echelon, m.cols, free[1::2]) == basis[1::2]
 
 
+@given(st.one_of(sparse_integer_matrices(), matrices()))
+@example(RatMatrix.zeros(3, 5))
+@example(RatMatrix.identity(4))
+@example(RatMatrix.zeros(0, 4))
+@example(RatMatrix.zeros(4, 0))
+@settings(deadline=None, max_examples=60)
+def test_kernel_rows_are_the_stacked_kernel_basis(m):
+    assert ratmat.kernel_rows(m) == hstack(kernel_basis(m), rows=m.cols).transpose()
+
+
 def assert_canonical_entries(m):
     for row in m.data:
         for v in row:

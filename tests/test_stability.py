@@ -375,6 +375,27 @@ def test_fixed_point_recomputes_only_stale_vertices(eliminations):
     assert positive_verdict_calls(d4_bundle().reps["point"]) == 10
 
 
+def test_verdicts_make_no_back_substitution(back_substitutions):
+    """A verdict reads the ranks of the forward-pass rows alone.  Reading the
+    witness reduces: the kernel rows of a positive one always, the blocks
+    of a negative one where a block has two rows or more."""
+    seeded = [y for q in QUIVERS.values() for seed in range(6) for y in _seeded_flat(q, seed)]
+    points = _a1_samples() + seeded + [d4_bundle().reps["point"]]
+    unstable = {1: 0, -1: 0}
+    for x in points:
+        for sign in (1, -1):
+            back_substitutions.clear()
+            verdict = is_stable(x, ZetaParam.constant(x.dq, sign))
+            assert back_substitutions == []
+            if verdict.stable:
+                continue
+            unstable[sign] += 1
+            dims = verdict.witness.dims().values()
+            if sign > 0 or max(dims) >= 2:
+                assert len(back_substitutions) >= 1
+    assert min(unstable.values()) > 10
+
+
 def test_only_the_negative_verdict_transposes_the_point(monkeypatch):
     """Counted calls: a positive verdict runs the fixed point on the point
     itself, a negative one on one transposed copy; neither witness
