@@ -28,7 +28,7 @@ from .quiver import (
     dim_bigM,
     double,
 )
-from .ratmat import kernel_rows, rank
+from .ratmat import kernel_rows
 from .rep import (
     FramedRep,
     _random_matrix,
@@ -145,9 +145,12 @@ def build_corpus(seed: int) -> Corpus:
 # ------------------------------------------------------------ criterion 1
 
 
-def _a1_flat_sample(dq: DoubledQuiver, v: DimVector, w: DimVector, rng: random.Random) -> FramedRep:
-    """A flat point on the A1 double with dim V = v and dim W = w: a random
-    J, of random rank half the time, and I on the left kernel of J."""
+def _a1_flat_sample(
+    dq: DoubledQuiver, v: DimVector, w: DimVector, rng: random.Random
+) -> tuple[FramedRep, int]:
+    """A flat point on the A1 double with dim V = v and dim W = w, and rank J:
+    a random J, of random rank half the time, I on the left kernel of J, and
+    rank J = n - dim of that kernel, read off the elimination of J^T."""
     k, n = v["1"], w["1"]
     if k > 0 and rng.random() < 0.5:
         t = rng.randrange(0, k)
@@ -156,12 +159,14 @@ def _a1_flat_sample(dq: DoubledQuiver, v: DimVector, w: DimVector, rng: random.R
         J = _random_matrix(rng, n, k)
     left = kernel_rows(J.transpose())
     I = _random_matrix(rng, k, left.rows) @ left
-    return FramedRep(dq, v, w, I={"1": I}, J={"1": J})
+    return FramedRep(dq, v, w, I={"1": I}, J={"1": J}), n - left.rows
 
 
 def criterion_1(seed: int) -> CriterionResult:
     """sl2 family: component counts, moduli dimension, and stability iff J
-    injective, on 50 seeded flat samples per (k, n) with 0 <= k <= n <= 6."""
+    injective on 50 seeded flat samples per (k, n), 0 <= k <= n <= 6: each
+    verdict eliminates J and is checked against the sampler's rank J, read
+    off the left kernel of J^T, a second computation."""
     q = ade_minimal_resolution_setup("A1")[0]
     dq = double(q)
     failures: list[str] = []
@@ -169,8 +174,7 @@ def criterion_1(seed: int) -> CriterionResult:
     samples = 0
     for n in range(0, 7):
         for k in range(0, n + 3):
-            v = DimVector.of(q, {"1": k})
-            w = DimVector.of(q, {"1": n})
+            v, w = DimVector.of(q, {"1": k}), DimVector.of(q, {"1": n})
             count = kacmoody.predicted_component_count(q, v, w)
             expected = 1 if k <= n else 0
             if count != expected:
@@ -181,14 +185,14 @@ def criterion_1(seed: int) -> CriterionResult:
                 continue
             rng = random.Random(seed + 101 * n + k)
             for _ in range(50):
-                x = _a1_flat_sample(dq, v, w, rng)
+                x, rank_j = _a1_flat_sample(dq, v, w, rng)
                 try:
                     stable = is_stable(x, zeta).stable  # checks flatness first
                 except NotFlatError:
                     failures.append(f"non-flat sample at (k={k}, n={n})")
                     continue
                 samples += 1
-                if stable != (rank(x.J["1"]) == k):
+                if stable != (rank_j == k):
                     failures.append(f"stability != J-injectivity at (k={k}, n={n})")
     return CriterionResult(
         1,

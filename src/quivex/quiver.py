@@ -117,24 +117,20 @@ class DoubledQuiver:
         return name + REVERSED_SUFFIX
 
     @cached_property
-    def _into(self) -> dict[str, tuple[Arrow, ...]]:
-        table: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+    def _incidence(self) -> dict[str, tuple[tuple[Arrow, ...], tuple[Arrow, ...]]]:
+        """Per vertex, the arrows into it and the arrows out of it, in arrow order."""
+        into: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        out_of: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
-            table[a.target].append(a)
-        return {v: tuple(lst) for v, lst in table.items()}
-
-    @cached_property
-    def _out_of(self) -> dict[str, tuple[Arrow, ...]]:
-        table: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            table[a.source].append(a)
-        return {v: tuple(lst) for v, lst in table.items()}
+            into[a.target].append(a)
+            out_of[a.source].append(a)
+        return {v: (tuple(into[v]), tuple(out_of[v])) for v in self.vertices}
 
     def arrows_into(self, vertex: str) -> tuple[Arrow, ...]:
-        return self._into[vertex]
+        return self._incidence[vertex][0]
 
     def arrows_out_of(self, vertex: str) -> tuple[Arrow, ...]:
-        return self._out_of[vertex]
+        return self._incidence[vertex][1]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DoubledQuiver) and self.base == other.base

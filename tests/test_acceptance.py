@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from quivex import acceptance, homext, kacmoody, rep, stability
+from quivex import acceptance, homext, kacmoody, ratmat, rep, stability
 from quivex.cli import main
 from quivex.errors import DomainError
 from quivex.quiver import DimVector, ade_minimal_resolution_setup, double
@@ -179,7 +179,7 @@ def test_criterion_1_samples_pinned():
             rng = random.Random(acceptance.DEFAULT_SEED + 101 * n + k)
             v, w = DimVector.of(q, {"1": k}), DimVector.of(q, {"1": n})
             for _ in range(50):
-                x = acceptance._a1_flat_sample(dq, v, w, rng)
+                x, _ = acceptance._a1_flat_sample(dq, v, w, rng)
                 for m in (x.I["1"], x.J["1"]):
                     h.update(repr((m.nums, m.den)).encode())
                 samples += 1
@@ -195,6 +195,50 @@ def test_criterion_1_takes_each_left_kernel_as_one_matrix_of_rows(ratmat_calls):
     assert (len(rows), len(kernels), len(stacks)) == (1400, 0, 0)
 
 
+def test_criterion_1_eliminates_each_sample_twice(eliminations, ratmat_calls):
+    """Counted eliminations: Jᵀ for the sampler's left kernel and J for the
+    verdict; the injectivity check reads the rank the sampler returns."""
+    pivots, ranks = ratmat_calls("pivot_columns"), ratmat_calls("rank")
+    assert acceptance.criterion_1(acceptance.DEFAULT_SEED).passed
+    assert (len(eliminations), len(pivots), len(ranks)) == (2800, 0, 0)
+
+
+def test_a1_sampler_rank_matches_reference_rank():
+    q = ade_minimal_resolution_setup("A1")[0]
+    dq = double(q)
+    samples = 0
+    for n in range(7):
+        for k in range(n + 1):
+            rng = random.Random(acceptance.DEFAULT_SEED + 101 * n + k)
+            v, w = DimVector.of(q, {"1": k}), DimVector.of(q, {"1": n})
+            for _ in range(50):
+                x, rank_j = acceptance._a1_flat_sample(dq, v, w, rng)
+                assert rank_j == ratmat.rank(x.J["1"])
+                samples += 1
+    assert samples == 1400
+
+
+def test_criterion_1_catches_a_verdict_that_misses_a_pivot(monkeypatch):
+    """An elimination that drops the last pivot of a tall matrix of full
+    column rank makes every injective tall J look singular to the verdict.
+    Jᵀ is never tall, so the sampler's points and ranks are unaffected, and
+    the check against the sampler's rank J must catch the wrong verdicts."""
+    echelon = ratmat._echelon
+
+    def misses_last_pivot(m):
+        rows = echelon(m)
+        return rows[:-1] if m.rows > m.cols and len(rows) == m.cols else rows
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quivex" and getattr(module, "_echelon", None) is echelon:
+            monkeypatch.setattr(module, "_echelon", misses_last_pivot)
+    result = acceptance.criterion_1(acceptance.DEFAULT_SEED)
+    failures = result.details["failures"]
+    assert not result.passed and result.details["samples"] == 1400
+    assert failures[0] == "stability != J-injectivity at (k=1, n=2)"
+    assert all(m.startswith("stability != J-injectivity at ") for m in failures[:12])
+
+
 def test_criterion_3_builds_its_root_system_and_session_once(monkeypatch):
     # the zero-weight count is read from the session over the weight box
     roots = _count_calls(monkeypatch, "roots_for_quiver", kacmoody)
@@ -207,11 +251,11 @@ def test_criterion_1_reports_a_non_flat_sample(monkeypatch):
     sample = acceptance._a1_flat_sample
 
     def one_non_flat(dq, v, w, rng):
-        x = sample(dq, v, w, rng)
+        x, rank_j = sample(dq, v, w, rng)
         if (v["1"], w["1"]) != (1, 2) or one_non_flat.injected:
-            return x
+            return x, rank_j
         one_non_flat.injected = True
-        return FramedRep(dq, v, w, I={"1": RatMatrix.from_rows([[1, 0]])}, J={"1": RatMatrix.from_rows([[1], [0]])})
+        return FramedRep(dq, v, w, I={"1": RatMatrix.from_rows([[1, 0]])}, J={"1": RatMatrix.from_rows([[1], [0]])}), 1
 
     one_non_flat.injected = False
     monkeypatch.setattr(acceptance, "_a1_flat_sample", one_non_flat)

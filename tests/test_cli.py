@@ -169,6 +169,26 @@ def test_malformed_input_exit_1_in_envelope(capsys, argv):
     assert report["error"]["type"] == "FormatError"
 
 
+A2_REP = '{"quiver": ' + A2_QUIVER + ', "dimV": {"1": 1}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-moment", "--rep", A2_REP + ', "I": {"9": [[1]]}}'], "I block for unknown vertex '9'"),
+        (["check-moment", "--rep", A2_REP + ', "J": {"9": [[1]]}}'], "J block for unknown vertex '9'"),
+        (["check-moment", "--rep", '{"quiver": ' + A2_QUIVER + "}"], "representation needs 'dimV'"),
+        (["stability", "--rep", A2_REP + "}", "--zeta", "[1]"], "zeta must be a JSON object vertex -> rational"),
+    ],
+    ids=["I-unknown-vertex", "J-unknown-vertex", "no-dimV", "zeta-not-object"],
+)
+def test_refused_representation_and_zeta_exit_1_in_envelope(capsys, argv, message):
+    code, report = run_cli(capsys, *argv)
+    assert code == 1
+    assert set(report) == {"command", "version", "error"}
+    assert report["error"] == {"type": "FormatError", "message": message}
+
+
 def test_hom_ext(capsys, tmp_path):
     bundle = a2crystal_bundle()
     r1 = write_rep(tmp_path, "a.json", bundle.reps["generic"])

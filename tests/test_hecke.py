@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from quivex import hecke, homext
 from quivex.bundles import a2crystal_bundle, d4_bundle
-from quivex.errors import DependentClassesError, DomainError, InternalCheckError
+from quivex.errors import DependentClassesError, DomainError, InternalCheckError, QuiverMismatchError
 from quivex.hecke import (
     are_isomorphic,
     epsilon_i,
@@ -292,3 +292,10 @@ def test_crystal_walk_round_trips(seed):
         red = reduce_i(x, i)
         rebuilt = extend_i(red.reduced, i, recovery_classes(x, i, red))
         assert are_isomorphic(rebuilt, x)
+
+
+def test_isomorphism_across_quivers_is_refused():
+    x = simple_rep(DQ2, "1")
+    y = simple_rep(double(ade_minimal_resolution_setup("A3")[0]), "1")
+    with pytest.raises(QuiverMismatchError, match="across different quivers"):
+        are_isomorphic(x, y)

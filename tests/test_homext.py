@@ -578,3 +578,9 @@ def test_unpack_checks_the_length(extra):
     for layout in (c.middle, c.ends):
         with pytest.raises(DimensionError):
             layout.unpack(RatMatrix.column([0] * (layout.dim + extra)))
+
+
+def test_pack_refuses_a_wrongly_shaped_block():
+    layout = BlockLayout([("I", "1", 2, 1)])
+    with pytest.raises(DimensionError, match=r"I block '1' has shape \(1, 1\), expected \(2, 1\)"):
+        layout.pack(I={"1": RatMatrix.from_rows([[1]])})

@@ -719,3 +719,30 @@ def test_oracle_outputs_pinned_digest():
     bit-identical; the digest was taken from the dense-Cartan oracle that
     closed positive and negative roots under every reflection."""
     assert oracle_digest() == "c70ae9da6dd8a17779afa3d688d9b61105f9b75b36052225c88a42296749ede0"
+
+
+A1_GCM = ((2,),)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: root_multiplicities(A1_GCM, 0), DomainError, "height cutoff must be at least 1"),
+        (
+            lambda: MultiplicitySession(root_multiplicities(A1_GCM), (1, 0)),
+            DomainError,
+            "highest weight has the wrong rank",
+        ),
+        (lambda: validate_gcm(((2, -1),)), InvalidCartanError, "Cartan matrix is not square"),
+    ],
+    ids=["cutoff-0", "highest-rank", "gcm-not-square"],
+)
+def test_refused_inputs_raise_their_error_class(call, error, message):
+    with pytest.raises(error, match=message) as excinfo:
+        call()
+    assert excinfo.type is error
+
+
+def test_multiplicity_of_a_drop_with_a_negative_entry_is_zero():
+    session = MultiplicitySession(root_multiplicities(A1_GCM), (2,))
+    assert session.multiplicity((-1,)) == 0

@@ -495,3 +495,20 @@ def test_integral_elimination_and_products_build_no_fraction(monkeypatch):
     for m in mats:
         assert rref(m) == reference_rref(m)
         assert m @ m.transpose() == reference_matmul(m, m.transpose())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hstack([RatMatrix.zeros(1, 1), RatMatrix.zeros(2, 1)]), "hstack row mismatch: 2 vs 1"),
+        (lambda: vstack([RatMatrix.zeros(1, 1), RatMatrix.zeros(1, 2)]), "vstack column mismatch: 2 vs 1"),
+        (lambda: vstack([]), "vstack of no matrices needs an explicit column count"),
+        (lambda: solve_exact(RatMatrix.zeros(2, 2), RatMatrix.zeros(3, 1)), r"solve: \(2, 2\) against rhs \(3, 1\)"),
+        (lambda: inverse(RatMatrix.zeros(1, 2)), r"inverse of non-square \(1, 2\)"),
+    ],
+    ids=["hstack-rows", "vstack-cols", "vstack-empty", "solve-rows", "inverse-non-square"],
+)
+def test_refused_shapes_raise_dimension_error(call, message):
+    with pytest.raises(DimensionError, match=message) as excinfo:
+        call()
+    assert excinfo.type is DimensionError

@@ -326,3 +326,43 @@ def test_cb_apply_flatness_transfer(seed):
     w = DimVector.of(A2, {"1": 2, "2": 1})
     x = sample_flat(DQ2, v, w, seed, half="reverse")
     assert is_flat(cb_apply(x))
+
+
+ONE = DimVector.of(A1, [1])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: FramedRep(DQ1, ONE, ONE, I={"9": RatMatrix.zeros(1, 1)}),
+            DimensionError,
+            "I block for unknown vertex '9'",
+        ),
+        (
+            lambda: FramedRep(DQ1, ONE, ONE, J={"9": RatMatrix.zeros(1, 1)}),
+            DimensionError,
+            "J block for unknown vertex '9'",
+        ),
+        (
+            lambda: FramedRep(DQ2, DimVector.of(A2, [1, 1]), DimVector.zero(A2), B={"1->2": RatMatrix.zeros(2, 1)}),
+            DimensionError,
+            r"B\['1->2'\] has shape \(2, 1\), expected \(1, 1\)",
+        ),
+        (
+            lambda: FramedRep(DQ1, ONE, DimVector.of(A1, [2]), J={"1": RatMatrix.zeros(1, 1)}),
+            DimensionError,
+            r"J\['1'\] has shape \(1, 1\), expected \(2, 1\)",
+        ),
+        (
+            lambda: evaluate_path(simple_rep(DQ2, "1"), ["1->2"], start="2"),
+            BadPathError,
+            "path starts at '1', not '2'",
+        ),
+    ],
+    ids=["I-unknown-vertex", "J-unknown-vertex", "B-shape", "J-shape", "path-start"],
+)
+def test_refused_inputs_raise_their_error_class(call, error, message):
+    with pytest.raises(error, match=message) as excinfo:
+        call()
+    assert excinfo.type is error

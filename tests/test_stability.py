@@ -273,7 +273,7 @@ def _a1_samples() -> list[FramedRep]:
         for k in range(n + 1):
             rng = random.Random(101 * n + k)
             v, w = DimVector.of(q, {"1": k}), DimVector.of(q, {"1": n})
-            out.extend(acceptance._a1_flat_sample(dq, v, w, rng) for _ in range(3))
+            out.extend(acceptance._a1_flat_sample(dq, v, w, rng)[0] for _ in range(3))
     return out
 
 
