@@ -42,7 +42,7 @@ def main() -> None:
             stable = is_stable(x, zeta).stable
             zero = fingerprint_is_zero(pi_fingerprint(x))
             print(f"  {name}: stable={stable} fingerprint_zero={zero}")
-        sample = an_chain_sample(n, args.seed)
+        sample = an_chain_sample(bundle, args.seed)
         rel = an_xyz(sample)
         print(
             f"  sampled flat point: x={rel.x} y={rel.y} z={rel.z} "

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import FormatError, UnknownExampleError
+from .errors import FormatError, UnknownExampleError, WrongSetupError
 from .quiver import DimVector, DoubledQuiver, ade_minimal_resolution_setup, double
 from .ratmat import RatMatrix
 from .rep import FramedRep
@@ -86,18 +86,19 @@ def an_bundle(n: int) -> ExampleBundle:
     return ExampleBundle("an", dq, dim_v, dim_w, reps)
 
 
-def an_chain_sample(n: int, seed: int) -> FramedRep:
-    """A seed-deterministic flat point of the chain setup, generically with
-    all three generating invariants nonzero.
+def an_chain_sample(bundle: ExampleBundle, seed: int) -> FramedRep:
+    """A seed-deterministic flat point of the chain setup of ``bundle``, an
+    ``an`` bundle (any other is a ``WrongSetupError``), generically with all
+    three generating invariants nonzero.
 
     Solves the scalar moment-map relations in closed form: every edge
     product equals the framing product at the left end, with the sign flip
     at the right end.
     """
-    if n < 2:
-        raise UnknownExampleError("an needs n >= 2")
-    q, dim_v, dim_w = ade_minimal_resolution_setup(f"A{n}")
-    dq = double(q)
+    if bundle.name != "an":
+        raise WrongSetupError(f"an_chain_sample needs an 'an' bundle, got {bundle.name!r}")
+    dq, dim_v, dim_w = bundle.dq, bundle.dim_v, bundle.dim_w
+    n = len(dq.vertices)
     rng = random.Random(seed)
 
     def nonzero() -> Fraction:

@@ -70,6 +70,8 @@ def _refusal(x: FramedRep, max_length: int, necklaces: bool) -> tuple[int, str] 
     and w the framing, length n has w^T A^n w path entries and
     sum_{d | n} p(d) / d cycle classes, where p(d) = tr A^d -
     sum_{e | d, e < d} p(e) counts the closed walks of least period d."""
+    if not isinstance(max_length, int) or isinstance(max_length, bool):
+        raise DomainError(f"walk length bound must be an integer, got {max_length!r}")
     if max_length < 0:
         raise DomainError(f"walk length bound must be nonnegative, got {max_length}")
     w = [x.dim_w[v] for v in x.dq.vertices]

@@ -313,6 +313,7 @@ def cb_transform(q: Quiver, w: DimVector) -> tuple[Quiver, str]:
     new quiver as V plus a one-dimensional space at the new vertex (see
     ``cb_extend_dim``).
     """
+    check_vertices(q.vertices, w)
     taken = {a.name for a in q.arrows}
     for n in itertools.count(1):
         infinity = "inf" if n == 1 else f"inf{n}"

@@ -186,6 +186,10 @@ def evaluate_path(x: FramedRep, path: Sequence[str], start: str | None = None) -
 
 def conjugate(x: FramedRep, g: Mapping[str, RatMatrix]) -> FramedRep:
     """Base change by an invertible graded map: B -> g B g^-1, I -> g I, J -> J g^-1."""
+    if set(g) != set(x.dq.vertices):
+        raise QuiverMismatchError(
+            f"base change keyed to {list(g)} where the vertices {list(x.dq.vertices)} are expected"
+        )
     ginv = {i: inverse(g[i]) for i in x.dq.vertices}
     B = {
         a.name: g[a.target] @ x.B[a.name] @ ginv[a.source]

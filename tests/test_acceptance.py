@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from quivex import acceptance, homext, kacmoody, ratmat, rep, stability
+from quivex import acceptance, bundles, homext, kacmoody, ratmat, rep, stability
+from quivex.bundles import an_bundle, an_chain_sample
 from quivex.cli import main
 from quivex.errors import DomainError
 from quivex.quiver import DimVector, ade_minimal_resolution_setup, double
@@ -33,6 +34,11 @@ VERIFY_STDOUT_SHA256 = "7257fb3771cd8fefcfc7abc81ed94665c2d9ab5cbe629e987b05229c
 # sha256 over the I and J (nums, den) of criterion 1's 1,400 samples at
 # DEFAULT_SEED, in criterion order, so the sampler's random stream is pinned
 C1_SAMPLES_SHA256 = "66ccad373ecb17e012124a827ca8d328c42c2ade6cfc395a21e1a4bf5c3e9870"
+
+# sha256 over the B blocks (in arrow order), then the I and then the J blocks
+# (in vertex order) of criterion 2's 250 chain samples at DEFAULT_SEED, in
+# criterion order, so the chain sampler's random stream is pinned
+C2_SAMPLES_SHA256 = "862a7f530db0123020a0b86a0ebbfd4e4312664d8e6dc504fa135a13ffb07665"
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +191,33 @@ def test_criterion_1_samples_pinned():
                 samples += 1
     assert samples == 1400
     assert h.hexdigest() == C1_SAMPLES_SHA256
+
+
+def test_criterion_2_samples_pinned():
+    h = hashlib.sha256()
+    samples = 0
+    for n in range(2, 7):
+        bundle = an_bundle(n)
+        for s in range(50):
+            x = an_chain_sample(bundle, acceptance.DEFAULT_SEED + 1000 * n + s)
+            blocks = [x.B[a.name] for a in x.dq.arrows]
+            blocks += [x.I[v] for v in x.dq.vertices] + [x.J[v] for v in x.dq.vertices]
+            for m in blocks:
+                h.update(repr((m.nums, m.den)).encode())
+            samples += 1
+    assert samples == 250
+    assert h.hexdigest() == C2_SAMPLES_SHA256
+
+
+def test_criterion_2_builds_one_chain_setup_per_n(monkeypatch):
+    """Counted calls: the ``an`` bundle of each n builds and doubles the
+    setup, and its 50 samples and the criterion read it from there."""
+    setups = _count_calls(monkeypatch, "ade_minimal_resolution_setup", bundles)
+    doubles = _count_calls(monkeypatch, "double", bundles)
+    own_setups = _count_calls(monkeypatch, "ade_minimal_resolution_setup")
+    own_doubles = _count_calls(monkeypatch, "double")
+    assert acceptance.criterion_2(acceptance.DEFAULT_SEED).passed
+    assert (len(setups), len(doubles), len(own_setups), len(own_doubles)) == (5, 5, 0, 0)
 
 
 def test_criterion_1_takes_each_left_kernel_as_one_matrix_of_rows(ratmat_calls):

@@ -179,8 +179,10 @@ A2_REP = '{"quiver": ' + A2_QUIVER + ', "dimV": {"1": 1}'
         (["check-moment", "--rep", A2_REP + ', "J": {"9": [[1]]}}'], "J block for unknown vertex '9'"),
         (["check-moment", "--rep", '{"quiver": ' + A2_QUIVER + "}"], "representation needs 'dimV'"),
         (["stability", "--rep", A2_REP + "}", "--zeta", "[1]"], "zeta must be a JSON object vertex -> rational"),
+        (["check-moment", "--rep", A2_REP + ', "B": {"a": 5}}'], "matrix must be a JSON array of rows"),
+        (["stability", "--rep", A2_REP + "}", "--zeta", '{"9": 1}'], "zeta keys not in the quiver: ['9']"),
     ],
-    ids=["I-unknown-vertex", "J-unknown-vertex", "no-dimV", "zeta-not-object"],
+    ids=["I-unknown-vertex", "J-unknown-vertex", "no-dimV", "zeta-not-object", "B-not-array", "zeta-unknown-vertex"],
 )
 def test_refused_representation_and_zeta_exit_1_in_envelope(capsys, argv, message):
     code, report = run_cli(capsys, *argv)
@@ -397,7 +399,7 @@ INVARIANTS_POINTS = {
         8,
     ),
     "a1.stable": (lambda: a1_bundle(2, 1).reps["stable"], None),
-    "a4-chain-0": (lambda: an_chain_sample(4, 0), None),
+    "a4-chain-0": (lambda: an_chain_sample(an_bundle(4), 0), None),
 }
 
 INVARIANTS_SHA256 = {

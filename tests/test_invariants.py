@@ -166,7 +166,7 @@ REFERENCE_SAMPLES = {
     # rank-one stable point, and a dense star whose one zero block makes
     # prefixes zero partway along a walk while sibling branches stay nonzero.
     **{
-        f"A{n}-chain-{seed}": (lambda n=n, seed=seed: an_chain_sample(n, seed))
+        f"A{n}-chain-{seed}": (lambda n=n, seed=seed: an_chain_sample(an_bundle(n), seed))
         for n in (3, 4)
         for seed in (0, 1)
     },
@@ -507,6 +507,15 @@ def test_negative_bound_rejected():
         pi_fingerprint(x, -1)
 
 
+@pytest.mark.parametrize("bound", [2.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("call", [pi_fingerprint, cycle_traces, path_invariants], ids=lambda f: f.__name__)
+def test_bound_that_is_not_an_integer_rejected(call, bound):
+    x = d4_bundle().reps["point"]
+    with pytest.raises(DomainError, match=f"^walk length bound must be an integer, got {bound!r}$") as excinfo:
+        call(x, bound)
+    assert excinfo.type is DomainError
+
+
 def test_traces_zero_on_zero_B():
     x = FramedRep(DQ2, DimVector.of(A2, {"1": 1, "2": 2}), DimVector.zero(A2))
     assert all(value == 0 for _, value in cycle_traces(x, 4))
@@ -536,7 +545,7 @@ def test_path_invariants_a1_empty_path_is_framing_product():
 
 def test_chain_path_gives_x_scalar():
     n = 4
-    x = an_chain_sample(n, 9)
+    x = an_chain_sample(an_bundle(n), 9)
     entries = dict(path_invariants(x, n - 1))
     word = tuple(f"{k}->{k + 1}" for k in range(1, n))
     assert entries[("1", word, str(n), 0, 0)] == an_xyz(x).x
@@ -613,7 +622,7 @@ def test_an_xyz_zero_rep():
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=40)
 def test_an_xyz_relation_exact_on_samples(seed):
-    x = an_chain_sample(3, seed)
+    x = an_chain_sample(an_bundle(3), seed)
     assert is_flat(x)
     res = an_xyz(x)
     assert res.x * res.y == res.z ** 4
@@ -627,8 +636,13 @@ def test_an_xyz_wrong_setup():
         an_xyz(x)
 
 
+def test_an_xyz_one_vertex_quiver():
+    with pytest.raises(WrongSetupError, match="at least two vertices"):
+        an_xyz(FramedRep(DQ1, DimVector.of(A1, [1]), DimVector.of(A1, [2])))
+
+
 def test_default_degree_bound():
-    x = an_chain_sample(3, 0)
+    x = an_chain_sample(an_bundle(3), 0)
     assert default_degree_bound(x) == 6
 
 
@@ -638,5 +652,5 @@ def test_broken_chain_fingerprints_zero():
 
 
 def test_fingerprint_nonzero_on_rich_chain():
-    x = an_chain_sample(3, 1)
+    x = an_chain_sample(an_bundle(3), 1)
     assert not fingerprint_is_zero(pi_fingerprint(x))

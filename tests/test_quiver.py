@@ -117,6 +117,35 @@ def test_ade_bad_labels():
             ade_minimal_resolution_setup(label)
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: ade_minimal_resolution_setup("Ax"), UnknownExampleError),
+        (lambda: DimVector.of(Quiver(["1"], []), [1, 2]), FormatError),
+        (lambda: DimVector(("1",), ()), DomainError),
+        (lambda: a2().index("9"), DomainError),
+        (lambda: DimVector.unit(a2(), "9"), DomainError),
+        (lambda: DimVector.of(a2(), [1, 0])["9"], DomainError),
+        (lambda: ZetaParam.constant(a2(), 1)["9"], DomainError),
+        (lambda: double(a2()).arrow("9->1"), DomainError),
+    ],
+    ids=[
+        "ade-label-not-a-number",
+        "dim-list-length",
+        "dim-values-length",
+        "Quiver.index",
+        "DimVector.unit",
+        "DimVector.__getitem__",
+        "ZetaParam.__getitem__",
+        "DoubledQuiver.arrow",
+    ],
+)
+def test_refused_names_and_shapes(call, error):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert excinfo.type is error
+
+
 def test_chi_unit_formula():
     q = a2()
     v = DimVector.of(q, {"1": 1, "2": 2})
@@ -267,6 +296,7 @@ _VECTOR_CALLS = {
     "d_of": lambda bad: d_of(a2(), _A2_VECTOR, bad),
     "chi": lambda bad: chi(a2(), _A2_VECTOR, _A2_VECTOR, bad, _A2_VECTOR),
     "h_eigenvalue": lambda bad: h_eigenvalue(a2(), bad, _A2_VECTOR, "1"),
+    "cb_transform": lambda bad: cb_transform(a2(), bad),
     "cb_extend_dim": lambda bad: cb_extend_dim(bad, *cb_transform(a2(), _A2_VECTOR)),
     "DimVector.__add__": lambda bad: _A2_VECTOR + bad,
     "zeta_pair": lambda bad: zeta_pair(ZetaParam.constant(a2(), 1), bad),

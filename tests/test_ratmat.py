@@ -339,6 +339,20 @@ def test_shape_mismatch_errors():
         RatMatrix.identity(2) + RatMatrix.zeros(2, 3)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RatMatrix.from_rows([[1, 2], [3]]), "ragged matrix: row 1 has 1 entries, expected 2"),
+        (lambda: RatMatrix.zeros(2, 3).trace(), r"trace of non-square \(2, 3\)"),
+    ],
+    ids=["ragged-rows", "non-square-trace"],
+)
+def test_refused_shapes(call, message):
+    with pytest.raises(DimensionError, match=f"^{message}$") as excinfo:
+        call()
+    assert excinfo.type is DimensionError
+
+
 @given(matrices())
 @settings(deadline=None)
 def test_rank_nullity(m):

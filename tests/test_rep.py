@@ -198,6 +198,23 @@ def test_conjugate_preserves_flatness_and_moment():
     assert y.dim_v == x.dim_v
 
 
+@pytest.mark.parametrize(
+    "g",
+    [{"1": RatMatrix.identity(1)}, {"1": RatMatrix.identity(1), "2": RatMatrix.identity(2), "3": RatMatrix.identity(1)}],
+    ids=["missing-vertex", "extra-key"],
+)
+def test_conjugate_keyed_to_other_vertices_rejected(g):
+    x = FramedRep(DQ2, DimVector.of(A2, {"1": 1, "2": 2}), DimVector.zero(A2))
+    with pytest.raises(QuiverMismatchError, match="^base change keyed to"):
+        conjugate(x, g)
+
+
+def test_dimension_vectors_over_another_quiver_rejected():
+    v = DimVector.of(A1, [1])
+    with pytest.raises(QuiverMismatchError, match="^dimension vectors keyed to a different quiver$"):
+        FramedRep(DQ2, v, v)
+
+
 def test_conjugate_by_a_singular_block_names_it():
     x = FramedRep(DQ2, DimVector.of(A2, {"1": 1, "2": 2}), DimVector.zero(A2))
     g = {"1": RatMatrix.from_rows([[1]]), "2": RatMatrix.from_rows([[1, 2], [2, 4]])}
