@@ -17,8 +17,11 @@ order of height, with no recursion.
 The Cartan matrix is walked as sparse rows, the (column, entry) pairs with a
 nonzero entry; it is symmetric, so a row is also a column.  The finite
 closure, the coroot values of a drop and each Weyl reflection touch only
-those entries.  A session also tabulates once, per positive root, the
-pairings and norms that Freudenthal's sum reads at every dominant drop.
+those entries.  The coroot values of a query stop at the first vertex i
+where c_i + drop_i < 0: s_i then takes the weight out of the cone below the
+highest weight, so its multiplicity is 0 and no reflection is walked.  A
+session also tabulates once, per positive root, the pairings and norms that
+Freudenthal's sum reads at every dominant drop.
 
 Conventions: simple roots are coordinate vectors, the bilinear form is the
 Cartan matrix itself, and the Weyl functional pairs to 1 against every
@@ -48,6 +51,9 @@ def validate_gcm(gcm: GCM) -> None:
     for row in gcm:
         if len(row) != n:
             raise InvalidCartanError("Cartan matrix is not square")
+        for g in row:
+            if not isinstance(g, int) or isinstance(g, bool):
+                raise InvalidCartanError(f"Cartan entry {g!r} is not an integer")
     for i in range(n):
         if gcm[i][i] != 2:
             raise InvalidCartanError(f"diagonal entry {gcm[i][i]} at {i}; expected 2 (no edge loops)")
@@ -204,6 +210,8 @@ def _root_system(gcm: GCM, cutoff: int, box: Coeffs | None = None) -> RootSystem
     """Outside finite type, with a box, only the roots in it: such data answers
     only drops in the box, so it is never handed to a caller."""
     validate_gcm(gcm)
+    if not isinstance(cutoff, int) or isinstance(cutoff, bool):
+        raise DomainError(f"height cutoff {cutoff!r} is not an integer")
     if cutoff < 1:
         raise DomainError("height cutoff must be at least 1")
     if is_finite_type(gcm):
@@ -246,16 +254,37 @@ class MultiplicitySession:
         self._memo: dict[Coeffs, int] = {(0,) * roots.rank: 1}
 
     def multiplicity(self, drop: Coeffs) -> int:
+        """The multiplicity of the weight highest - drop, where drop holds
+        the coefficients of the simple roots.
+
+        Raises ``DomainError`` for a drop of the wrong rank or with an entry
+        that is not an int (a bool included), returns 0 for a drop with a
+        negative entry, and outside finite type raises ``CutoffError`` for a
+        drop above the root cutoff, in that order.  A weight with c_i +
+        drop_i < 0 at some vertex i, c_i its value on the coroot i, has
+        multiplicity 0: s_i maps it to a drop with a negative entry, which
+        is not below the highest weight, and multiplicities are invariant
+        under the Weyl group (Kac, Prop. 3.7).  The coroot values stop at
+        the first such i, before any reflection is walked."""
         if len(drop) != len(self.highest):
             raise DomainError("weight drop has the wrong rank")
-        if drop and min(drop) < 0:
+        negative = False
+        for d in drop:
+            if type(d) is not int:
+                raise DomainError(f"weight drop entry {d!r} is not an integer")
+            if d < 0:
+                negative = True
+        if negative:
             return 0
         if not self.roots.finite and sum(drop) > self.roots.cutoff:
             raise CutoffError(
                 f"weight at height {sum(drop)} exceeds the root cutoff {self.roots.cutoff}; "
                 "rebuild the root system with a larger cutoff"
             )
-        target = self._dominant(drop, self._coroot_values(drop))
+        values = self._coroot_values(drop)
+        if values is None:
+            return 0
+        target = self._dominant(drop, values)
         if target is None:
             return 0
         known = self._memo.get(target)
@@ -272,13 +301,17 @@ class MultiplicitySession:
             self._memo[needed] = self._evaluate(needed, pending[needed])
         return self._memo[target]
 
-    def _coroot_values(self, drop: Coeffs) -> list[int]:
-        """c_i = w_i - (C drop)_i, the value of the weight on the coroot i."""
-        values = list(self.highest)
-        for d, row in zip(drop, self._rows):
-            if d:
-                for i, g in row:
-                    values[i] -= g * d
+    def _coroot_values(self, drop: Coeffs) -> list[int] | None:
+        """c_i = w_i - (C drop)_i, the value of the weight on the coroot i,
+        one vertex at a time; None at the first i with c_i + drop_i < 0,
+        where s_i takes the weight out of the cone."""
+        values = []
+        for h, d, row in zip(self.highest, drop, self._rows):
+            for j, g in row:
+                h -= g * drop[j]
+            if h + d < 0:
+                return None
+            values.append(h)
         return values
 
     def _dominant(self, drop: Coeffs, values: list[int]) -> Coeffs | None:
@@ -305,6 +338,8 @@ class MultiplicitySession:
         a term whose weight reflects out of the cone below the highest weight
         has multiplicity 0 and is left out."""
         values = self._coroot_values(drop)
+        if values is None:
+            raise InternalCheckError(f"dominant drop {drop} leaves the cone")
         terms: dict[Coeffs, int] = {}
         for alpha, alpha_mult, alpha_pair, norm, highest_alpha in self._root_table:
             if not all(map(le, alpha, drop)):

@@ -632,7 +632,8 @@ def test_dominant_reduction_is_order_independent():
         session = MultiplicitySession(roots_for_quiver(q, 1), highest)
         for drop in drops:
             expected = first_negative_dominant(gcm, highest, drop)
-            assert session._dominant(drop, session._coroot_values(drop)) == expected, (highest, drop)
+            values = session._coroot_values(drop)
+            assert (None if values is None else session._dominant(drop, values)) == expected, (highest, drop)
             verdicts.add(expected is None)
     assert verdicts == {True, False}
 
@@ -650,6 +651,24 @@ def test_e6_adjoint_box_sum_is_the_dimension():
     session = MultiplicitySession(roots, w.values)
     drops = itertools.product(*(range(2 * m + 1) for m in v.values))
     assert sum(session.multiplicity(d) for d in drops) == 78
+
+
+def test_e6_adjoint_box_reflects_only_weights_inside_the_cone(monkeypatch):
+    # 5,059 of the 7,875 queries stop at a coroot value that leaves the
+    # cone; 48 of the 2,864 reductions come from Freudenthal terms
+    reduced = []
+    dominant = MultiplicitySession._dominant
+
+    def counted(self, drop, values):
+        reduced.append(drop)
+        return dominant(self, drop, values)
+
+    monkeypatch.setattr(MultiplicitySession, "_dominant", counted)
+    q, v, w = ade_minimal_resolution_setup("E6")
+    session = MultiplicitySession(roots_for_quiver(q, 2 * v.total()), w.values)
+    drops = itertools.product(*(range(2 * m + 1) for m in v.values))
+    assert sum(session.multiplicity(d) for d in drops) == 78
+    assert len(reduced) == 2864
 
 
 @pytest.mark.parametrize("label,rank", [("E6", 6), ("E7", 7), ("E8", 8)])
@@ -734,8 +753,30 @@ A1_GCM = ((2,),)
             "highest weight has the wrong rank",
         ),
         (lambda: validate_gcm(((2, -1),)), InvalidCartanError, "Cartan matrix is not square"),
+        (lambda: MultiplicitySession(root_multiplicities(A1_GCM), (2,)).multiplicity((0.5,)), DomainError, "0.5"),
+        (lambda: MultiplicitySession(root_multiplicities(A1_GCM), (2,)).multiplicity(("1",)), DomainError, "'1'"),
+        (lambda: MultiplicitySession(root_multiplicities(A1_GCM), (2,)).multiplicity((True,)), DomainError, "True"),
+        (lambda: root_multiplicities(((2, -1.5), (-1.5, 2))), InvalidCartanError, "-1.5 is not an integer"),
+        (lambda: root_multiplicities(((2, -1.0), (-1.0, 2))), InvalidCartanError, "-1.0 is not an integer"),
+        (lambda: validate_gcm(((2, False), (False, 2))), InvalidCartanError, "False is not an integer"),
+        (lambda: root_multiplicities(affine_rewrite_gcm("A2"), 2.5), DomainError, "2.5 is not an integer"),
+        (lambda: root_multiplicities(affine_rewrite_gcm("A2"), "3"), DomainError, "'3' is not an integer"),
+        (lambda: root_multiplicities(affine_rewrite_gcm("A2"), True), DomainError, "True is not an integer"),
     ],
-    ids=["cutoff-0", "highest-rank", "gcm-not-square"],
+    ids=[
+        "cutoff-0",
+        "highest-rank",
+        "gcm-not-square",
+        "drop-float",
+        "drop-str",
+        "drop-bool",
+        "gcm-half",
+        "gcm-float",
+        "gcm-bool",
+        "cutoff-float",
+        "cutoff-str",
+        "cutoff-bool",
+    ],
 )
 def test_refused_inputs_raise_their_error_class(call, error, message):
     with pytest.raises(error, match=message) as excinfo:
@@ -746,3 +787,14 @@ def test_refused_inputs_raise_their_error_class(call, error, message):
 def test_multiplicity_of_a_drop_with_a_negative_entry_is_zero():
     session = MultiplicitySession(root_multiplicities(A1_GCM), (2,))
     assert session.multiplicity((-1,)) == 0
+
+
+def test_refusals_keep_their_order_outside_finite_type():
+    # a negative entry answers 0 before the cutoff is read, and an entry
+    # that is not an int is refused before either
+    session = MultiplicitySession(root_multiplicities(affine_rewrite_gcm("A2"), 4), (1, 0, 0))
+    assert session.multiplicity((-1, 100, 0)) == 0
+    with pytest.raises(CutoffError):
+        session.multiplicity((0, 100, 0))
+    with pytest.raises(DomainError, match="0.5 is not an integer"):
+        session.multiplicity((0.5, 100, 0))
