@@ -57,32 +57,18 @@ from .ratmat import Echelon, RatMatrix, _echelon, free_columns, kernel_vectors, 
 from .rep import FramedRep, is_flat
 
 
-@dataclass(frozen=True)
-class BlockSlot:
-    kind: str  # "arrow", "I" or "J" in the middle, "xi" in the ends
-    key: str
-    rows: int
-    cols: int
-    offset: int
-
-    @property
-    def size(self) -> int:
-        return self.rows * self.cols
-
-
 class BlockLayout:
     """Packing and unpacking of named blocks to flat column vectors, one
-    slot per (kind, key), each block row-major at its slot's offset."""
+    (kind, key, rows, cols) shape per block, each row-major at its offset."""
 
     def __init__(self, shapes: Iterable[tuple[str, str, int, int]]):
-        slots = []
+        self.shapes = tuple(shapes)
+        self.offsets: dict[tuple[str, str], int] = {}
         pos = 0
-        for kind, key, r, c in shapes:
-            slots.append(BlockSlot(kind, key, r, c, pos))
+        for kind, key, r, c in self.shapes:
+            self.offsets[kind, key] = pos
             pos += r * c
-        self.slots = tuple(slots)
         self.dim = pos
-        self.offsets = {(s.kind, s.key): s.offset for s in self.slots}
 
     @classmethod
     def middle(
@@ -108,17 +94,17 @@ class BlockLayout:
                     raise DimensionError(f"no {kind} block {key!r} in this layout")
         den = lcm(*(m.den for blocks in blocks_by_kind.values() for m in blocks.values()))
         values = []
-        for slot in self.slots:
-            block = blocks_by_kind.get(slot.kind, {}).get(slot.key)
+        for kind, key, r, c in self.shapes:
+            block = blocks_by_kind.get(kind, {}).get(key)
             if block is None:
-                values.extend([(0,)] * slot.size)
+                values.extend([(0,)] * (r * c))
                 continue
-            if block.shape != (slot.rows, slot.cols):
+            if block.shape != (r, c):
                 raise DimensionError(
-                    f"{slot.kind} block {slot.key!r} has shape {block.shape}, "
-                    f"expected {(slot.rows, slot.cols)}"
+                    f"{kind} block {key!r} has shape {block.shape}, "
+                    f"expected {(r, c)}"
                 )
-            values.extend((a * (den // block.den),) for r in block.nums for a in r)
+            values.extend((a * (den // block.den),) for row in block.nums for a in row)
         return RatMatrix.from_integers(self.dim, 1, tuple(values), den)
 
     def unpack(self, vec: RatMatrix) -> dict[str, dict[str, RatMatrix]]:
@@ -127,17 +113,18 @@ class BlockLayout:
             raise DimensionError(f"block vector has shape {vec.shape}, expected ({self.dim}, 1)")
         flat = [row[0] for row in vec.nums]
         blocks: dict[str, dict[str, RatMatrix]] = {}
-        for s in self.slots:
+        for kind, key, r, c in self.shapes:
+            pos = self.offsets[kind, key]
             nums = tuple(
-                tuple(flat[s.offset + r * s.cols : s.offset + (r + 1) * s.cols])
-                for r in range(s.rows)
+                tuple(flat[pos + k * c : pos + (k + 1) * c])
+                for k in range(r)
             )
-            block = RatMatrix.from_integers(s.rows, s.cols, nums, vec.den)
-            blocks.setdefault(s.kind, {})[s.key] = block
+            block = RatMatrix.from_integers(r, c, nums, vec.den)
+            blocks.setdefault(kind, {})[key] = block
         return blocks
 
     def descriptor(self) -> list[list]:
-        return [[s.kind, s.key, s.rows, s.cols] for s in self.slots]
+        return [list(shape) for shape in self.shapes]
 
 
 def _add_left(grid: list[list[int]], row0: int, col0: int, scale: int, m: RatMatrix, n: int) -> None:

@@ -25,6 +25,15 @@ class Arrow:
     target: str
 
 
+def _as_arrow(a: object) -> Arrow:
+    """``a`` itself, or the Arrow of a (name, source, target) triple."""
+    triple = isinstance(a, (tuple, list)) and len(a) == 3
+    arrow = a if isinstance(a, Arrow) else Arrow(*a) if triple else None
+    if arrow is None or not isinstance(arrow.name, str):
+        raise DomainError(f"arrow {a!r} is not an Arrow or a (name, source, target) triple with a string name")
+    return arrow
+
+
 class Quiver:
     """A finite directed multigraph; parallel arrows and loops are allowed."""
 
@@ -32,9 +41,7 @@ class Quiver:
         self.vertices: tuple[str, ...] = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise DomainError("duplicate vertex names")
-        self.arrows: tuple[Arrow, ...] = tuple(
-            a if isinstance(a, Arrow) else Arrow(*a) for a in arrows
-        )
+        self.arrows: tuple[Arrow, ...] = tuple(map(_as_arrow, arrows))
         vset = set(self.vertices)
         names = set()
         for a in self.arrows:

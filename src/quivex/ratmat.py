@@ -76,6 +76,11 @@ class RatMatrix:
     den: int
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence[Scalar]]):
+        if len(data) != rows:
+            raise DimensionError(f"matrix has {len(data)} rows, expected {rows}")
+        for i, row in enumerate(data):
+            if len(row) != cols:
+                raise DimensionError(f"ragged matrix: row {i} has {len(row)} entries, expected {cols}")
         values = [[as_fraction(v) for v in r] for r in data]
         # over the lcm of lowest-terms denominators the entries share no factor with it
         den = lcm(*(v.denominator for r in values for v in r))
@@ -96,9 +101,6 @@ class RatMatrix:
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence[Scalar]], cols: int | None = None) -> "RatMatrix":
         width = cols if cols is not None else len(entries[0]) if entries else 0
-        for i, row in enumerate(entries):
-            if len(row) != width:
-                raise DimensionError(f"ragged matrix: row {i} has {len(row)} entries, expected {width}")
         return cls(len(entries), width, entries)
 
     @classmethod

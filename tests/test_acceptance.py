@@ -17,10 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from quivex import acceptance, bundles, homext, kacmoody, ratmat, rep, stability
+from quivex import acceptance, bundles, hecke, homext, invariants, kacmoody, ratmat, rep, stability
 from quivex.bundles import an_bundle, an_chain_sample
 from quivex.cli import main
-from quivex.errors import DomainError
+from quivex.errors import DomainError, InternalCheckError
 from quivex.quiver import DimVector, ade_minimal_resolution_setup, double
 from quivex.ratmat import RatMatrix, kernel_basis
 from quivex.rep import FramedRep
@@ -336,3 +336,94 @@ def test_failures_past_the_twelfth_are_counted(monkeypatch):
     assert len(failures) == 13
     assert all(m.startswith("stability != J-injectivity at ") for m in failures[:12])
     assert failures[12] == f"… and {injective - 12} more"
+
+
+# One injected fault per criterion, each of which the criterion must report:
+# together with the criterion 1 tests above, every criterion fails once.
+
+
+def test_criterion_2_catches_a_failed_chain_relation(monkeypatch):
+    an_xyz = invariants.an_xyz
+    monkeypatch.setattr(invariants, "an_xyz", lambda x: dataclasses.replace(an_xyz(x), relation_ok=False))
+    result = acceptance.criterion_2(acceptance.DEFAULT_SEED, ns=(2,))
+    assert result.passed is False
+    assert result.details["failures"][0] == "A2: broken_1 chain relation fails"
+
+
+def test_criterion_3_catches_a_doubled_framing(monkeypatch):
+    setup = acceptance.ade_minimal_resolution_setup
+
+    def doubled_w(label):
+        q, v, w = setup(label)
+        return q, v, w + w
+
+    monkeypatch.setattr(acceptance, "ade_minimal_resolution_setup", doubled_w)
+    result = acceptance.criterion_3()
+    assert result.passed is False
+    assert result.details["failures"] == [
+        "zero-weight multiplicity 5 != 4",
+        "moduli dimension != 2",
+        "adjoint dimension sum 135 != 28",
+    ]
+
+
+def test_criterion_3_raises_on_a_root_system_without_its_highest_root(monkeypatch):
+    """Freudenthal's formula over D4 without the root (1, 2, 1, 1) gives a
+    fraction, which the multiplicity session refuses."""
+    finite_roots = kacmoody._finite_positive_roots
+
+    def without_highest(gcm):
+        return finite_roots(gcm)[:-1]  # sorted by height, so the highest root is last
+
+    monkeypatch.setattr(kacmoody, "_finite_positive_roots", without_highest)
+    message = "non-integral weight multiplicity at (1, 2, 1, 1)"
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
+        acceptance.criterion_3()
+
+
+def test_criterion_4_catches_a_beta_without_its_i_e_term(corpus, monkeypatch):
+    """beta assembled as if x2 had I = 0 drops exactly its I2 E blocks."""
+    beta = homext.Complex3.beta.func
+
+    def without_i_e(c):
+        x2 = c.x2
+        no_i = FramedRep(x2.dq, x2.dim_v, x2.dim_w, x2.B, None, x2.J)
+        return beta(homext.Complex3(c.x1, no_i))
+
+    monkeypatch.setattr(homext.Complex3, "beta", property(without_i_e))
+    result = acceptance.criterion_4(corpus)
+    failures = result.details["failures"]
+    assert result.passed is False
+    assert failures[0] == "A2[0,0]: duality fails"
+    assert failures[-1] == "… and 313 more"
+
+
+def test_criterion_5_catches_homs_from_a_simple_into_an_unstable_point(corpus, monkeypatch):
+    monkeypatch.setattr(acceptance, "is_stable", lambda x, zeta: types.SimpleNamespace(stable=True))
+    result = acceptance.criterion_5(corpus)
+    assert result.passed is False
+    assert result.details["failures"][0] == "A2[0]: Hom from simple at 2 nonzero"
+
+
+def test_criterion_6_catches_a_round_trip_that_is_not_isomorphic(monkeypatch):
+    monkeypatch.setattr(hecke, "are_isomorphic", lambda x, y: False)
+    result = acceptance.criterion_6()
+    assert result.passed is False
+    assert result.details["failures"] == [
+        "round trip on generic not isomorphic to the original",
+        "round trip on special not isomorphic to the original",
+    ]
+
+
+def test_criterion_7_catches_a_rewrite_that_keeps_the_framing(corpus, monkeypatch):
+    cb_apply = acceptance.cb_apply
+
+    def keeps_framing(x):
+        y = cb_apply(x)
+        w = DimVector.of(y.dq.base, {**x.dim_w.as_dict(), y.dq.vertices[-1]: 0})
+        return FramedRep(y.dq, y.dim_v, w, y.B)
+
+    monkeypatch.setattr(acceptance, "cb_apply", keeps_framing)
+    result = acceptance.criterion_7(acceptance.DEFAULT_SEED, corpus)
+    assert result.passed is False
+    assert result.details["failures"][0] == "sample 0: ambient dimensions 6 != 10"

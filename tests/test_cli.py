@@ -381,6 +381,40 @@ def test_reduce_and_extend_reports_pinned(capsys, point):
     assert digests == REDUCE_EXTEND_SHA256[point]
 
 
+def _cocycle_layout(rep: dict, vertex: str) -> list[list]:
+    """The cocycle layout descriptor of docs/formats.md, rebuilt from the JSON
+    of the rep the classes extend."""
+    vertices = rep["quiver"]["vertices"]
+    v = {j: rep["dimV"].get(j, 0) for j in vertices}
+    w = {j: rep.get("dimW", {}).get(j, 0) for j in vertices}
+    unit = {j: int(j == vertex) for j in vertices}
+    base = [(a["name"], a["from"], a["to"]) for a in rep["quiver"]["arrows"]]
+    doubled = base + [(name + "*", t, s) for name, s, t in base]
+    return (
+        [["arrow", name, v[t], unit[s]] for name, s, t in doubled]
+        + [["I", j, v[j], 0] for j in vertices]
+        + [["J", j, w[j], unit[j]] for j in vertices]
+    )
+
+
+@pytest.mark.parametrize("point", sorted(REDUCE_EXTEND_SHA256))
+def test_layout_hash_follows_the_documented_recipe(capsys, point):
+    """A second computation of the cocycle layout, from the report's JSON
+    alone: its hash is the one ``reduce`` wrote, and its block sizes add up
+    to the length of every class."""
+    bundle, member = point.split(".")
+    x = {"d4": d4_bundle, "a2crystal": a2crystal_bundle}[bundle]().reps[member]
+    code, report = run_cli(capsys, "reduce", "--rep", json.dumps(formats.rep_to_json(x)), "--vertex", "2")
+    assert code == 0
+    result = report["result"]
+    descriptor = _cocycle_layout(result["reduced"], "2")
+    digest = hashlib.sha256(json.dumps(descriptor, separators=(",", ":")).encode()).hexdigest()
+    classes = result["recovery_classes"]
+    assert digest == classes["layout_sha256"]
+    assert classes["classes"]
+    assert {len(c) for c in classes["classes"]} == {sum(rows * cols for _, _, rows, cols in descriptor)}
+
+
 D4_QUIVER = ade_minimal_resolution_setup("D4")[0]
 
 # (point, --max-length or None for the default bound): the two d4 points

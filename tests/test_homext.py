@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from quivex import formats, homext
 from quivex.acceptance import DEFAULT_SEED, build_corpus
-from quivex.bundles import a2crystal_bundle
+from quivex.bundles import a2crystal_bundle, an_bundle, an_chain_sample
 from quivex.errors import DimensionError, QuiverMismatchError
 from quivex.hecke import class_layout, sample_flat_crystal
 from quivex.homext import BlockLayout, build_complex, hom_ext_report
-from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, chi, double
+from quivex.quiver import Arrow, DimVector, DoubledQuiver, Quiver, ade_minimal_resolution_setup, chi, double
 from quivex.ratmat import RatMatrix, hstack, pivot_columns, rref
 from quivex.rep import FramedRep, is_flat, sample_flat, simple_rep
 
@@ -102,6 +102,29 @@ def test_euler_identity(seed):
     assert check.equal
     end1, middle, end2 = c.dims
     assert check.formula == middle - end1 - end2
+
+
+@pytest.fixture(scope="module")
+def chain_points():
+    """Eight flat A3 chain samples.  Their moment-map terms eps(a) B_a B_bar(a)
+    and I J are not all zero, so beta . alpha = 0 depends on the sign eps."""
+    bundle = an_bundle(3)
+    return [an_chain_sample(bundle, s) for s in range(8)]
+
+
+def _beta_alpha_nonzero(points):
+    complexes = (build_complex(x, y) for x in points for y in points)
+    return sum(not (c.beta @ c.alpha).is_zero for c in complexes)
+
+
+def test_beta_alpha_zero_on_chain_samples(chain_points):
+    assert _beta_alpha_nonzero(chain_points) == 0
+
+
+def test_beta_alpha_sees_the_sign_of_the_relation(chain_points, monkeypatch):
+    # eps enters only beta; with it dropped, 48 of the 64 ordered pairs fail
+    monkeypatch.setattr(DoubledQuiver, "eps", lambda dq, name: 1)
+    assert _beta_alpha_nonzero(chain_points) == 48
 
 
 def test_e8_complexes_at_exceptional_scale():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -288,6 +290,12 @@ def test_quiver_validation():
         Quiver(["1"], [Arrow("a*", "1", "1")])
     with pytest.raises(DomainError):
         Quiver(["1"], [Arrow("a", "1", "1"), Arrow("a", "1", "1")])
+    with pytest.raises(DomainError, match=re.escape("arrow (1, '1', '1') is not an Arrow")):
+        Quiver(["1"], [(1, "1", "1")])
+    with pytest.raises(DomainError, match=re.escape("arrow ('a', '1') is not an Arrow")):
+        Quiver(["1"], [("a", "1")])
+    with pytest.raises(DomainError, match="arrow 5 is not an Arrow"):
+        Quiver(["1"], [5])
 
 
 _A2_VECTOR = DimVector(("1", "2"), (1, 0))

@@ -519,8 +519,20 @@ def test_integral_elimination_and_products_build_no_fraction(monkeypatch):
         (lambda: vstack([]), "vstack of no matrices needs an explicit column count"),
         (lambda: solve_exact(RatMatrix.zeros(2, 2), RatMatrix.zeros(3, 1)), r"solve: \(2, 2\) against rhs \(3, 1\)"),
         (lambda: inverse(RatMatrix.zeros(1, 2)), r"inverse of non-square \(1, 2\)"),
+        (lambda: RatMatrix(2, 3, [[1, 2, 3]]), "matrix has 1 rows, expected 2"),
+        (lambda: RatMatrix(1, 1, [[1, 2]]), "ragged matrix: row 0 has 2 entries, expected 1"),
+        (lambda: RatMatrix(0, 3, [[1, 2, 3]]), "matrix has 1 rows, expected 0"),
     ],
-    ids=["hstack-rows", "vstack-cols", "vstack-empty", "solve-rows", "inverse-non-square"],
+    ids=[
+        "hstack-rows",
+        "vstack-cols",
+        "vstack-empty",
+        "solve-rows",
+        "inverse-non-square",
+        "init-row-count",
+        "init-long-row",
+        "init-row-of-zero-row-matrix",
+    ],
 )
 def test_refused_shapes_raise_dimension_error(call, message):
     with pytest.raises(DimensionError, match=message) as excinfo:
