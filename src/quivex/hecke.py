@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DependentClassesError, DomainError, InternalCheckError, QuiverMismatchError
-from .quiver import DimVector, DoubledQuiver, ZetaParam, chi as chi_formula, d_of
+from .quiver import DimVector, DoubledQuiver, ZetaParam, check_vertices, chi as chi_formula, d_of
 from .ratmat import RatMatrix, column_space_echelon, hstack, kernel_basis, rank, vstack
 from .rep import FramedRep, ensure_flat, is_flat, simple_rep
 from .stability import is_stable
@@ -200,10 +200,20 @@ def sample_flat_crystal(
     with nonzero J.  Each step reads the classes off one complex and extends
     on that same complex.  Returns None when some step has no extensions
     left (the caller should fall back to ``rep.sample_flat``).
+
+    Both dimension vectors must list dq's vertices, in order; that is checked
+    first.  The first step extends the empty point by the simple S_i at the
+    first vertex i of the order; against V = 0 both ends of its complex are
+    zero and its middle term is Hom(C, W_i), so that step has an extension
+    class exactly when w_i > 0.  When w_i = 0 the walk returns None before
+    building anything, after the same draws, as it would on trying the step.
     """
+    check_vertices(dq.vertices, dim_v, dim_w)
     rng = random.Random(seed)
     order = [v for v in dq.vertices for _ in range(dim_v[v])]
     rng.shuffle(order)
+    if order and dim_w[order[0]] == 0:
+        return None
     x = FramedRep(dq, DimVector.zero(dq), dim_w)
     for vertex in order:
         c = homext.build_complex(simple_rep(dq, vertex), x)
@@ -237,14 +247,25 @@ def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[R
     arrow and framing columns of x on that complement yields one cocycle per
     stripped copy of the simple, and extending the reduction by them returns
     a representation isomorphic to x.
+
+    The reduction must be one of x at i: its reduced point has x's quiver
+    and W, and x's V lowered by r at i.  An unknown vertex or another
+    reduction raises DomainError.
     """
-    if reduction.r == 0:
+    r, small = reduction.r, reduction.reduced
+    lowered = x.dim_v[i] - r  # refuses an unknown vertex
+    if lowered < 0 or small.dq != x.dq or small.dim_w != x.dim_w or small.dim_v != x.dim_v.replace(i, lowered):
+        raise DomainError(
+            f"reduction is not one of x at {i!r}: its reduced point must have x's quiver and W, "
+            f"and x's V lowered by r = {r} at {i!r}"
+        )
+    if r == 0:
         return []
     pivot_rows = set(_pivot_rows(reduction.inclusion[i]))
     complement = [row for row in range(x.dim_v[i]) if row not in pivot_rows]
-    if len(complement) != reduction.r:
-        raise InternalCheckError(f"complement at {i!r} has {len(complement)} rows, not {reduction.r}")
-    layout = class_layout(reduction.reduced, i)
+    if len(complement) != r:
+        raise InternalCheckError(f"complement at {i!r} has {len(complement)} rows, not {r}")
+    layout = class_layout(small, i)
     classes = []
     for row in complement:
         C = {a.name: x.B[a.name].column_matrix(row) for a in x.dq.arrows_out_of(i)}

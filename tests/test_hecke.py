@@ -122,6 +122,29 @@ def test_dimension_identity_on_round_trip(crystal):
     assert gap == 2 * red.r * (chi_small - red.r) == 4
 
 
+def test_recovery_refuses_an_unknown_vertex(crystal):
+    # refused before the r = 0 return as well as past it
+    x = crystal.reps["generic"]
+    for vertex in ("1", "2"):
+        with pytest.raises(DomainError, match="^unknown vertex '9'$"):
+            recovery_classes(x, "9", reduce_i(x, vertex))
+
+
+def test_recovery_refuses_a_reduction_of_another_point(crystal):
+    # lowered at 2 instead of 1, then with x's V but no W, then over A3
+    x = crystal.reps["generic"]
+    unframed = FramedRep(DQ2, x.dim_v, DimVector.zero(A2))
+    a3_simple = simple_rep(double(ade_minimal_resolution_setup("A3")[0]), "1")
+    reductions = [
+        reduce_i(x, "2"),
+        hecke.ReductionResult(unframed, 0, {}),
+        hecke.ReductionResult(a3_simple, 0, {}),
+    ]
+    for reduction in reductions:
+        with pytest.raises(DomainError, match="^reduction is not one of x at '1'"):
+            recovery_classes(x, "1", reduction)
+
+
 def test_extend_with_no_classes_is_identity(crystal):
     x = crystal.reps["generic"]
     assert extend_i(x, "1", []) is x

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -12,7 +13,17 @@ from quivex.bundles import a2crystal_bundle, an_bundle, an_chain_sample
 from quivex.errors import DimensionError, QuiverMismatchError
 from quivex.hecke import class_layout, sample_flat_crystal
 from quivex.homext import BlockLayout, build_complex, hom_ext_report
-from quivex.quiver import Arrow, DimVector, DoubledQuiver, Quiver, ade_minimal_resolution_setup, chi, double
+from quivex.quiver import (
+    Arrow,
+    DimVector,
+    DoubledQuiver,
+    Quiver,
+    ade_minimal_resolution_setup,
+    cb_extend_dim,
+    cb_transform,
+    chi,
+    double,
+)
 from quivex.ratmat import RatMatrix, hstack, pivot_columns, rref
 from quivex.rep import FramedRep, is_flat, sample_flat, simple_rep
 
@@ -364,14 +375,51 @@ def test_corpus_complexes_pinned():
     assert h.hexdigest() == "8882c136811562ff5bc0e34e884a1588f1b081f31aa2467b0f034d7a489576c3"
 
 
+def ladder_pools():
+    """The ladder benchmark's four pools, by name: the doubled quiver, v, w
+    and the pool's base seed.  The forward and reverse samples take the base
+    and the next seed; the crystal attempts start at base + 2."""
+    a3 = ade_minimal_resolution_setup("A3")[0]
+    affine, infinity = cb_transform(D4, D4_W)
+    delta = cb_extend_dim(D4_V, affine, infinity)
+    pools = {
+        "A3": (a3, DimVector.of(a3, [2, 3, 2]), DimVector.of(a3, [2, 1, 2])),
+        "D4": (D4, DimVector.of(D4, [2, 4, 2, 2]), DimVector.of(D4, [1, 2, 1, 1])),
+        "E6": ade_minimal_resolution_setup("E6"),
+        "affine_D4": (affine, delta + delta, DimVector.zero(affine)),
+    }
+    return {
+        name: (double(q), v, w, DEFAULT_SEED * 1000 + 100 * index)
+        for index, (name, (q, v, w)) in enumerate(pools.items())
+    }
+
+
 def ladder_d4_pool():
     """The D4 pool of the ladder benchmark, rebuilt from its seeds."""
-    dq = double(D4)
-    v = DimVector.of(D4, {"1": 2, "2": 4, "3": 2, "4": 2})
-    w = DimVector.of(D4, {"1": 1, "2": 2, "3": 1, "4": 1})
-    forward = sample_flat(dq, v, w, 20160831100, half="forward")
-    reverse = sample_flat(dq, v, w, 20160831101, half="reverse")
-    return [forward, reverse, sample_flat_crystal(dq, v, w, 20160831102)]
+    dq, v, w, base = ladder_pools()["D4"]
+    forward = sample_flat(dq, v, w, base, half="forward")
+    reverse = sample_flat(dq, v, w, base + 1, half="reverse")
+    return [forward, reverse, sample_flat_crystal(dq, v, w, base + 2)]
+
+
+def test_crystal_sampler_pinned():
+    """sha256 over the sorted-key JSON of ``formats.rep_to_json`` of every
+    crystal attempt on the ladder benchmark's four pools, or "None" for a
+    failed one, each pool stopping at its first success or after 40 attempts
+    (86 attempts, 2 successes); the digest was taken at e249ee9, when every
+    attempt built its first step."""
+    h = hashlib.sha256()
+    attempts = []
+    for dq, v, w, base in ladder_pools().values():
+        for k in range(40):
+            x = sample_flat_crystal(dq, v, w, base + 2 + k)
+            line = "None" if x is None else json.dumps(formats.rep_to_json(x), sort_keys=True)
+            h.update(line.encode() + b"\n")
+            if x is not None:
+                break
+        attempts.append(k + 1)
+    assert attempts == [5, 1, 40, 40]
+    assert h.hexdigest() == "c7b343f9169a10df83d17b5db5cdc2ab81d606b5cfa0925ed5a8ef497ccabca9"
 
 
 def test_ext1_reps_pinned():
@@ -447,6 +495,23 @@ def test_sampler_builds_one_complex_per_step(counted):
     v = DimVector.of(A2, {"1": 1, "2": 2})
     assert sample_flat_crystal(DQ2, v, v, 7) is not None
     assert tally() == {"eliminations": 3 * v.total(), "build": v.total()}
+
+
+def test_sampler_builds_nothing_from_an_unframed_first_vertex(counted):
+    # the first step's classes are Hom(C, W_i), and the affine D4 pool has W = 0
+    _, _, tally = counted
+    dq, v, w, base = ladder_pools()["affine_D4"]
+    assert [sample_flat_crystal(dq, v, w, base + 2 + k) for k in range(40)] == [None] * 40
+    assert tally() == {"eliminations": 0, "build": 0}
+
+
+def test_sampler_work_on_the_e6_pool(counted):
+    # 32 walks start at a vertex with w_i = 0 and build nothing; 8 take one
+    # step (3 eliminations) and find no class at the second (2 eliminations)
+    _, _, tally = counted
+    dq, v, w, base = ladder_pools()["E6"]
+    assert [sample_flat_crystal(dq, v, w, base + 2 + k) for k in range(40)] == [None] * 40
+    assert tally() == {"eliminations": 8 * (3 + 2), "build": 8 * 2}
 
 
 def test_ext1_reps_eliminate_no_alpha(counted):

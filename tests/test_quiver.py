@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivex.errors import DomainError, FormatError, QuiverMismatchError, UnknownExampleError
+from quivex.hecke import sample_flat_crystal
 from quivex.kacmoody import h_eigenvalue, weight_multiplicity
 from quivex.quiver import (
     Arrow,
@@ -309,6 +310,8 @@ _VECTOR_CALLS = {
     "DimVector.__add__": lambda bad: _A2_VECTOR + bad,
     "zeta_pair": lambda bad: zeta_pair(ZetaParam.constant(a2(), 1), bad),
     "weight_multiplicity": lambda bad: weight_multiplicity(a2(), _A2_VECTOR, bad),
+    "sample_flat_crystal dim_v": lambda bad: sample_flat_crystal(double(a2()), bad, _A2_VECTOR, 0),
+    "sample_flat_crystal dim_w": lambda bad: sample_flat_crystal(double(a2()), _A2_VECTOR, bad, 0),
 }
 
 
