@@ -25,7 +25,7 @@ from .errors import DomainError, FormatError
 from .homext import BlockLayout
 from .quiver import Arrow, DimVector, DoubledQuiver, Quiver, ZetaParam, double
 from .ratmat import RatMatrix
-from .rep import FramedRep
+from .rep import FramedRep, block_shapes
 
 
 _JSON_KINDS = {dict: "a JSON object", list: "a JSON array", str: "a string", int: "an integer"}
@@ -130,24 +130,15 @@ def rep_from_json(obj: Any) -> FramedRep:
         raise FormatError("representation needs 'dimV'")
     dim_v = dimvec_from_json(quiver, obj["dimV"])
     dim_w = dimvec_from_json(quiver, obj.get("dimW", {}))
-    arrow_names = {a.name: a for a in dq.arrows}
-    B = {}
-    for name, m in _read(obj.get("B", {}), dict, "'B'").items():
-        if name not in arrow_names:
-            raise FormatError(f"B block for unknown doubled arrow {name!r}")
-        a = arrow_names[name]
-        B[name] = matrix_from_json(m, dim_v[a.target], dim_v[a.source])
-    I = {}
-    J = {}
-    for i, m in _read(obj.get("I", {}), dict, "'I'").items():
-        if i not in quiver.vertices:
-            raise FormatError(f"I block for unknown vertex {i!r}")
-        I[i] = matrix_from_json(m, dim_v[i], dim_w[i])
-    for i, m in _read(obj.get("J", {}), dict, "'J'").items():
-        if i not in quiver.vertices:
-            raise FormatError(f"J block for unknown vertex {i!r}")
-        J[i] = matrix_from_json(m, dim_w[i], dim_v[i])
-    return FramedRep(dq, dim_v, dim_w, B, I, J)
+    shapes = block_shapes(dq, dim_v, dim_w)
+    blocks = {}
+    for family, noun in (("B", "doubled arrow"), ("I", "vertex"), ("J", "vertex")):
+        blocks[family] = {}
+        for key, m in _read(obj.get(family, {}), dict, f"'{family}'").items():
+            if key not in shapes[family]:
+                raise FormatError(f"{family} block for unknown {noun} {key!r}")
+            blocks[family][key] = matrix_from_json(m, *shapes[family][key])
+    return FramedRep(dq, dim_v, dim_w, **blocks)
 
 
 def bundle_to_json(b: ExampleBundle) -> dict:

@@ -239,6 +239,28 @@ def class_layout(x: FramedRep, i: str) -> homext.BlockLayout:
     return homext.BlockLayout.middle(x.dq, unit, DimVector.zero(x.dq), x.dim_v, x.dim_w)
 
 
+def _includes(x: FramedRep, i: str, small: FramedRep, inclusion: dict[str, RatMatrix]) -> bool:
+    """Whether the inclusion, the identity away from i, maps small into x:
+    one product per block that touches i, equality for every other block."""
+    inc = inclusion.get(i)
+    if not isinstance(inc, RatMatrix) or inc.shape != (x.dim_v[i], small.dim_v[i]):
+        return False
+    if any(inclusion.get(j) != RatMatrix.identity(x.dim_v[j]) for j in x.dq.vertices if j != i):
+        return False
+
+    def then_inc(m: RatMatrix, j: str) -> RatMatrix:  # m after the inclusion at j
+        return m @ inc if j == i else m
+
+    def inc_then(j: str, m: RatMatrix) -> RatMatrix:  # the inclusion at j after m
+        return inc @ m if j == i else m
+
+    return all(
+        then_inc(x.B[a.name], a.source) == inc_then(a.target, small.B[a.name]) for a in x.dq.arrows
+    ) and all(
+        x.I[j] == inc_then(j, small.I[j]) and then_inc(x.J[j], j) == small.J[j] for j in x.dq.vertices
+    )
+
+
 def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[RatMatrix]:
     """The tautological extension classes that rebuild x from its reduction.
 
@@ -249,8 +271,8 @@ def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[R
     a representation isomorphic to x.
 
     The reduction must be one of x at i: its reduced point has x's quiver
-    and W, and x's V lowered by r at i.  An unknown vertex or another
-    reduction raises DomainError.
+    and W, and x's V lowered by r at i, and its inclusion maps it into x.
+    An unknown vertex or another reduction raises DomainError.
     """
     r, small = reduction.r, reduction.reduced
     lowered = x.dim_v[i] - r  # refuses an unknown vertex
@@ -258,6 +280,11 @@ def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[R
         raise DomainError(
             f"reduction is not one of x at {i!r}: its reduced point must have x's quiver and W, "
             f"and x's V lowered by r = {r} at {i!r}"
+        )
+    if not _includes(x, i, small, reduction.inclusion):
+        raise DomainError(
+            f"reduction is not one of x at {i!r}: its inclusion is not the identity away from {i!r} "
+            "or does not intertwine the reduced point with x"
         )
     if r == 0:
         return []

@@ -1,7 +1,10 @@
 """Framed representations (B, I, J) of a doubled quiver.
 
-Shape convention: the matrix of an arrow maps the source fiber to the target
-fiber acting on column vectors, so it has shape target-dim by source-dim;
+Shape convention: a point of M(v, w) has one block B_a per doubled arrow,
+mapping the source fiber to the target fiber on column vectors, so of shape
+v_target x v_source; one block I_i : W_i -> V_i of shape v_i x w_i; and one
+block J_i : V_i -> W_i of shape w_i x v_i.  ``block_shapes`` is the one
+statement of this rule, and every constructor of a point reads it.
 ``evaluate_path`` therefore multiplies matrices right to left along a path.
 Representations are immutable and every operation is a pure function.
 """
@@ -30,11 +33,35 @@ class GradedEndo:
         return all(m.is_zero for m in self.blocks.values())
 
 
+def block_shapes(dq: DoubledQuiver, dim_v: DimVector, dim_w: DimVector) -> dict[str, dict[str, tuple[int, int]]]:
+    """The (rows, cols) of every block of a point of M(v, w): family "B" by
+    doubled arrow in arrow order, "I" and "J" by vertex in vertex order."""
+    return {
+        "B": {a.name: (dim_v[a.target], dim_v[a.source]) for a in dq.arrows},
+        "I": {i: (dim_v[i], dim_w[i]) for i in dq.vertices},
+        "J": {i: (dim_w[i], dim_v[i]) for i in dq.vertices},
+    }
+
+
+def _block(given: Mapping[str, RatMatrix], family: str, key: str, shape: tuple[int, int]) -> RatMatrix:
+    """The given block at its table shape, or zeros of that shape if absent."""
+    if key not in given:
+        return RatMatrix.zeros(*shape)
+    m = given[key]
+    if not isinstance(m, RatMatrix):
+        raise DimensionError(f"{family}[{key!r}] is not a RatMatrix")
+    if m.shape != shape:
+        raise DimensionError(f"{family}[{key!r}] has shape {m.shape}, expected {shape}")
+    return m
+
+
 class FramedRep:
     """Matrices B per doubled arrow, I and J per vertex, over exact rationals.
 
-    Every block is present with its exact forced shape, including
-    zero-dimensional ones; omitted blocks are materialized as zeros.
+    Every block is present with its ``block_shapes`` shape, including
+    zero-dimensional ones; omitted blocks are materialized as zeros.  Unknown
+    keys are refused first, then blocks in arrow order, then I_i and J_i
+    vertex by vertex.
     """
 
     def __init__(
@@ -51,39 +78,19 @@ class FramedRep:
         self.dq = dq
         self.dim_v = dim_v
         self.dim_w = dim_w
-        B = dict(B or {})
-        I = dict(I or {})
-        J = dict(J or {})
-        known = {a.name for a in dq.arrows}
-        for key in B:
-            if key not in known:
-                raise DimensionError(f"B block for unknown arrow {key!r}")
-        for table, label in ((I, "I"), (J, "J")):
-            for key in table:
-                if key not in dq.vertices:
-                    raise DimensionError(f"{label} block for unknown vertex {key!r}")
-        self.B: dict[str, RatMatrix] = {}
-        for a in dq.arrows:
-            shape = (dim_v[a.target], dim_v[a.source])
-            m = B[a.name] if a.name in B else RatMatrix.zeros(*shape)
-            if m.shape != shape:
-                raise DimensionError(
-                    f"B[{a.name!r}] has shape {m.shape}, expected {shape}"
-                )
-            self.B[a.name] = m
+        shapes = block_shapes(dq, dim_v, dim_w)
+        given = {"B": B or {}, "I": I or {}, "J": J or {}}
+        for family, blocks in given.items():
+            for key in blocks:
+                if key not in shapes[family]:
+                    noun = "arrow" if family == "B" else "vertex"
+                    raise DimensionError(f"{family} block for unknown {noun} {key!r}")
+        self.B: dict[str, RatMatrix] = {a: _block(given["B"], "B", a, shape) for a, shape in shapes["B"].items()}
         self.I: dict[str, RatMatrix] = {}
         self.J: dict[str, RatMatrix] = {}
         for i in dq.vertices:
-            ishape = (dim_v[i], dim_w[i])
-            jshape = (dim_w[i], dim_v[i])
-            mi = I[i] if i in I else RatMatrix.zeros(*ishape)
-            mj = J[i] if i in J else RatMatrix.zeros(*jshape)
-            if mi.shape != ishape:
-                raise DimensionError(f"I[{i!r}] has shape {mi.shape}, expected {ishape}")
-            if mj.shape != jshape:
-                raise DimensionError(f"J[{i!r}] has shape {mj.shape}, expected {jshape}")
-            self.I[i] = mi
-            self.J[i] = mj
+            self.I[i] = _block(given["I"], "I", i, shapes["I"][i])
+            self.J[i] = _block(given["J"], "J", i, shapes["J"][i])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -190,6 +197,9 @@ def conjugate(x: FramedRep, g: Mapping[str, RatMatrix]) -> FramedRep:
         raise QuiverMismatchError(
             f"base change keyed to {list(g)} where the vertices {list(x.dq.vertices)} are expected"
         )
+    for i in x.dq.vertices:
+        if not isinstance(g[i], RatMatrix):
+            raise DimensionError(f"g[{i!r}] is not a RatMatrix")
     ginv = {i: inverse(g[i]) for i in x.dq.vertices}
     B = {
         a.name: g[a.target] @ x.B[a.name] @ ginv[a.source]
@@ -236,20 +246,15 @@ def sample_flat(
     if half not in ("forward", "reverse"):
         raise DomainError(f"unknown half {half!r}")
     rng = random.Random(seed)
-    B: dict[str, RatMatrix] = {}
-    for a in dq.arrows:
-        reversed_arrow = dq.eps(a.name) < 0
-        live = reversed_arrow if half == "reverse" else not reversed_arrow
-        if live:
-            B[a.name] = _random_matrix(rng, dim_v[a.target], dim_v[a.source])
-    I: dict[str, RatMatrix] = {}
-    J: dict[str, RatMatrix] = {}
-    for i in dq.vertices:
-        if half == "forward":
-            I[i] = _random_matrix(rng, dim_v[i], dim_w[i])
-        else:
-            J[i] = _random_matrix(rng, dim_w[i], dim_v[i])
-    return FramedRep(dq, dim_v, dim_w, B, I, J)
+    shapes = block_shapes(dq, dim_v, dim_w)
+    B = {
+        a: _random_matrix(rng, *shape)
+        for a, shape in shapes["B"].items()
+        if (dq.eps(a) < 0) == (half == "reverse")
+    }
+    framing = "I" if half == "forward" else "J"
+    live = {framing: {i: _random_matrix(rng, *shape) for i, shape in shapes[framing].items()}}
+    return FramedRep(dq, dim_v, dim_w, B, **live)
 
 
 def cb_apply(x: FramedRep) -> FramedRep:

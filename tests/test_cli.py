@@ -191,6 +191,41 @@ def test_refused_representation_and_zeta_exit_1_in_envelope(capsys, argv, messag
     assert report["error"] == {"type": "FormatError", "message": message}
 
 
+def _refusal_envelope(message):
+    return (
+        '{\n  "command": "check-moment",\n  "error": {\n    "message": "' + message
+        + '",\n    "type": "FormatError"\n  },\n  "version": "0.1.0"\n}\n'
+    )
+
+
+A2_FRAMED = (
+    '{"quiver": {"vertices": ["1", "2"], "arrows": [{"name": "1->2", "from": "1", "to": "2"}]}, '
+    '"dimV": {"1": 1, "2": 1}, "dimW": {"1": 1, "2": 1}'
+)
+
+
+@pytest.mark.parametrize(
+    "payload, stdout",
+    [
+        (
+            A2_FRAMED + ', "I": {"2": [[0, 0]]}, "J": {"1": [[0], [0]]}}',
+            _refusal_envelope("matrix row has wrong width, expected 1"),
+        ),
+        (
+            A2_FRAMED + ', "B": {"1->2": [[0], [0]], "9": [[0]]}}',
+            _refusal_envelope("matrix has 2 rows, expected 1"),
+        ),
+    ],
+    ids=["bad-I2-and-J1", "bad-shape-then-unknown-B"],
+)
+def test_check_moment_refusal_order_pinned(capsys, payload, stdout):
+    """The payloads of ``test_rep.py::test_refusal_order_pinned``: the decoder
+    refuses blocks in payload order, family by family (B, I, J).  The exit
+    code and stdout bytes were recorded at commit 31ba23e."""
+    assert main(["check-moment", "--rep", payload]) == 1
+    assert capsys.readouterr().out == stdout
+
+
 def test_hom_ext(capsys, tmp_path):
     bundle = a2crystal_bundle()
     r1 = write_rep(tmp_path, "a.json", bundle.reps["generic"])

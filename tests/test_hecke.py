@@ -145,6 +145,21 @@ def test_recovery_refuses_a_reduction_of_another_point(crystal):
             recovery_classes(x, "1", reduction)
 
 
+def test_recovery_refuses_a_reduction_that_does_not_include_into_x(crystal):
+    # special's reduction at 1 has generic's dimensions, but its inclusion
+    # does not intertwine it with generic (epsilon_1(generic) = 0); then a
+    # reduction of generic whose inclusion is not the identity away from 2
+    generic, special = crystal.reps["generic"], crystal.reps["special"]
+    own = reduce_i(generic, "2")
+    reductions = [
+        ("1", reduce_i(special, "1")),
+        ("2", hecke.ReductionResult(own.reduced, own.r, {**own.inclusion, "1": RatMatrix.from_rows([[2]])})),
+    ]
+    for vertex, reduction in reductions:
+        with pytest.raises(DomainError, match=f"^reduction is not one of x at '{vertex}': its inclusion"):
+            recovery_classes(generic, vertex, reduction)
+
+
 def test_extend_with_no_classes_is_identity(crystal):
     x = crystal.reps["generic"]
     assert extend_i(x, "1", []) is x

@@ -5,14 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivex.bundles import an_bundle
+from quivex.bundles import a2crystal_bundle, an_bundle
 from quivex.errors import BadPathError, DimensionError, DomainError, InconsistentSystemError, QuiverMismatchError
+from quivex.formats import rep_from_json, rep_to_json
 from quivex.hecke import sample_flat_crystal
-from quivex.quiver import Arrow, DimVector, Quiver, ade_minimal_resolution_setup, cb_transform, double
+from quivex.quiver import (
+    Arrow,
+    DimVector,
+    Quiver,
+    ade_minimal_resolution_setup,
+    cb_extend_dim,
+    cb_transform,
+    dim_bigM,
+    double,
+)
 from quivex.ratmat import RatMatrix, rank
 from quivex.rep import (
     FramedRep,
     GradedEndo,
+    block_shapes,
     cb_apply,
     conjugate,
     direct_sum,
@@ -376,10 +387,83 @@ ONE = DimVector.of(A1, [1])
             BadPathError,
             "path starts at '1', not '2'",
         ),
+        (
+            lambda: FramedRep(DQ2, DimVector.of(A2, [1, 1]), DimVector.zero(A2), B={"1->2": [[1]]}),
+            DimensionError,
+            r"^B\['1->2'\] is not a RatMatrix$",
+        ),
+        (
+            lambda: FramedRep(*ade_minimal_resolution_setup("A2"), I={"1": 5}),
+            DimensionError,
+            r"^I\['1'\] is not a RatMatrix$",
+        ),
+        (
+            lambda: FramedRep(*ade_minimal_resolution_setup("A2"), J={"1": None}),
+            DimensionError,
+            r"^J\['1'\] is not a RatMatrix$",
+        ),
+        (
+            lambda: conjugate(
+                a2crystal_bundle().reps["generic"], {"1": [[1]], "2": RatMatrix.identity(2)}
+            ),
+            DimensionError,
+            r"^g\['1'\] is not a RatMatrix$",
+        ),
     ],
-    ids=["I-unknown-vertex", "J-unknown-vertex", "B-shape", "J-shape", "path-start"],
+    ids=[
+        "I-unknown-vertex", "J-unknown-vertex", "B-shape", "J-shape", "path-start",
+        "B-not-a-matrix", "I-not-a-matrix", "J-not-a-matrix", "g-not-a-matrix",
+    ],
 )
 def test_refused_inputs_raise_their_error_class(call, error, message):
     with pytest.raises(error, match=message) as excinfo:
         call()
     assert excinfo.type is error
+
+
+V11 = DimVector.of(A2, [1, 1])
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (
+            {"I": {"2": RatMatrix.zeros(1, 2)}, "J": {"1": RatMatrix.zeros(2, 1)}},
+            "J['1'] has shape (2, 1), expected (1, 1)",
+        ),
+        (
+            {"B": {"1->2": RatMatrix.zeros(2, 1), "9": RatMatrix.zeros(1, 1)}},
+            "B block for unknown arrow '9'",
+        ),
+    ],
+    ids=["J1-before-I2", "unknown-before-shape"],
+)
+def test_refusal_order_pinned(blocks, message):
+    """Of several bad blocks, the first refused is the one commit 31ba23e
+    refused (messages recorded there): unknown keys before shapes, arrows
+    before framing, and I_i, J_i vertex by vertex."""
+    with pytest.raises(DimensionError) as excinfo:
+        FramedRep(DQ2, V11, V11, **blocks)
+    assert str(excinfo.value) == message
+
+
+def _cb_rewrite(label):
+    q, v, w = ade_minimal_resolution_setup(label)
+    q2, inf = cb_transform(q, w)
+    return q2, cb_extend_dim(v, q2, inf), DimVector.zero(q2)
+
+
+def test_block_shapes_agree_with_dim_bigM_and_every_constructor():
+    setups = [ade_minimal_resolution_setup(label) for label in ("A1", "A2", "A3", "A5", "D4", "D5", "E6", "E7", "E8")]
+    setups += [_cb_rewrite("D4"), _cb_rewrite("E6")]
+    setups.append((JORDAN, DimVector.of(JORDAN, [2]), DimVector.of(JORDAN, [1])))
+    for q, v, w in setups:
+        dq = double(q)
+        shapes = block_shapes(dq, v, w)
+        assert list(shapes["B"]) == [a.name for a in dq.arrows]
+        assert list(shapes["I"]) == list(shapes["J"]) == list(dq.vertices)
+        assert sum(r * c for family in shapes.values() for r, c in family.values()) == dim_bigM(q, v, w)
+        halves = [sample_flat(dq, v, w, 7, half=half) for half in ("forward", "reverse")]
+        for x in [FramedRep(dq, v, w), *halves, *(rep_from_json(rep_to_json(y)) for y in halves)]:
+            read = {"B": x.B, "I": x.I, "J": x.J}
+            assert {f: {k: m.shape for k, m in read[f].items()} for f in read} == shapes
