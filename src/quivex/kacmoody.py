@@ -1,18 +1,19 @@
 """Independent weight-multiplicity oracle for the symmetric Kac-Moody algebra
 attached to a loop-free quiver.
 
-Positive roots come from exact reflection enumeration in finite type and
-otherwise from Peterson's recursion up to a height cutoff, which sums once
-over each unordered pair whose coefficients it has already found nonzero;
-a single multiplicity at the drop v builds only the roots in the box of v,
-all that Freudenthal at v reads.  In finite type the simple roots are closed
-under the raising reflections only, s_i where the pairing with alpha_i is
-negative, which reach every positive root and no negative one.  Weight
-multiplicities of the integrable highest-weight module come from
-Freudenthal's formula on dominant weights only: multiplicities are invariant
-under the Weyl group, so each drop is reduced to the dominant drop of its
-orbit, and the dominant drops a query needs are evaluated from a worklist in
-order of height, with no recursion.
+Finite type is Sylvester's criterion on integer minors.  Positive roots come
+from exact reflection enumeration in finite type and otherwise from
+Peterson's recursion on scaled integer coefficients up to a height cutoff,
+which sums once over each unordered pair whose coefficients it has already
+found nonzero; a single multiplicity at the drop v builds only the roots in
+the box of v, all that Freudenthal at v reads.  In finite type the simple
+roots are closed under the raising reflections only, s_i where the pairing
+with alpha_i is negative, which reach every positive root and no negative
+one.  Weight multiplicities of the integrable highest-weight module come
+from Freudenthal's formula on dominant weights only: multiplicities are
+invariant under the Weyl group, so each drop is reduced to the dominant
+drop of its orbit, and the dominant drops a query needs are evaluated from a
+worklist in order of height, with no recursion.
 
 The Cartan matrix is walked as sparse rows, the (column, entry) pairs with a
 nonzero entry; it is symmetric, so a row is also a column.  The finite
@@ -25,7 +26,7 @@ Freudenthal's sum reads at every dominant drop.
 
 Conventions: simple roots are coordinate vectors, the bilinear form is the
 Cartan matrix itself, and the Weyl functional pairs to 1 against every
-simple root.  All arithmetic is exact.
+simple root.  All arithmetic is exact, and all of it on ints.
 
 Sessions own their memo tables; share a session across threads only with
 external locking (one session per thread is the supported pattern).
@@ -34,8 +35,7 @@ external locking (one session per thread is the supported pattern).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, le, mul, sub
 
 from .errors import CutoffError, DomainError, InternalCheckError, InvalidCartanError
@@ -65,19 +65,24 @@ def validate_gcm(gcm: GCM) -> None:
 
 
 def is_finite_type(gcm: GCM) -> bool:
-    """Positive definiteness via exact symmetric elimination pivots."""
+    """Positive definiteness by Sylvester's criterion: every leading
+    principal minor is positive.  Bareiss's fraction-free elimination (Math.
+    Comp. 22, 1968) computes them in integers: the pivot of step k is the
+    minor of order k + 1, and each division, by the previous pivot, is
+    exact.  It stops at the first pivot that is not positive."""
     n = len(gcm)
-    work = [[Fraction(v) for v in row] for row in gcm]
+    work = [list(row) for row in gcm]
+    previous = 1
     for k in range(n):
         pivot = work[k][k]
         if pivot <= 0:
             return False
-        for r in range(k + 1, n):
-            f = work[r][k] / pivot
-            if f == 0:
-                continue
-            for c in range(k, n):
-                work[r][c] -= f * work[k][c]
+        pivot_row = work[k]
+        for row in work[k + 1 :]:
+            lead = row[k]
+            for c in range(k + 1, n):
+                row[c] = (pivot * row[c] - lead * pivot_row[c]) // previous
+        previous = pivot
     return True
 
 
@@ -130,58 +135,86 @@ def _peterson_roots(gcm: GCM, cutoff: int, box: Coeffs | None = None) -> list[tu
     gamma with c_gamma >= mult(gamma) > 0 and c_{(k-1) gamma} >=
     mult(gamma)/(k - 1) > 0.  With a box, a sum outside it gets no key: both
     parts of a pair summing to beta, and beta/k, are <= beta, so that loses
-    nothing inside the box."""
+    nothing inside the box; without one, every coordinate is boxed by the
+    cutoff.
+
+    Everything is an int.  With m the largest box entry and L = lcm(1, ...,
+    m), C_beta = L c_beta is an integer once the multiplicities below beta
+    are, as the denominator of c_beta divides gcd(beta) <= m; one that is not
+    is refused.  A key packs a vector into fields with a guard bit above m,
+    the first most significant (int order is tuple order), so gamma + delta
+    is key + key, beta/k is key // k, and gamma + delta is in the box when
+    (box + guards) - gamma - delta keeps every guard bit.  By polarization,
+    2 (gamma, delta) = N(beta) - N(gamma) - N(delta) with N the norm, so a
+    pair adds C_gamma C_delta to S0 and that times N(gamma) + N(delta) to S1,
+    and L^2 times the sum at beta is (N(beta) S0 - S1)/2."""
     rows = _sparse_rows(gcm)
     n = len(gcm)
-    mult: dict[Coeffs, int] = {}
-    # support[h]: (beta, c_beta, pairings of beta) at height h with c_beta != 0;
-    # an integral c_beta is kept as an int, whose products are cheaper
-    support: list[list[tuple[Coeffs, Fraction | int, Coeffs]]] = [[], []]
-    for i in range(n):
-        if box is None or box[i]:
-            alpha = tuple(1 if j == i else 0 for j in range(n))
-            mult[alpha] = 1
-            support[1].append((alpha, 1, _pairings(rows, alpha)))
+    if box is None:
+        box = (cutoff,) * n
+    top = max(box, default=0)
+    scale = lcm(*range(1, top + 1))
+    width = top.bit_length() + 1
+    shifts = [width * (n - 1 - i) for i in range(n)]
+    guards = sum(1 << (shift + width - 1) for shift in shifts)
+    ceiling = guards + sum(b << shift for b, shift in zip(box, shifts))
+    mask = (1 << width) - 1
+    simple = sorted(1 << shift for b, shift in zip(box, shifts) if b)
+    mult = dict.fromkeys(simple, 1)  # in (height, key) order
+    # support[h]: (key of beta, C_beta, N(beta)) at height h with c_beta != 0
+    support = [[], [(key, scale, 2) for key in simple]]
     for height in range(2, cutoff + 1):
-        sums: dict[Coeffs, Fraction | int] = {}
+        # sums[key]: [S0, S1] over the pairs summing to the key
+        sums: dict[int, list[int]] = {}
         for low in range(1, height // 2 + 1):
-            for a, (gamma, c_gamma, gamma_pair) in enumerate(support[low]):
+            for a, (gamma, c_gamma, n_gamma) in enumerate(support[low]):
+                room = ceiling - gamma
                 partners = support[height - low]
                 if 2 * low == height:
-                    partners = partners[a:]  # gamma itself, then the later ones
+                    partners = partners[a + 1 :]
+                    if (room - gamma) & guards == guards:  # the diagonal pair, weight 1
+                        entry = sums.setdefault(2 * gamma, [0, 0])
+                        entry[0] += c_gamma * c_gamma
+                        entry[1] += 2 * n_gamma * c_gamma * c_gamma
                 twice = 2 * c_gamma
-                for delta, c_delta, _ in partners:
-                    beta = tuple(map(add, gamma, delta))
-                    if box is None or all(map(le, beta, box)):
-                        term = sum(map(mul, delta, gamma_pair)) * c_delta
-                        sums[beta] = sums.get(beta, 0) + term * (c_gamma if delta is gamma else twice)
+                for delta, c_delta, n_delta in partners:
+                    if (room - delta) & guards == guards:
+                        beta = gamma + delta
+                        p = twice * c_delta
+                        entry = sums.get(beta)
+                        if entry:
+                            entry[0] += p
+                            entry[1] += (n_gamma + n_delta) * p
+                        else:
+                            sums[beta] = [p, (n_gamma + n_delta) * p]
         found = []
-        for beta in sorted(sums):
-            numerator = sums[beta]
-            divisor_part = 0
+        for key in sorted(sums):
+            s0, s1 = sums[key]
+            beta = tuple((key >> shift) & mask for shift in shifts)
+            norm = sum(b * sum(g * beta[j] for j, g in row) for b, row in zip(beta, rows))
+            divisor_part = 0  # L times the divisor part
             common = gcd(*beta)
             for k in range(2, common + 1):
                 if common % k == 0:
-                    divisor_part += Fraction(mult.get(tuple(b // k for b in beta), 0), k)
-            beta_pair = _pairings(rows, beta)
-            denominator = sum(map(mul, beta, beta_pair)) - 2 * height
+                    divisor_part += mult.get(key // k, 0) * (scale // k)
+            denominator = norm - 2 * height
             if denominator:
-                c_beta = Fraction(numerator, denominator)
-            elif numerator:
+                c_beta, rest = divmod((norm * s0 - s1) // 2, scale * denominator)
+            elif norm * s0 != s1:
                 raise InternalCheckError("Peterson recursion hit a zero pivot with nonzero sum")
             else:
                 # (beta, beta) = 2 ht(beta) >= 4 exceeds the norm of every
                 # root, so mult(beta) = 0 and c_beta is its divisor part alone
-                c_beta = divisor_part
-            m = c_beta - divisor_part
-            if m.denominator != 1 or m < 0:
+                c_beta, rest = divisor_part, 0
+            m, remainder = divmod(c_beta - divisor_part, scale)
+            if rest or remainder or m < 0:
                 raise InternalCheckError(f"non-integral root multiplicity at {beta}")
             if c_beta:
-                found.append((beta, int(c_beta) if c_beta.denominator == 1 else c_beta, beta_pair))
+                found.append((key, c_beta, norm))
             if m:
-                mult[beta] = int(m)
+                mult[key] = m
         support.append(found)
-    return sorted(mult.items(), key=lambda t: (sum(t[0]), t[0]))
+    return [(tuple((key >> shift) & mask for shift in shifts), m) for key, m in mult.items()]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import BadPathError, DimensionError, DomainError, NotFlatError, QuiverMismatchError
-from .quiver import DimVector, DoubledQuiver, cb_extend_dim, cb_transform, double
+from .quiver import DimVector, DoubledQuiver, cb_extend_dim, cb_transform, check_vertices, double
 from .ratmat import RatMatrix, hstack, inverse, vstack
 
 
@@ -245,6 +245,7 @@ def sample_flat(
     """
     if half not in ("forward", "reverse"):
         raise DomainError(f"unknown half {half!r}")
+    check_vertices(dq.vertices, dim_v, dim_w)
     rng = random.Random(seed)
     shapes = block_shapes(dq, dim_v, dim_w)
     B = {

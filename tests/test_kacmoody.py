@@ -1,13 +1,15 @@
 import hashlib
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from quivex import kacmoody
-from quivex.errors import CutoffError, DomainError, InvalidCartanError
+from quivex.errors import CutoffError, DomainError, InternalCheckError, InvalidCartanError
 from quivex.kacmoody import (
     MultiplicitySession,
     h_eigenvalue,
@@ -110,6 +112,56 @@ def test_jordan_quiver_rejected_upstream():
 def test_finite_type_detection():
     assert is_finite_type(((2, -1), (-1, 2)))
     assert not is_finite_type(((2, -2), (-2, 2)))
+
+
+def ldl_is_finite_type(gcm):
+    """Positive definiteness by the pivots of exact symmetric elimination in
+    Fractions: the reference for the fraction-free minors of
+    ``is_finite_type``."""
+    n = len(gcm)
+    work = [[Fraction(v) for v in row] for row in gcm]
+    for k in range(n):
+        pivot = work[k][k]
+        if pivot <= 0:
+            return False
+        for r in range(k + 1, n):
+            f = work[r][k] / pivot
+            if f == 0:
+                continue
+            for c in range(k, n):
+                work[r][c] -= f * work[k][c]
+    return True
+
+
+@pytest.mark.parametrize("label", FINITE_LABELS)
+def test_finite_type_matches_ldl_reference_on_ade_setups(label):
+    # the setup, its framing rewrite (affine) and its x2 rewrite (neither)
+    gcms = [
+        cartan_matrix(ade_minimal_resolution_setup(label)[0]),
+        affine_rewrite_gcm(label),
+        cartan_matrix(scaled_rewrite(label, 2)[0]),
+    ]
+    assert [ldl_is_finite_type(gcm) for gcm in gcms] == [True, False, False]
+    assert [is_finite_type(gcm) for gcm in gcms] == [True, False, False]
+
+
+def test_finite_type_matches_ldl_reference_on_random_gcms():
+    # symmetric GCMs of rank 1-7, entries in {0, -1, -2, -3} at a random
+    # density, so sparse (often disconnected) and dense ones both occur
+    rng = random.Random(0)
+    verdicts = []
+    for _ in range(2400):
+        n = rng.randint(1, 7)
+        density = rng.random()
+        gcm = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    gcm[i][j] = gcm[j][i] = rng.choice((-1, -1, -1, -2, -3))
+        gcm = tuple(map(tuple, gcm))
+        verdicts.append(ldl_is_finite_type(gcm))
+        assert is_finite_type(gcm) == verdicts[-1], gcm
+    assert min(verdicts.count(True), verdicts.count(False)) > 500
 
 
 def test_affine_root_multiplicities_by_peterson():
@@ -232,9 +284,21 @@ def random_non_finite_gcms(count, seed):
             for j in range(i + 1, n):
                 gcm[i][j] = gcm[j][i] = rng.choice((0, -1, -2))
         gcm = tuple(map(tuple, gcm))
-        if not is_finite_type(gcm):
+        if not ldl_is_finite_type(gcm):
             found.append(gcm)
     return found
+
+
+@pytest.mark.parametrize(
+    "count,seed,digest",
+    [
+        (40, 0, "1697c3be24cb9b75321a4e328f937d7ec9f4914a358bd29a790cfaee508fe01d"),
+        (10, 1, "b0d91c6630bc7e73aaf4c29340b597a8e824b503a6c8909fdb9914aeac50a51f"),
+    ],
+)
+def test_random_non_finite_gcms_pinned(count, seed, digest):
+    # the Peterson reference tests below keep testing the same GCMs
+    assert hashlib.sha256(repr(random_non_finite_gcms(count, seed)).encode()).hexdigest() == digest
 
 
 # the top cutoff per rank keeps the reference's box walk to about a second
@@ -259,6 +323,81 @@ def test_peterson_roots_match_composition_reference(gcm, top):
     for cutoff in range(1, top + 1):
         expected = [(beta, m) for beta, m in reference if sum(beta) <= cutoff]
         assert list(root_multiplicities(gcm, cutoff).positive_roots) == expected, cutoff
+
+
+def peterson_coefficient(table, beta):
+    """c_beta = sum over k dividing gcd(beta) of mult(beta/k)/k, read from a
+    root table."""
+    common = gcd(*beta)
+    return sum(Fraction(table.get(tuple(b // k for b in beta), 0), k) for k in range(1, common + 1) if common % k == 0)
+
+
+@pytest.mark.parametrize("cutoff", [7, 8, 15, 16])
+@pytest.mark.parametrize("gcm", [((2, -2), (-2, 2)), ((2, -3), (-3, 2))], ids=["rank2-minus2", "rank2-minus3"])
+def test_cutoffs_at_key_field_boundaries(gcm, cutoff):
+    # without a box a key field holds the cutoff: 7 and 15 fill a field
+    # width, 8 and 16 take one bit more
+    assert list(root_multiplicities(gcm, cutoff).positive_roots) == composition_peterson_roots(gcm, cutoff)
+
+
+@pytest.mark.parametrize(
+    "gcm,box",
+    [
+        (((2, -3), (-3, 2)), (15, 15)),
+        (((2, -3), (-3, 2)), (15, 16)),
+        (((2, -3), (-3, 2)), (16, 0)),
+        (((2, -2), (-2, 2)), (0, 0)),
+        (affine_rewrite_gcm("A2"), (3, 3, 3)),
+        (affine_rewrite_gcm("A2"), (3, 4, 0)),
+        (affine_rewrite_gcm("A2"), (7, 3, 0)),
+        (affine_rewrite_gcm("A2"), (7, 8, 1)),
+        (affine_rewrite_gcm("A2"), (8, 0, 7)),
+        (affine_rewrite_gcm("D4"), (1, 2, 0, 2, 1)),
+    ],
+)
+def test_boxes_at_key_field_boundaries(gcm, box):
+    # largest entries 2^k - 1 and 2^k on either side of a field width, and
+    # zero entries, which leave simple roots out
+    roots = kacmoody._root_system(gcm, max(1, sum(box)), box)
+    assert list(roots.positive_roots) == composition_peterson_roots(gcm, sum(box), box)
+
+
+@pytest.mark.parametrize(
+    "gcm,cutoff,coefficients",
+    [
+        (((2, -2), (-2, 2)), 12, {(k, 0): Fraction(1, k) for k in range(1, 13)} | {(2, 2): Fraction(3, 2)}),
+        (affine_rewrite_gcm("A2"), 9, {(3, 3, 3): Fraction(8, 3), (0, 0, 2): Fraction(1, 2)}),
+    ],
+    ids=["rank2-minus2", "triangle"],
+)
+def test_scaled_coefficients_with_denominators(gcm, cutoff, coefficients):
+    # c_{k alpha_i} = 1/k, c_{2 delta} = 3/2 on the first and c_{3 delta} = 2 +
+    # 2/3 on the triangle: the scaled coefficients carry these exactly
+    reference = composition_peterson_roots(gcm, cutoff)
+    assert list(root_multiplicities(gcm, cutoff).positive_roots) == reference
+    table = dict(reference)
+    assert {beta: peterson_coefficient(table, beta) for beta in coefficients} == coefficients
+
+
+@pytest.mark.parametrize(
+    "gcm,cutoff,scale,beta",
+    [(((2, -2), (-2, 2)), 2, 1, (0, 2)), (affine_rewrite_gcm("A2"), 9, 2, (0, 0, 3))],
+    ids=["rank2-minus2", "triangle"],
+)
+def test_coefficient_scale_too_small_is_refused(monkeypatch, gcm, cutoff, scale, beta):
+    # c_beta has denominator 2 or 3, which does not divide the forced scale:
+    # the coefficient is refused, never floored
+    monkeypatch.setattr(kacmoody, "lcm", lambda *divisors: scale)
+    with pytest.raises(InternalCheckError, match=re.escape(f"non-integral root multiplicity at {beta}")):
+        root_multiplicities(gcm, cutoff)
+
+
+def test_lost_divisor_part_is_refused(monkeypatch):
+    # with every gcd read as 1, c_{2 alpha_2} = 1/2 is an integral scaled
+    # coefficient but a multiplicity of 1/2
+    monkeypatch.setattr(kacmoody, "gcd", lambda *beta: 1)
+    with pytest.raises(InternalCheckError, match=re.escape("non-integral root multiplicity at (0, 2)")):
+        root_multiplicities(((2, -2), (-2, 2)), 2)
 
 
 def scaled_rewrite(label, factor):

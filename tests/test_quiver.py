@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from quivex.errors import DomainError, FormatError, QuiverMismatchError, UnknownExampleError
 from quivex.hecke import sample_flat_crystal
+from quivex.rep import sample_flat
 from quivex.kacmoody import h_eigenvalue, weight_multiplicity
 from quivex.quiver import (
     Arrow,
@@ -312,13 +313,15 @@ _VECTOR_CALLS = {
     "weight_multiplicity": lambda bad: weight_multiplicity(a2(), _A2_VECTOR, bad),
     "sample_flat_crystal dim_v": lambda bad: sample_flat_crystal(double(a2()), bad, _A2_VECTOR, 0),
     "sample_flat_crystal dim_w": lambda bad: sample_flat_crystal(double(a2()), _A2_VECTOR, bad, 0),
+    "sample_flat dim_v": lambda bad: sample_flat(double(a2()), bad, _A2_VECTOR, 0),
+    "sample_flat dim_w": lambda bad: sample_flat(double(a2()), _A2_VECTOR, bad, 0),
 }
 
 
 @pytest.mark.parametrize(
     "bad",
-    [DimVector(("2", "1"), (1, 0)), DimVector(("1", "2", "3"), (1, 0, 0))],
-    ids=["reordered", "A3"],
+    [DimVector(("2", "1"), (1, 0)), DimVector(("1", "2", "3"), (1, 0, 0)), DimVector(("1",), (1,))],
+    ids=["reordered", "A3", "A1"],
 )
 @pytest.mark.parametrize("call", [*_VECTOR_CALLS, "DimVector.replace"])
 def test_vector_over_another_vertex_set_rejected(call, bad):
