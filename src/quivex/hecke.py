@@ -13,10 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DependentClassesError, DomainError, InternalCheckError, QuiverMismatchError
+from .errors import DependentClassesError, DimensionError, DomainError, InternalCheckError, QuiverMismatchError
 from .quiver import DimVector, DoubledQuiver, ZetaParam, check_vertices, chi as chi_formula, d_of
 from .ratmat import RatMatrix, column_space_echelon, hstack, kernel_basis, rank, vstack
-from .rep import FramedRep, ensure_flat, is_flat, simple_rep
+from .rep import FramedRep, act, ensure_flat, is_flat, simple_rep
 from .stability import is_stable
 from . import homext
 
@@ -106,18 +106,10 @@ def reduce_i(x: FramedRep, i: str) -> ReductionResult:
         return ReductionResult(x, 0, inclusion)
     pivots = _pivot_rows(image)
     dim_small = x.dim_v.replace(i, image.cols)
-    B = {}
-    for a in x.dq.arrows:
-        m = x.B[a.name]
-        if a.target == i:
-            m = _corestrict(image, pivots, m, f"arrow {a.name!r}")
-        if a.source == i:
-            m = m @ image
-        B[a.name] = m
-    I = dict(x.I)
-    J = dict(x.J)
-    I[i] = _corestrict(image, pivots, x.I[i], f"I at {i!r}")
-    J[i] = x.J[i] @ image
+    B, I, J = act(x, {}, {i: lambda m: m @ image})
+    for a in x.dq.arrows_into(i):
+        B[a.name] = _corestrict(image, pivots, B[a.name], f"arrow {a.name!r}")
+    I[i] = _corestrict(image, pivots, I[i], f"I at {i!r}")
     reduced = FramedRep(x.dq, dim_small, x.dim_w, B, I, J)
     if not is_flat(reduced):
         raise InternalCheckError("reduction of a flat representation came out non-flat")
@@ -157,6 +149,8 @@ def _extend(c: homext.Complex3, i: str, classes: list[RatMatrix]) -> FramedRep:
     if r == 0:
         return x
     for vec in classes:
+        if not isinstance(vec, RatMatrix):
+            raise DimensionError("extension class is not a RatMatrix")
         if vec.shape != (c.middle.dim, 1):
             raise DomainError(
                 f"extension class has shape {vec.shape}, expected ({c.middle.dim}, 1)"
@@ -167,19 +161,10 @@ def _extend(c: homext.Complex3, i: str, classes: list[RatMatrix]) -> FramedRep:
         raise DependentClassesError("extension classes are dependent modulo the coboundaries")
     decoded = [c.middle.unpack(vec) for vec in classes]
     dim_big = x.dim_v.replace(i, x.dim_v[i] + r)
-    B = {}
-    for a in x.dq.arrows:
-        m = x.B[a.name]
-        if a.source == i:
-            new_cols = [blocks["arrow"][a.name] for blocks in decoded]
-            m = hstack([m] + new_cols)
-        if a.target == i:
-            m = vstack([m, RatMatrix.zeros(r, m.cols)])
-        B[a.name] = m
-    I = dict(x.I)
-    J = dict(x.J)
-    I[i] = vstack([x.I[i], RatMatrix.zeros(r, x.dim_w[i])])
-    J[i] = hstack([x.J[i]] + [blocks["J"][i] for blocks in decoded])
+    B, I, J = act(x, {i: lambda m: vstack([m, RatMatrix.zeros(r, m.cols)])}, {})
+    for a in x.dq.arrows_out_of(i):
+        B[a.name] = hstack([B[a.name]] + [blocks["arrow"][a.name] for blocks in decoded])
+    J[i] = hstack([J[i]] + [blocks["J"][i] for blocks in decoded])
     out = FramedRep(x.dq, dim_big, x.dim_w, B, I, J)
     if not is_flat(out):
         raise InternalCheckError("cocycle extension came out non-flat")
@@ -247,18 +232,7 @@ def _includes(x: FramedRep, i: str, small: FramedRep, inclusion: dict[str, RatMa
         return False
     if any(inclusion.get(j) != RatMatrix.identity(x.dim_v[j]) for j in x.dq.vertices if j != i):
         return False
-
-    def then_inc(m: RatMatrix, j: str) -> RatMatrix:  # m after the inclusion at j
-        return m @ inc if j == i else m
-
-    def inc_then(j: str, m: RatMatrix) -> RatMatrix:  # the inclusion at j after m
-        return inc @ m if j == i else m
-
-    return all(
-        then_inc(x.B[a.name], a.source) == inc_then(a.target, small.B[a.name]) for a in x.dq.arrows
-    ) and all(
-        x.I[j] == inc_then(j, small.I[j]) and then_inc(x.J[j], j) == small.J[j] for j in x.dq.vertices
-    )
+    return act(x, {}, {i: lambda m: m @ inc}) == act(small, {i: lambda m: inc @ m}, {})
 
 
 def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[RatMatrix]:

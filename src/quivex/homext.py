@@ -89,7 +89,9 @@ class BlockLayout:
     def pack(self, **blocks_by_kind: Mapping[str, RatMatrix]) -> RatMatrix:
         """The vector holding the given blocks; absent blocks are zero."""
         for kind, blocks in blocks_by_kind.items():
-            for key in blocks:
+            for key, block in blocks.items():
+                if not isinstance(block, RatMatrix):
+                    raise DimensionError(f"{kind} block {key!r} is not a RatMatrix")
                 if (kind, key) not in self.offsets:
                     raise DimensionError(f"no {kind} block {key!r} in this layout")
         den = lcm(*(m.den for blocks in blocks_by_kind.values() for m in blocks.values()))
@@ -109,6 +111,8 @@ class BlockLayout:
 
     def unpack(self, vec: RatMatrix) -> dict[str, dict[str, RatMatrix]]:
         """Every block of ``vec``, keyed by kind and then by key."""
+        if not isinstance(vec, RatMatrix):
+            raise DimensionError("block vector is not a RatMatrix")
         if vec.shape != (self.dim, 1):
             raise DimensionError(f"block vector has shape {vec.shape}, expected ({self.dim}, 1)")
         flat = [row[0] for row in vec.nums]
@@ -246,6 +250,9 @@ class Complex3:
     def independent_mod_coboundaries(self, cocycles: list[RatMatrix]) -> list[int]:
         """The indices of the cocycles outside the span of the coboundaries
         and of the cocycles before them, read on the free columns of beta."""
+        for k, vec in enumerate(cocycles):
+            if vec.shape != (self.middle.dim, 1):
+                raise DimensionError(f"cocycle {k} has shape {vec.shape}, expected ({self.middle.dim}, 1)")
         free = free_columns(self._beta_echelon, self.middle.dim)
         n, mats = self.alpha.cols, (self.alpha, *cocycles)
         # each column stands over its matrix's den, a scaling that keeps the pivots

@@ -7,6 +7,13 @@ block J_i : V_i -> W_i of shape w_i x v_i.  ``block_shapes`` is the one
 statement of this rule, and every constructor of a point reads it.
 ``evaluate_path`` therefore multiplies matrices right to left along a path.
 Representations are immutable and every operation is a pure function.
+
+Per-vertex maps act on a point by one side rule: a map into vertex j (B_a
+with target j, and I_j) takes j's map on the left, and a map out of j (B_a
+with source j, and J_j) takes it on the right; a loop takes both.  ``act``
+is the one statement of this rule.  ``conjugate`` reads it with g and g^-1,
+and so do ``hecke``'s reduction, extension and inclusion check with the
+inclusion at one vertex.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import random
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import BadPathError, DimensionError, DomainError, NotFlatError, QuiverMismatchError
 from .quiver import DimVector, DoubledQuiver, cb_extend_dim, cb_transform, check_vertices, double
@@ -191,23 +198,36 @@ def evaluate_path(x: FramedRep, path: Sequence[str], start: str | None = None) -
     return product
 
 
+def act(
+    x: FramedRep,
+    after: Mapping[str, Callable[[RatMatrix], RatMatrix]],
+    before: Mapping[str, Callable[[RatMatrix], RatMatrix]],
+) -> tuple[dict[str, RatMatrix], dict[str, RatMatrix], dict[str, RatMatrix]]:
+    """The blocks (B, I, J) of x with every map into vertex j passed through
+    ``after[j]`` and every map out of j through ``before[j]``: B_a goes into
+    its target and out of its source, I_j into j, J_j out of j.  On a loop
+    ``after`` goes first.  A vertex missing from a mapping leaves its maps
+    alone."""
+
+    def keep(m: RatMatrix) -> RatMatrix:
+        return m
+
+    B = {a.name: before.get(a.source, keep)(after.get(a.target, keep)(x.B[a.name])) for a in x.dq.arrows}
+    I = {j: after.get(j, keep)(x.I[j]) for j in x.dq.vertices}
+    J = {j: before.get(j, keep)(x.J[j]) for j in x.dq.vertices}
+    return B, I, J
+
+
 def conjugate(x: FramedRep, g: Mapping[str, RatMatrix]) -> FramedRep:
     """Base change by an invertible graded map: B -> g B g^-1, I -> g I, J -> J g^-1."""
     if set(g) != set(x.dq.vertices):
         raise QuiverMismatchError(
             f"base change keyed to {list(g)} where the vertices {list(x.dq.vertices)} are expected"
         )
-    for i in x.dq.vertices:
-        if not isinstance(g[i], RatMatrix):
-            raise DimensionError(f"g[{i!r}] is not a RatMatrix")
-    ginv = {i: inverse(g[i]) for i in x.dq.vertices}
-    B = {
-        a.name: g[a.target] @ x.B[a.name] @ ginv[a.source]
-        for a in x.dq.arrows
-    }
-    I = {i: g[i] @ x.I[i] for i in x.dq.vertices}
-    J = {i: x.J[i] @ ginv[i] for i in x.dq.vertices}
-    return FramedRep(x.dq, x.dim_v, x.dim_w, B, I, J)
+    g = {i: _block(g, "g", i, (x.dim_v[i], x.dim_v[i])) for i in x.dq.vertices}
+    after = {i: lambda m, gi=gi: gi @ m for i, gi in g.items()}
+    before = {i: lambda m, gi_inv=inverse(gi): m @ gi_inv for i, gi in g.items()}
+    return FramedRep(x.dq, x.dim_v, x.dim_w, *act(x, after, before))
 
 
 def transpose(x: FramedRep) -> FramedRep:

@@ -1,12 +1,16 @@
+import hashlib
+import json
 import random
+from itertools import chain, count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivex import hecke, homext
+from quivex import formats, hecke, homext
+from quivex.acceptance import DEFAULT_SEED, build_corpus
 from quivex.bundles import a2crystal_bundle, d4_bundle
-from quivex.errors import DependentClassesError, DomainError, InternalCheckError, QuiverMismatchError
+from quivex.errors import DependentClassesError, DimensionError, DomainError, InternalCheckError, QuiverMismatchError
 from quivex.hecke import (
     are_isomorphic,
     epsilon_i,
@@ -19,8 +23,9 @@ from quivex.hecke import (
 from quivex.invariants import pi_fingerprint
 from quivex.quiver import Arrow, DimVector, Quiver, ZetaParam, ade_minimal_resolution_setup, chi, d_of, double
 from quivex.ratmat import RatMatrix
-from quivex.rep import FramedRep, conjugate, is_flat, simple_rep
+from quivex.rep import FramedRep, conjugate, is_flat, sample_flat, simple_rep
 from quivex.stability import is_stable
+from test_homext import ladder_pools
 
 A2 = ade_minimal_resolution_setup("A2")[0]
 DQ2 = double(A2)
@@ -238,6 +243,11 @@ def test_extend_rejects_a_class_of_the_wrong_shape(crystal):
         extend_i(x, "1", [wrong])
 
 
+def test_extend_refuses_a_class_that_is_not_a_ratmatrix(crystal):
+    with pytest.raises(DimensionError, match="^extension class is not a RatMatrix$"):
+        extend_i(crystal.reps["generic"], "1", [[1, 2, 3]])
+
+
 def test_reduce_requires_stability():
     zero = FramedRep(DQ2, DimVector.of(A2, {"1": 1, "2": 0}), DimVector.zero(A2))
     with pytest.raises(DomainError):
@@ -337,3 +347,122 @@ def test_isomorphism_across_quivers_is_refused():
     y = simple_rep(double(ade_minimal_resolution_setup("A3")[0]), "1")
     with pytest.raises(QuiverMismatchError, match="across different quivers"):
         are_isomorphic(x, y)
+
+
+# ------------------------------------------- pinned outputs and work
+
+
+def ladder_points():
+    """The samples of the ladder benchmark's four pools, built as it builds
+    them: forward, reverse, then the first of 40 crystal attempts that
+    succeeds, or a forward sample at the next seed."""
+    points = []
+    for dq, v, w, base in ladder_pools().values():
+        seeds = count(base)
+        points += [sample_flat(dq, v, w, next(seeds)), sample_flat(dq, v, w, next(seeds), half="reverse")]
+        for _ in range(40):
+            crystal = sample_flat_crystal(dq, v, w, next(seeds))
+            if crystal is not None:
+                break
+        points.append(crystal if crystal is not None else sample_flat(dq, v, w, next(seeds)))
+    return points
+
+
+def _hash_matrix(h, m):
+    h.update(f"{m.shape} {m.nums} {m.den}\n".encode())
+
+
+def _hash_rep(h, x):
+    h.update(json.dumps(formats.rep_to_json(x), sort_keys=True).encode() + b"\n")
+
+
+def test_round_trip_outputs_pinned():
+    """sha256 over reduce, recovery_classes and extend_i at every vertex with
+    epsilon_i > 0 of every zeta>0-stable point of the acceptance corpus and
+    of the ladder benchmark's pools: the reduced point, the inclusion, the
+    classes and the extended point; the digest was taken before the four
+    block rules of the gauge action became ``rep.act``."""
+    h = hashlib.sha256()
+    trips = 0
+    for x in [*chain.from_iterable(build_corpus(DEFAULT_SEED).pools.values()), *ladder_points()]:
+        if x.dq.base.has_edge_loops or not is_stable(x, ZetaParam.constant(x.dq, 1)).stable:
+            continue
+        for i in x.dq.vertices:
+            if epsilon_i(x, i) == 0:
+                continue
+            red = reduce_i(x, i)
+            classes = recovery_classes(x, i, red)
+            _hash_rep(h, red.reduced)
+            for j in x.dq.vertices:
+                _hash_matrix(h, red.inclusion[j])
+            for vec in classes:
+                _hash_matrix(h, vec)
+            _hash_rep(h, extend_i(red.reduced, i, classes))
+            trips += 1
+    assert trips == 17
+    assert h.hexdigest() == "aaff7c1e24eb7253b155c6123024802824166081d3b67f1289423924909d3c62"
+
+
+def test_conjugate_outputs_pinned():
+    """sha256 over ``conjugate`` of every acceptance corpus point by a seeded
+    unipotent base change; the digest was taken before ``conjugate`` read
+    ``rep.act``."""
+    h = hashlib.sha256()
+    rng = random.Random(DEFAULT_SEED)
+    for x in chain.from_iterable(build_corpus(DEFAULT_SEED).pools.values()):
+        g = {}
+        for i in x.dq.vertices:
+            n = x.dim_v[i]
+            g[i] = RatMatrix.from_rows(
+                [[int(r == c) if c <= r else rng.randint(-2, 2) for c in range(n)] for r in range(n)], cols=n
+            )
+        _hash_rep(h, conjugate(x, g))
+    assert h.hexdigest() == "2a5737a2f0410b4e6c999b564983bcf8c10ab7d21dd1ca2a6de862c026e4d377"
+
+
+@pytest.fixture
+def work(monkeypatch, eliminations):
+    """``work(call)`` runs call and returns the eliminations, complexes and
+    matrix products it took, with its result."""
+    builds, products = [], []
+    init, matmul = homext.Complex3.__init__, RatMatrix.__matmul__
+
+    def counting_init(self, x1, x2):
+        builds.append(None)
+        init(self, x1, x2)
+
+    def counting_matmul(self, other):
+        products.append(None)
+        return matmul(self, other)
+
+    monkeypatch.setattr(homext.Complex3, "__init__", counting_init)
+    monkeypatch.setattr(RatMatrix, "__matmul__", counting_matmul)
+
+    def run(call):
+        for tally in (eliminations, builds, products):
+            tally.clear()
+        result = call()
+        return (len(eliminations), len(builds), len(products)), result
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "bundle, name, pins",
+    [
+        (d4_bundle, "point", {"reduce": (14, 3, 18), "recovery": (0, 0, 8), "extend": (2, 1, 1)}),
+        (a2crystal_bundle, "generic", {"reduce": (9, 3, 7), "recovery": (0, 0, 4), "extend": (2, 1, 2)}),
+        (a2crystal_bundle, "special", {"reduce": (8, 3, 6), "recovery": (0, 0, 4), "extend": (2, 1, 2)}),
+    ],
+    ids=["d4-point", "a2crystal-generic", "a2crystal-special"],
+)
+def test_round_trip_work_pinned(work, bundle, name, pins):
+    """(eliminations, complexes, matrix products) of reduce_i,
+    recovery_classes and extend_i at vertex 2, each taken before the four
+    block rules of the gauge action became ``rep.act``: a shorter statement
+    must not buy its brevity with more work."""
+    x = bundle().reps[name]
+    reduce_work, red = work(lambda: reduce_i(x, "2"))
+    recovery_work, classes = work(lambda: recovery_classes(x, "2", red))
+    extend_work, _ = work(lambda: extend_i(red.reduced, "2", classes))
+    assert {"reduce": reduce_work, "recovery": recovery_work, "extend": extend_work} == pins

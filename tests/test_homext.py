@@ -24,7 +24,7 @@ from quivex.quiver import (
     chi,
     double,
 )
-from quivex.ratmat import RatMatrix, hstack, pivot_columns, rref
+from quivex.ratmat import RatMatrix, hstack, pivot_columns, rref, vstack
 from quivex.rep import FramedRep, is_flat, sample_flat, simple_rep
 
 A2 = ade_minimal_resolution_setup("A2")[0]
@@ -660,6 +660,15 @@ def test_pack_rejects_unknown_blocks():
         layout.pack(I={"3": block})
 
 
+def test_pack_refuses_a_block_that_is_not_a_ratmatrix():
+    layout = build_complex(*flat_pair(3)).middle
+    with pytest.raises(DimensionError, match=r"^J block '1' is not a RatMatrix$"):
+        layout.pack(J={"1": [[1]]})
+    # refused before the unknown key is looked up
+    with pytest.raises(DimensionError, match=r"^I block '3' is not a RatMatrix$"):
+        layout.pack(I={"3": None})
+
+
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
 def test_unpack_checks_the_length(extra):
     c = build_complex(*flat_pair(3))
@@ -668,7 +677,31 @@ def test_unpack_checks_the_length(extra):
             layout.unpack(RatMatrix.column([0] * (layout.dim + extra)))
 
 
+def test_unpack_refuses_a_vector_that_is_not_a_ratmatrix():
+    layout = build_complex(*flat_pair(3)).middle
+    with pytest.raises(DimensionError, match=r"^block vector is not a RatMatrix$"):
+        layout.unpack([[0]] * layout.dim)
+
+
 def test_pack_refuses_a_wrongly_shaped_block():
     layout = BlockLayout([("I", "1", 2, 1)])
     with pytest.raises(DimensionError, match=r"I block '1' has shape \(1, 1\), expected \(2, 1\)"):
         layout.pack(I={"1": RatMatrix.from_rows([[1]])})
+
+
+def test_independence_checks_the_shape_of_each_cocycle():
+    # a vector outside the middle term, or a matrix of two columns, is not a
+    # cocycle: each is refused by its index before any row is read
+    crystal = a2crystal_bundle()
+    c = build_complex(crystal.reps["generic"], crystal.reps["special"])
+    assert c.middle.dim == 14
+    rep = c.ext1_reps()[0]
+    assert c.independent_mod_coboundaries([rep]) == [0]
+    cases = [
+        ([vstack([rep, RatMatrix.zeros(3, 1)])], r"^cocycle 0 has shape \(17, 1\), expected \(14, 1\)$"),
+        ([hstack([rep, rep])], r"^cocycle 0 has shape \(14, 2\), expected \(14, 1\)$"),
+        ([rep, hstack([RatMatrix.zeros(14, 1), rep])], r"^cocycle 1 has shape \(14, 2\), expected \(14, 1\)$"),
+    ]
+    for cocycles, message in cases:
+        with pytest.raises(DimensionError, match=message):
+            c.independent_mod_coboundaries(cocycles)

@@ -19,10 +19,11 @@ from quivex.quiver import (
     dim_bigM,
     double,
 )
-from quivex.ratmat import RatMatrix, rank
+from quivex.ratmat import RatMatrix, inverse, rank
 from quivex.rep import (
     FramedRep,
     GradedEndo,
+    act,
     block_shapes,
     cb_apply,
     conjugate,
@@ -251,6 +252,47 @@ def test_transpose_involution_and_moment(seed, q, data):
 
 
 KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+D4 = ade_minimal_resolution_setup("D4")[0]
+
+
+def written_out_action(x, g, h):
+    """The blocks g_t B_a h_s, g_i I_i and J_i h_i, with the identity at a
+    vertex that g or h leaves out."""
+    g = {i: g.get(i, RatMatrix.identity(x.dim_v[i])) for i in x.dq.vertices}
+    h = {i: h.get(i, RatMatrix.identity(x.dim_v[i])) for i in x.dq.vertices}
+    B = {a.name: g[a.target] @ x.B[a.name] @ h[a.source] for a in x.dq.arrows}
+    I = {i: g[i] @ x.I[i] for i in x.dq.vertices}
+    J = {i: x.J[i] @ h[i] for i in x.dq.vertices}
+    return B, I, J
+
+
+def random_square(rng, n, unipotent=False):
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    if unipotent:
+        rows = [[int(r == c) if c <= r else a for c, a in enumerate(row)] for r, row in enumerate(rows)]
+    return RatMatrix.from_rows(rows, cols=n)
+
+
+@pytest.mark.parametrize("q", [A2, D4, KRONECKER, JORDAN], ids=["A2", "D4", "Kronecker", "Jordan"])
+@given(seed=st.integers(0, 10**6), data=st.data())
+@settings(deadline=None, max_examples=15)
+def test_act_is_the_written_out_action(q, seed, data):
+    # a loop of the Jordan quiver takes both sides; on D4 and Kronecker a
+    # vertex is the target of several arrows
+    v = DimVector.of(q, {i: data.draw(st.integers(0, 3)) for i in q.vertices})
+    w = DimVector.of(q, {i: data.draw(st.integers(0, 2)) for i in q.vertices})
+    x = random_rep(double(q), v, w, seed)
+    rng = random.Random(seed)
+    g = {i: random_square(rng, v[i]) for i in q.vertices if data.draw(st.booleans())}
+    h = {i: random_square(rng, v[i]) for i in q.vertices if data.draw(st.booleans())}
+    after = {i: lambda m, gi=gi: gi @ m for i, gi in g.items()}
+    before = {i: lambda m, hi=hi: m @ hi for i, hi in h.items()}
+    assert act(x, after, before) == written_out_action(x, g, h)
+    assert act(x, {}, {}) == (x.B, x.I, x.J)
+    gauge = {i: random_square(rng, v[i], unipotent=True) for i in q.vertices}
+    gauge_inv = {i: inverse(m) for i, m in gauge.items()}
+    assert conjugate(x, gauge) == FramedRep(x.dq, v, w, *written_out_action(x, gauge, gauge_inv))
+    assert conjugate(conjugate(x, gauge), gauge_inv) == x
 
 
 def reference_moment_map(x: FramedRep) -> GradedEndo:
@@ -409,10 +451,26 @@ ONE = DimVector.of(A1, [1])
             DimensionError,
             r"^g\['1'\] is not a RatMatrix$",
         ),
+        (
+            lambda: conjugate(
+                a2crystal_bundle().reps["generic"], {"1": RatMatrix.identity(1), "2": RatMatrix.identity(3)}
+            ),
+            DimensionError,
+            r"^g\['2'\] has shape \(3, 3\), expected \(2, 2\)$",
+        ),
+        (
+            # refused before the inverse of g['1'] would find it singular
+            lambda: conjugate(
+                a2crystal_bundle().reps["generic"], {"1": RatMatrix.zeros(1, 1), "2": RatMatrix.zeros(2, 3)}
+            ),
+            DimensionError,
+            r"^g\['2'\] has shape \(2, 3\), expected \(2, 2\)$",
+        ),
     ],
     ids=[
         "I-unknown-vertex", "J-unknown-vertex", "B-shape", "J-shape", "path-start",
         "B-not-a-matrix", "I-not-a-matrix", "J-not-a-matrix", "g-not-a-matrix",
+        "g-wrong-size", "g-not-square",
     ],
 )
 def test_refused_inputs_raise_their_error_class(call, error, message):
