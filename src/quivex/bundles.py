@@ -107,16 +107,19 @@ def an_chain_sample(bundle: ExampleBundle, seed: int) -> FramedRep:
             value = rng.randint(-3, 3)
         return Fraction(value)
 
+    def block(f: Fraction) -> RatMatrix:
+        return RatMatrix.from_integers(1, 1, ((f.numerator,),), f.denominator)
+
     c = Fraction(rng.randint(-2, 2))  # common edge product; 0 gives a degenerate chain
     B = {}
     for j in range(1, n):
         forward = nonzero()
-        B[f"{j}->{j + 1}"] = RatMatrix.from_rows([[forward]])
-        B[dq.bar(f"{j}->{j + 1}")] = RatMatrix.from_rows([[c / forward]])
+        B[f"{j}->{j + 1}"] = block(forward)
+        B[dq.bar(f"{j}->{j + 1}")] = block(c / forward)
     j1 = nonzero()
     jn = nonzero()
-    I = {"1": RatMatrix.from_rows([[c / j1]]), str(n): RatMatrix.from_rows([[-c / jn]])}
-    J = {"1": RatMatrix.from_rows([[j1]]), str(n): RatMatrix.from_rows([[jn]])}
+    I = {"1": block(c / j1), str(n): block(-c / jn)}
+    J = {"1": block(j1), str(n): block(jn)}
     return FramedRep(dq, dim_v, dim_w, B, I, J)
 
 

@@ -145,6 +145,8 @@ def extend_i(x: FramedRep, i: str, classes: list[RatMatrix]) -> FramedRep:
 def _extend(c: homext.Complex3, i: str, classes: list[RatMatrix]) -> FramedRep:
     """``extend_i`` of c.x2 on c, its complex against the simple at i."""
     x = c.x2
+    if not isinstance(classes, (list, tuple)):
+        raise DimensionError("extension classes are not a list")
     r = len(classes)
     if r == 0:
         return x
@@ -248,6 +250,8 @@ def recovery_classes(x: FramedRep, i: str, reduction: ReductionResult) -> list[R
     and W, and x's V lowered by r at i, and its inclusion maps it into x.
     An unknown vertex or another reduction raises DomainError.
     """
+    if not isinstance(reduction, ReductionResult):
+        raise DomainError("reduction is not a ReductionResult")
     r, small = reduction.r, reduction.reduced
     lowered = x.dim_v[i] - r  # refuses an unknown vertex
     if lowered < 0 or small.dq != x.dq or small.dim_w != x.dim_w or small.dim_v != x.dim_v.replace(i, lowered):

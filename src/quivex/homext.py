@@ -250,7 +250,11 @@ class Complex3:
     def independent_mod_coboundaries(self, cocycles: list[RatMatrix]) -> list[int]:
         """The indices of the cocycles outside the span of the coboundaries
         and of the cocycles before them, read on the free columns of beta."""
+        if not isinstance(cocycles, (list, tuple)):
+            raise DimensionError("cocycles are not a list")
         for k, vec in enumerate(cocycles):
+            if not isinstance(vec, RatMatrix):
+                raise DimensionError(f"cocycle {k} is not a RatMatrix")
             if vec.shape != (self.middle.dim, 1):
                 raise DimensionError(f"cocycle {k} has shape {vec.shape}, expected ({self.middle.dim}, 1)")
         free = free_columns(self._beta_echelon, self.middle.dim)

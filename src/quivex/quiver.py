@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence, Union
 
 from .errors import DomainError, FormatError, InternalCheckError, QuiverMismatchError, UnknownExampleError
@@ -358,6 +358,7 @@ def _parse_ade_label(label: str) -> tuple[str, int]:
     raise UnknownExampleError(f"label {label!r} is outside the ADE families")
 
 
+@lru_cache(maxsize=32)
 def ade_minimal_resolution_setup(label: str) -> tuple[Quiver, DimVector, DimVector]:
     """Finite ADE quiver with the dimension data of the minimal resolution of
     the corresponding Kleinian singularity.
@@ -366,6 +367,9 @@ def ade_minimal_resolution_setup(label: str) -> tuple[Quiver, DimVector, DimVect
     arrows point into the branch vertex.  V carries the finite part of the
     primitive imaginary root of the affine diagram; W marks the neighbours of
     the removed affine vertex with multiplicity one.
+
+    Results are memoised by label, so repeated calls return the same shared
+    immutable values; a refused label raises on every call.
     """
     family, n = _parse_ade_label(label)
     names = tuple(str(k) for k in range(1, n + 1))

@@ -24,7 +24,14 @@ from math import lcm
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
-from .errors import BadPathError, DimensionError, DomainError, NotFlatError, QuiverMismatchError
+from .errors import (
+    BadPathError,
+    DimensionError,
+    DomainError,
+    InconsistentSystemError,
+    NotFlatError,
+    QuiverMismatchError,
+)
 from .quiver import DimVector, DoubledQuiver, cb_extend_dim, cb_transform, check_vertices, double
 from .ratmat import RatMatrix, hstack, inverse, vstack
 
@@ -226,7 +233,13 @@ def conjugate(x: FramedRep, g: Mapping[str, RatMatrix]) -> FramedRep:
         )
     g = {i: _block(g, "g", i, (x.dim_v[i], x.dim_v[i])) for i in x.dq.vertices}
     after = {i: lambda m, gi=gi: gi @ m for i, gi in g.items()}
-    before = {i: lambda m, gi_inv=inverse(gi): m @ gi_inv for i, gi in g.items()}
+    before = {}
+    for i, gi in g.items():
+        try:
+            gi_inv = inverse(gi)
+        except InconsistentSystemError:
+            raise InconsistentSystemError(f"g[{i!r}] is singular") from None
+        before[i] = lambda m, gi_inv=gi_inv: m @ gi_inv
     return FramedRep(x.dq, x.dim_v, x.dim_w, *act(x, after, before))
 
 
@@ -244,10 +257,20 @@ def transpose(x: FramedRep) -> FramedRep:
 
 
 def _random_matrix(rng: random.Random, rows: int, cols: int) -> RatMatrix:
-    # entries stay in {-3..3} to bound rational growth downstream
-    return RatMatrix.from_integers(
-        rows, cols, tuple(tuple([rng.randrange(-3, 4) for _ in range(cols)]) for _ in range(rows))
-    )
+    """Entries in {-3..3}, to bound rational growth downstream, each drawn as
+    CPython's ``rng.randrange(-3, 4)`` draws it, without its argument
+    handling: three random bits, redrawn while they read 7 or more, minus 3."""
+    bits = rng.getrandbits
+    nums = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            r = bits(3)
+            while r >= 7:
+                r = bits(3)
+            row.append(r - 3)
+        nums.append(tuple(row))
+    return RatMatrix.from_integers(rows, cols, tuple(nums))
 
 
 def sample_flat(

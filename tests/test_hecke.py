@@ -148,6 +148,8 @@ def test_recovery_refuses_a_reduction_of_another_point(crystal):
     for reduction in reductions:
         with pytest.raises(DomainError, match="^reduction is not one of x at '1'"):
             recovery_classes(x, "1", reduction)
+    with pytest.raises(DomainError, match="^reduction is not a ReductionResult$"):
+        recovery_classes(x, "2", 5)
 
 
 def test_recovery_refuses_a_reduction_that_does_not_include_into_x(crystal):
@@ -246,6 +248,8 @@ def test_extend_rejects_a_class_of_the_wrong_shape(crystal):
 def test_extend_refuses_a_class_that_is_not_a_ratmatrix(crystal):
     with pytest.raises(DimensionError, match="^extension class is not a RatMatrix$"):
         extend_i(crystal.reps["generic"], "1", [[1, 2, 3]])
+    with pytest.raises(DimensionError, match="^extension classes are not a list$"):
+        extend_i(crystal.reps["generic"], "1", RatMatrix.column([0] * 3))
 
 
 def test_reduce_requires_stability():

@@ -690,8 +690,9 @@ def test_pack_refuses_a_wrongly_shaped_block():
 
 
 def test_independence_checks_the_shape_of_each_cocycle():
-    # a vector outside the middle term, or a matrix of two columns, is not a
-    # cocycle: each is refused by its index before any row is read
+    # a vector outside the middle term, a matrix of two columns or a nested
+    # list is not a cocycle: each is refused by its index before any row is
+    # read; one matrix is not a list of cocycles
     crystal = a2crystal_bundle()
     c = build_complex(crystal.reps["generic"], crystal.reps["special"])
     assert c.middle.dim == 14
@@ -701,6 +702,8 @@ def test_independence_checks_the_shape_of_each_cocycle():
         ([vstack([rep, RatMatrix.zeros(3, 1)])], r"^cocycle 0 has shape \(17, 1\), expected \(14, 1\)$"),
         ([hstack([rep, rep])], r"^cocycle 0 has shape \(14, 2\), expected \(14, 1\)$"),
         ([rep, hstack([RatMatrix.zeros(14, 1), rep])], r"^cocycle 1 has shape \(14, 2\), expected \(14, 1\)$"),
+        ([[1]] * 14, r"^cocycle 0 is not a RatMatrix$"),
+        (rep, r"^cocycles are not a list$"),
     ]
     for cocycles, message in cases:
         with pytest.raises(DimensionError, match=message):

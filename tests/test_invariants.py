@@ -628,11 +628,18 @@ def test_an_xyz_relation_exact_on_samples(seed):
     assert res.x * res.y == res.z ** 4
 
 
-def test_an_xyz_wrong_setup():
-    q, v, w = ade_minimal_resolution_setup("A3")
-    wrong_v = DimVector.of(q, {"1": 2, "2": 1, "3": 1})
-    x = FramedRep(double(q), wrong_v, w)
-    with pytest.raises(WrongSetupError):
+@pytest.mark.parametrize(
+    "q, v, w",
+    [
+        (ade_minimal_resolution_setup("A3")[0], [2, 1, 1], [1, 0, 1]),
+        (ade_minimal_resolution_setup("A3")[0], [1, 1, 1], [1, 1, 1]),
+        (Quiver(["1", "2", "3"], [Arrow("1->2", "1", "2"), Arrow("3->2", "3", "2")]), [1, 1, 1], [1, 0, 1]),
+    ],
+    ids=["wrong-v", "wrong-w", "reversed-arrow"],
+)
+def test_an_xyz_wrong_setup(q, v, w):
+    x = FramedRep(double(q), DimVector.of(q, v), DimVector.of(q, w))
+    with pytest.raises(WrongSetupError, match="^an_xyz needs the chain minimal-resolution setup$"):
         an_xyz(x)
 
 

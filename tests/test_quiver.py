@@ -121,6 +121,16 @@ def test_ade_bad_labels():
             ade_minimal_resolution_setup(label)
 
 
+def test_ade_setup_is_shared_and_refusals_are_not_cached():
+    first = ade_minimal_resolution_setup("A3")
+    again = ade_minimal_resolution_setup("A3")
+    assert all(a is b for a, b in zip(first, again))
+    for label in ["A0", "E9", "X3"]:
+        for _ in range(3):
+            with pytest.raises(UnknownExampleError):
+                ade_minimal_resolution_setup(label)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [

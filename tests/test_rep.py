@@ -34,6 +34,7 @@ from quivex.rep import (
     sample_flat,
     simple_rep,
     transpose,
+    _random_matrix,
 )
 
 A1 = ade_minimal_resolution_setup("A1")[0]
@@ -173,6 +174,16 @@ def test_sample_flat_seed_repeatable():
     assert sample_flat(DQ2, v, w, 42) != sample_flat(DQ2, v, w, 43)
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (1, 1), (6, 6), (7, 2)])
+def test_random_matrix_draws_as_randrange_does(rows, cols):
+    # the generator must also end where randrange leaves it: callers draw on from it
+    for seed in range(200):
+        rng, drawn = random.Random(seed), random.Random(seed)
+        reference = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
+        assert _random_matrix(drawn, rows, cols) == RatMatrix.from_rows(reference, cols=cols)
+        assert drawn.getstate() == rng.getstate()
+
+
 def test_sample_flat_unknown_half():
     v = DimVector.of(A2, {"1": 1, "2": 1})
     with pytest.raises(DomainError, match="unknown half 'x'"):
@@ -230,7 +241,7 @@ def test_dimension_vectors_over_another_quiver_rejected():
 def test_conjugate_by_a_singular_block_names_it():
     x = FramedRep(DQ2, DimVector.of(A2, {"1": 1, "2": 2}), DimVector.zero(A2))
     g = {"1": RatMatrix.from_rows([[1]]), "2": RatMatrix.from_rows([[1, 2], [2, 4]])}
-    with pytest.raises(InconsistentSystemError, match="^matrix is singular$"):
+    with pytest.raises(InconsistentSystemError, match=r"^g\['2'\] is singular$"):
         conjugate(x, g)
 
 
