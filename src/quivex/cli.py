@@ -16,6 +16,7 @@ consistency check.  No mathematical logic lives here.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -235,15 +236,7 @@ def _cmd_verify(args, inputs) -> int:
     for r in results:
         print(r.line(), file=sys.stderr)
     payload = {
-        "criteria": [
-            {
-                "number": r.number,
-                "name": r.name,
-                "passed": r.passed,
-                "details": r.details,
-            }
-            for r in results
-        ],
+        "criteria": [dataclasses.asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
     _emit(args.command, inputs=inputs, result=payload, seed=seed)

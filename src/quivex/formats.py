@@ -104,18 +104,9 @@ def rep_to_json(x: FramedRep) -> dict:
         "quiver": quiver_to_json(x.dq.base),
         "dimV": dimvec_to_json(x.dim_v),
         "dimW": dimvec_to_json(x.dim_w),
-        "B": {},
-        "I": {},
-        "J": {},
     }
-    for name, m in x.B.items():
-        if not m.is_zero:
-            payload["B"][name] = matrix_to_json(m)
-    for i in x.dq.vertices:
-        if not x.I[i].is_zero:
-            payload["I"][i] = matrix_to_json(x.I[i])
-        if not x.J[i].is_zero:
-            payload["J"][i] = matrix_to_json(x.J[i])
+    for family, blocks in x.blocks.items():
+        payload[family] = {k: matrix_to_json(m) for k, m in blocks.items() if not m.is_zero}
     return payload
 
 

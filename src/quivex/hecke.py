@@ -89,12 +89,9 @@ def reduce_i(x: FramedRep, i: str) -> ReductionResult:
     Hom to the simple at i, keeps the quotient-invariant fingerprint, and
     satisfies the exact dimension identity, which is checked.
     """
-    _require_loop_free(x, "reduce_i")
-    verdict = is_stable(x, ZetaParam.constant(x.dq, 1))  # refuses a non-flat x first
-    simple = simple_rep(x.dq, i)  # refuses an unknown vertex before an unstable x
-    if not verdict.stable:
+    c = _against_simple(x, i, "reduce_i")  # refuses an unknown vertex before an unstable x
+    if not is_stable(x, ZetaParam.constant(x.dq, 1)).stable:
         raise DomainError("reduce_i needs a stable input")
-    c = homext.build_complex(simple, x)
     if c.hom_dim() != 0:
         raise InternalCheckError("stable point admits the simple as a submodule")
     image = column_space_echelon(c.beta)

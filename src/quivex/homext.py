@@ -172,7 +172,7 @@ class Complex3:
         dq = x1.dq
         self.middle = BlockLayout.middle(dq, x1.dim_v, x1.dim_w, x2.dim_v, x2.dim_w)
         self.ends = BlockLayout.ends(dq, x1.dim_v, x2.dim_v)
-        self.den = lcm(*(m.den for x in (x1, x2) for f in (x.B, x.I, x.J) for m in f.values()))
+        self.den = lcm(*(m.den for x in (x1, x2) for f in x.blocks.values() for m in f.values()))
 
     @property
     def dims(self) -> tuple[int, int, int]:

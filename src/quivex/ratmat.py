@@ -322,8 +322,6 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     if not echelon:
         return m, ()
     pivots = tuple([pc for pc, _ in echelon])
-    if m.rows == 1:
-        return RatMatrix.from_integers(1, m.cols, m.nums, m.nums[0][pivots[0]]), pivots
     reduced = _back_substitute(echelon, m.cols)
     den = lcm(*[row[pc] for pc, row in reduced.items()])
     cols = range(m.cols)
@@ -409,13 +407,6 @@ def _kernel_hits(echelon: Echelon, cols: int, free: Sequence[int]) -> dict[int, 
     return hits
 
 
-def _row_basis(m: RatMatrix) -> RatMatrix:
-    """Canonical ordered basis of the row space, as the rows of one matrix:
-    the nonzero rows of ``rref(m)``."""
-    reduced, pivots = rref(m)
-    return RatMatrix.from_integers(len(pivots), m.cols, reduced.nums[: len(pivots)], reduced.den)
-
-
 def _echelon_rows(m: RatMatrix) -> RatMatrix:
     """A basis of the row space: the ``_echelon`` rows, as one den-1 matrix."""
     cols = range(m.cols)
@@ -425,8 +416,9 @@ def _echelon_rows(m: RatMatrix) -> RatMatrix:
 
 def column_space_echelon(m: RatMatrix) -> RatMatrix:
     """Canonical ordered basis of the column space, as the columns of one
-    matrix: the transposed ``_row_basis`` of the transpose."""
-    return _row_basis(m.transpose()).transpose()
+    matrix: the nonzero rows of ``rref`` of the transpose, transposed."""
+    reduced, pivots = rref(m.transpose())
+    return RatMatrix.from_integers(len(pivots), m.rows, reduced.nums[: len(pivots)], reduced.den).transpose()
 
 
 def solve_exact(a: RatMatrix, b: RatMatrix) -> RatMatrix:

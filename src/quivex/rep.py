@@ -14,15 +14,20 @@ with source j, and J_j) takes it on the right; a loop takes both.  ``act``
 is the one statement of this rule.  ``conjugate`` reads it with g and g^-1,
 and so do ``hecke``'s reduction, extension and inclusion check with the
 inclusion at one vertex.
+
+``FramedRep.blocks`` holds a point's blocks as one table, keyed as
+``block_shapes`` keys their shapes; equality, ``direct_sum``,
+``formats.rep_to_json`` and the common denominator of ``homext.Complex3``
+loop over it.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
-from typing import Callable, Mapping, Sequence
 
 from .errors import (
     BadPathError,
@@ -73,9 +78,11 @@ class FramedRep:
     """Matrices B per doubled arrow, I and J per vertex, over exact rationals.
 
     Every block is present with its ``block_shapes`` shape, including
-    zero-dimensional ones; omitted blocks are materialized as zeros.  Unknown
-    keys are refused first, then blocks in arrow order, then I_i and J_i
-    vertex by vertex.
+    zero-dimensional ones; omitted blocks are materialized as zeros, and a
+    family given as None has none.  A family that is not a mapping or has
+    unknown keys is refused first, then blocks in arrow order, then I_i and
+    J_i vertex by vertex.  ``blocks`` is the table {"B": B, "I": I, "J": J}
+    of the same dicts.
     """
 
     def __init__(
@@ -87,14 +94,17 @@ class FramedRep:
         I: Mapping[str, RatMatrix] | None = None,
         J: Mapping[str, RatMatrix] | None = None,
     ):
-        if dim_v.vertices != dq.vertices or dim_w.vertices != dq.vertices:
-            raise QuiverMismatchError("dimension vectors keyed to a different quiver")
+        check_vertices(dq.vertices, dim_v, dim_w)
         self.dq = dq
         self.dim_v = dim_v
         self.dim_w = dim_w
         shapes = block_shapes(dq, dim_v, dim_w)
-        given = {"B": B or {}, "I": I or {}, "J": J or {}}
+        given = {"B": B, "I": I, "J": J}
         for family, blocks in given.items():
+            if blocks is None:
+                given[family] = blocks = {}
+            elif not isinstance(blocks, Mapping):
+                raise DimensionError(f"{family} blocks are not a mapping")
             for key in blocks:
                 if key not in shapes[family]:
                     noun = "arrow" if family == "B" else "vertex"
@@ -105,6 +115,7 @@ class FramedRep:
         for i in dq.vertices:
             self.I[i] = _block(given["I"], "I", i, shapes["I"][i])
             self.J[i] = _block(given["J"], "J", i, shapes["J"][i])
+        self.blocks = {"B": self.B, "I": self.I, "J": self.J}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -112,9 +123,7 @@ class FramedRep:
             and self.dq == other.dq
             and self.dim_v == other.dim_v
             and self.dim_w == other.dim_w
-            and self.B == other.B
-            and self.I == other.I
-            and self.J == other.J
+            and self.blocks == other.blocks
         )
 
     def __repr__(self) -> str:
@@ -171,19 +180,14 @@ def direct_sum(x: FramedRep, y: FramedRep) -> FramedRep:
     """Componentwise direct sum on both V and W, all blocks block-diagonal."""
     if x.dq != y.dq:
         raise QuiverMismatchError("direct sum of representations over different quivers")
-    dq = x.dq
-    dim_v = x.dim_v + y.dim_v
-    dim_w = x.dim_w + y.dim_w
 
     def diag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
         top = hstack([a, RatMatrix.zeros(a.rows, b.cols)])
         bottom = hstack([RatMatrix.zeros(b.rows, a.cols), b])
         return vstack([top, bottom])
 
-    B = {a.name: diag(x.B[a.name], y.B[a.name]) for a in dq.arrows}
-    I = {i: diag(x.I[i], y.I[i]) for i in dq.vertices}
-    J = {i: diag(x.J[i], y.J[i]) for i in dq.vertices}
-    return FramedRep(dq, dim_v, dim_w, B, I, J)
+    blocks = {f: {k: diag(m, y.blocks[f][k]) for k, m in xf.items()} for f, xf in x.blocks.items()}
+    return FramedRep(x.dq, x.dim_v + y.dim_v, x.dim_w + y.dim_w, **blocks)
 
 
 def evaluate_path(x: FramedRep, path: Sequence[str], start: str | None = None) -> RatMatrix:
@@ -227,6 +231,8 @@ def act(
 
 def conjugate(x: FramedRep, g: Mapping[str, RatMatrix]) -> FramedRep:
     """Base change by an invertible graded map: B -> g B g^-1, I -> g I, J -> J g^-1."""
+    if not isinstance(g, Mapping):
+        raise DimensionError("base change is not a mapping")
     if set(g) != set(x.dq.vertices):
         raise QuiverMismatchError(
             f"base change keyed to {list(g)} where the vertices {list(x.dq.vertices)} are expected"

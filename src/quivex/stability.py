@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import QuiverMismatchError, UnsupportedZetaError
-from .quiver import DimVector, ZetaParam
-from .ratmat import RatMatrix, _echelon_rows, _row_basis, kernel_rows, vstack
+from .errors import UnsupportedZetaError
+from .quiver import DimVector, ZetaParam, check_vertices
+from .ratmat import RatMatrix, _echelon_rows, column_space_echelon, kernel_rows, vstack
 from .rep import FramedRep, ensure_flat, transpose
 from . import homext
 
@@ -72,12 +72,12 @@ def _invariant_rows(x: FramedRep) -> dict[str, RatMatrix]:
 def _annihilator(rows: dict[str, RatMatrix]) -> GradedSubspace:
     """The common kernel of each row block, in canonical echelon form; the
     kernel basis of a block depends on its span alone."""
-    return GradedSubspace({i: _row_basis(kernel_rows(r)).transpose() for i, r in rows.items()})
+    return GradedSubspace({i: column_space_echelon(kernel_rows(r).transpose()) for i, r in rows.items()})
 
 
 def _transposed(rows: dict[str, RatMatrix]) -> GradedSubspace:
     """The span of each row block, as the columns of its canonical basis."""
-    return GradedSubspace({i: _row_basis(r).transpose() for i, r in rows.items()})
+    return GradedSubspace({i: column_space_echelon(r.transpose()) for i, r in rows.items()})
 
 
 def max_invariant_in_kerJ(x: FramedRep) -> GradedSubspace:
@@ -123,8 +123,7 @@ def is_stable(x: FramedRep, zeta: ZetaParam) -> StabilityResult:
     single extremal subspace decides the verdict: the ranks of
     ``_invariant_rows`` on x (positive) or on its transpose (negative).
     """
-    if zeta.vertices != x.dq.vertices:
-        raise QuiverMismatchError("stability parameter keyed to a different quiver")
+    check_vertices(x.dq.vertices, zeta)
     ensure_flat(x)
     sign = zeta.sign_class
     if sign == "mixed":

@@ -77,6 +77,34 @@ def _scoped(node, scope):
         yield from _scoped(child, inner)
 
 
+def test_every_private_helper_is_used():
+    # a private function, class, constant or method that nothing in the
+    # package names is dead code; a deletion must take its last helper along
+    defined, referenced = set(), set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods = [f for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                defined.update(f.name for f in methods)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert len(private) > 50  # the walk found the helpers at all
+    assert sorted(private - referenced) == []
+
+
 def test_only_formats_reads_inputs():
     # one reader: formats.read_input reads each input once and hashes the
     # bytes it parsed, and only the CLI's _json_arg calls it, so every input

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from quivex.errors import DomainError, FormatError, QuiverMismatchError, UnknownExampleError
 from quivex.hecke import sample_flat_crystal
-from quivex.rep import sample_flat
+from quivex.rep import FramedRep, sample_flat
+from quivex.stability import is_stable
 from quivex.kacmoody import h_eigenvalue, weight_multiplicity
 from quivex.quiver import (
     Arrow,
@@ -325,6 +327,12 @@ _VECTOR_CALLS = {
     "sample_flat_crystal dim_w": lambda bad: sample_flat_crystal(double(a2()), _A2_VECTOR, bad, 0),
     "sample_flat dim_v": lambda bad: sample_flat(double(a2()), bad, _A2_VECTOR, 0),
     "sample_flat dim_w": lambda bad: sample_flat(double(a2()), _A2_VECTOR, bad, 0),
+    "FramedRep dim_v": lambda bad: FramedRep(double(a2()), bad, _A2_VECTOR),
+    "FramedRep dim_w": lambda bad: FramedRep(double(a2()), _A2_VECTOR, bad),
+    "is_stable zeta": lambda bad: is_stable(
+        FramedRep(double(a2()), _A2_VECTOR, _A2_VECTOR),
+        ZetaParam(bad.vertices, (Fraction(1),) * len(bad.vertices)),
+    ),
 }
 
 

@@ -213,6 +213,10 @@ def assert_canonical_entries(m):
 @given(any_matrix)
 @example(RatMatrix.zeros(0, 3))
 @example(RatMatrix.zeros(3, 0))
+@example(RatMatrix.from_rows([[0, 0, 0]]))
+@example(RatMatrix.from_rows([[0, 0, 5]]))
+@example(RatMatrix.from_rows([[-2, 4, 6]]))
+@example(RatMatrix.from_rows([["1/2", 0, "-3/4"]]))
 @settings(deadline=None, max_examples=150)
 def test_rref_equals_fraction_reference(m):
     reduced, pivots = rref(m)

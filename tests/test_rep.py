@@ -234,7 +234,8 @@ def test_conjugate_keyed_to_other_vertices_rejected(g):
 
 def test_dimension_vectors_over_another_quiver_rejected():
     v = DimVector.of(A1, [1])
-    with pytest.raises(QuiverMismatchError, match="^dimension vectors keyed to a different quiver$"):
+    message = r"^mismatched vertex sets: \['1'\] where \['1', '2'\] is expected$"
+    with pytest.raises(QuiverMismatchError, match=message):
         FramedRep(DQ2, v, v)
 
 
@@ -477,11 +478,47 @@ ONE = DimVector.of(A1, [1])
             DimensionError,
             r"^g\['2'\] has shape \(2, 3\), expected \(2, 2\)$",
         ),
+        (
+            lambda: FramedRep(*ade_minimal_resolution_setup("A2"), B=5),
+            DimensionError,
+            "^B blocks are not a mapping$",
+        ),
+        (
+            lambda: FramedRep(*ade_minimal_resolution_setup("A2"), B=[]),
+            DimensionError,
+            "^B blocks are not a mapping$",
+        ),
+        (
+            lambda: FramedRep(*ade_minimal_resolution_setup("A2"), B=0),
+            DimensionError,
+            "^B blocks are not a mapping$",
+        ),
+        (
+            lambda: FramedRep(*ade_minimal_resolution_setup("A2"), I=[["1"]]),
+            DimensionError,
+            "^I blocks are not a mapping$",
+        ),
+        (
+            lambda: FramedRep(*ade_minimal_resolution_setup("A2"), J="1"),
+            DimensionError,
+            "^J blocks are not a mapping$",
+        ),
+        (
+            lambda: conjugate(a2crystal_bundle().reps["generic"], 5),
+            DimensionError,
+            "^base change is not a mapping$",
+        ),
+        (
+            lambda: conjugate(a2crystal_bundle().reps["generic"], ["1", "2"]),
+            DimensionError,
+            "^base change is not a mapping$",
+        ),
     ],
     ids=[
         "I-unknown-vertex", "J-unknown-vertex", "B-shape", "J-shape", "path-start",
         "B-not-a-matrix", "I-not-a-matrix", "J-not-a-matrix", "g-not-a-matrix",
-        "g-wrong-size", "g-not-square",
+        "g-wrong-size", "g-not-square", "B-int", "B-empty-list", "B-zero", "I-list",
+        "J-str", "g-int", "g-list",
     ],
 )
 def test_refused_inputs_raise_their_error_class(call, error, message):
@@ -533,6 +570,8 @@ def test_block_shapes_agree_with_dim_bigM_and_every_constructor():
         assert list(shapes["I"]) == list(shapes["J"]) == list(dq.vertices)
         assert sum(r * c for family in shapes.values() for r, c in family.values()) == dim_bigM(q, v, w)
         halves = [sample_flat(dq, v, w, 7, half=half) for half in ("forward", "reverse")]
-        for x in [FramedRep(dq, v, w), *halves, *(rep_from_json(rep_to_json(y)) for y in halves)]:
-            read = {"B": x.B, "I": x.I, "J": x.J}
-            assert {f: {k: m.shape for k, m in read[f].items()} for f in read} == shapes
+        points = [FramedRep(dq, v, w), *halves, *(rep_from_json(rep_to_json(y)) for y in halves)]
+        cases = [(x, shapes) for x in points] + [(direct_sum(*halves), block_shapes(dq, v + v, w + w))]
+        for x, expected in cases:
+            assert x.blocks["B"] is x.B and x.blocks["I"] is x.I and x.blocks["J"] is x.J
+            assert {f: {k: m.shape for k, m in x.blocks[f].items()} for f in x.blocks} == expected
