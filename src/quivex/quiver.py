@@ -158,8 +158,11 @@ VertexSpace = Union[Quiver, DoubledQuiver]
 
 def check_vertices(vertices: tuple[str, ...], *keyed) -> None:
     """Raise QuiverMismatchError unless every keyed value (a dimension
-    vector or stability parameter) lists exactly ``vertices``, in order."""
+    vector or stability parameter) lists exactly ``vertices``, in order, and
+    DomainError, naming its type, for a value that is neither."""
     for k in keyed:
+        if not isinstance(k, (DimVector, ZetaParam)):
+            raise DomainError(f"expected a DimVector or ZetaParam, got {type(k).__name__}")
         if k.vertices != vertices:
             raise QuiverMismatchError(
                 f"mismatched vertex sets: {list(k.vertices)} where {list(vertices)} is expected"

@@ -37,7 +37,7 @@ from .errors import (
     NotFlatError,
     QuiverMismatchError,
 )
-from .quiver import DimVector, DoubledQuiver, cb_extend_dim, cb_transform, check_vertices, double
+from .quiver import DimVector, DoubledQuiver, Quiver, cb_extend_dim, cb_transform, check_vertices, double
 from .ratmat import RatMatrix, hstack, inverse, vstack
 
 
@@ -94,6 +94,8 @@ class FramedRep:
         I: Mapping[str, RatMatrix] | None = None,
         J: Mapping[str, RatMatrix] | None = None,
     ):
+        if not isinstance(dq, (DoubledQuiver, Quiver)):
+            raise DomainError(f"expected a DoubledQuiver or Quiver, got {type(dq).__name__}")
         check_vertices(dq.vertices, dim_v, dim_w)
         self.dq = dq
         self.dim_v = dim_v
@@ -178,6 +180,9 @@ def simple_rep(dq: DoubledQuiver, i: str) -> FramedRep:
 
 def direct_sum(x: FramedRep, y: FramedRep) -> FramedRep:
     """Componentwise direct sum on both V and W, all blocks block-diagonal."""
+    for z in (x, y):
+        if not isinstance(z, FramedRep):
+            raise DomainError(f"expected a FramedRep, got {type(z).__name__}")
     if x.dq != y.dq:
         raise QuiverMismatchError("direct sum of representations over different quivers")
 

@@ -5,6 +5,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -810,6 +811,145 @@ def test_e6_adjoint_box_reflects_only_weights_inside_the_cone(monkeypatch):
     assert len(reduced) == 2864
 
 
+class CountingValues(list):
+    """Coroot values that count the reflections ``_dominant`` walks: it
+    looks up the vertex of each reflection with ``index``."""
+
+    def __init__(self, values, counter):
+        super().__init__(values)
+        self.counter = counter
+
+    def index(self, *args):
+        self.counter["reflections"] += 1
+        return super().index(*args)
+
+
+def e6_adjoint_box_counts(monkeypatch):
+    """Over the queries of the E6 adjoint box: the queries the coroot test
+    stops, the dominant reductions, those refused before any reflection and
+    the reflections walked."""
+    counter = {"queries": 0, "coroot_stops": 0, "reductions": 0, "norm_refusals": 0, "reflections": 0}
+    coroot_values = MultiplicitySession._coroot_values
+    dominant = MultiplicitySession._dominant
+
+    def counted_values(self, drop):
+        values = coroot_values(self, drop)
+        counter["coroot_stops"] += values is None
+        return values
+
+    def counted_dominant(self, drop, values):
+        counter["reductions"] += 1
+        before = counter["reflections"]
+        key = dominant(self, drop, CountingValues(values, counter))
+        counter["norm_refusals"] += key is None and counter["reflections"] == before
+        return key
+
+    monkeypatch.setattr(MultiplicitySession, "_coroot_values", counted_values)
+    monkeypatch.setattr(MultiplicitySession, "_dominant", counted_dominant)
+    q, v, w = ade_minimal_resolution_setup("E6")
+    session = MultiplicitySession(roots_for_quiver(q, 2 * v.total()), w.values)
+    drops = list(itertools.product(*(range(2 * m + 1) for m in v.values)))
+    counter["queries"] = len(drops)
+    assert sum(session.multiplicity(d) for d in drops) == 78
+    return counter
+
+
+def test_e6_adjoint_box_refuses_long_weights_before_any_reflection(monkeypatch):
+    # 2,755 reductions are weights longer than the highest weight; walking
+    # them to a negative entry took 9,319 of the 10,315 reflections
+    counts = e6_adjoint_box_counts(monkeypatch)
+    assert counts == {
+        "queries": 7875,
+        "coroot_stops": 5059,
+        "reductions": 2864,
+        "norm_refusals": 2755,
+        "reflections": 996,
+    }
+
+
+def test_readme_quotes_the_e6_box_counts(monkeypatch):
+    text = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+
+    def quoted(pattern):
+        return tuple(int(n.replace(",", "")) for n in re.search(pattern, text).groups())
+
+    counts = e6_adjoint_box_counts(monkeypatch)
+    stops = quoted(r"([\d,]+) of the ([\d,]+) queries of the E6 adjoint box")
+    refusals = quoted(r"([\d,]+) of the box's ([\d,]+) dominant reductions")
+    reflections = quoted(r"reflections walked fall from [\d,]+ to ([\d,]+)")
+    assert stops == (counts["coroot_stops"], counts["queries"])
+    assert refusals == (counts["norm_refusals"], counts["reductions"])
+    assert reflections == (counts["reflections"],)
+
+
+def test_dominant_matches_first_negative_reference_on_random_gcms():
+    # the norm test refuses before any reflection exactly the weights the
+    # reflections would take out of the cone; a wrong gap formula refuses a
+    # weight whose orbit has a dominant drop
+    rng = random.Random(40)
+    outcomes = set()
+    for gcm in random_non_finite_gcms(40, 0):
+        n = len(gcm)
+        roots = root_multiplicities(gcm)
+        for _ in range(5):
+            highest = tuple(rng.randint(0, 3) for _ in range(n))
+            session = MultiplicitySession(roots, highest)
+            for _ in range(40):
+                drop = tuple(rng.randint(0, 6) for _ in range(n))
+                values = session._coroot_values(drop)
+                if values is None:
+                    continue
+                walked = min(values) < 0
+                key = session._dominant(drop, values)
+                assert key == first_negative_dominant(gcm, highest, drop), (gcm, highest, drop)
+                outcomes.add((walked, key is None))
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def weyl_dimension(gcm, highest):
+    """prod over the positive roots alpha of (highest + rho, alpha)/(rho, alpha)."""
+    numerator = denominator = 1
+    for alpha, _ in root_multiplicities(gcm).positive_roots:
+        numerator *= sum(a * (h + 1) for a, h in zip(alpha, highest))
+        denominator *= sum(alpha)
+    assert numerator % denominator == 0
+    return numerator // denominator
+
+
+def lowest_weight_drop(gcm, highest):
+    """lambda - w0 lambda: reflect the weight at a positive coroot value
+    until every value is nonpositive, adding each step to the drop."""
+    drop = [0] * len(gcm)
+    values = list(highest)
+    while (c := max(values)) > 0:
+        i = values.index(c)
+        drop[i] += c
+        values = [v - c * row[i] for v, row in zip(values, gcm)]
+    return tuple(drop)
+
+
+@pytest.mark.parametrize(
+    "label,highest,dimension",
+    [
+        ("A3", (1, 0, 0), 4),
+        ("A3", (0, 1, 0), 6),
+        ("A3", (1, 1, 1), 64),
+        ("D4", (1, 0, 0, 0), 8),
+        ("D4", (0, 1, 0, 0), 28),
+        ("D4", (1, 1, 1, 1), 4096),
+        ("E6", (1, 0, 0, 0, 0, 0), 27),
+        ("E6", (0, 0, 0, 0, 0, 1), 27),
+    ],
+)
+def test_box_sum_is_the_weyl_dimension(label, highest, dimension):
+    # every weight of L(lambda) lies between w0 lambda and lambda
+    gcm = cartan_matrix(ade_minimal_resolution_setup(label)[0])
+    assert weyl_dimension(gcm, highest) == dimension
+    session = MultiplicitySession(root_multiplicities(gcm), highest)
+    drops = itertools.product(*(range(d + 1) for d in lowest_weight_drop(gcm, highest)))
+    assert sum(session.multiplicity(d) for d in drops) == dimension
+
+
 @pytest.mark.parametrize("label,rank", [("E6", 6), ("E7", 7), ("E8", 8)])
 def test_adjoint_zero_weight_is_the_rank(label, rank):
     q, v, w = ade_minimal_resolution_setup(label)
@@ -901,6 +1041,16 @@ A1_GCM = ((2,),)
         (lambda: root_multiplicities(affine_rewrite_gcm("A2"), 2.5), DomainError, "2.5 is not an integer"),
         (lambda: root_multiplicities(affine_rewrite_gcm("A2"), "3"), DomainError, "'3' is not an integer"),
         (lambda: root_multiplicities(affine_rewrite_gcm("A2"), True), DomainError, "True is not an integer"),
+        (lambda: MultiplicitySession(root_multiplicities(A1_GCM), (2,)).multiplicity(5), DomainError, "type int"),
+        (
+            lambda: MultiplicitySession(root_multiplicities(A1_GCM), (2,)).multiplicity(None),
+            DomainError,
+            "type NoneType",
+        ),
+        (lambda: MultiplicitySession(root_multiplicities(A1_GCM), 2), DomainError, "type int"),
+        (lambda: MultiplicitySession(None, (1,)), DomainError, "got NoneType"),
+        (lambda: root_multiplicities(5), InvalidCartanError, "type int"),
+        (lambda: root_multiplicities((5,)), InvalidCartanError, "type tuple"),
     ],
     ids=[
         "cutoff-0",
@@ -915,6 +1065,12 @@ A1_GCM = ((2,),)
         "cutoff-float",
         "cutoff-str",
         "cutoff-bool",
+        "drop-int",
+        "drop-none",
+        "highest-int",
+        "roots-none",
+        "gcm-int",
+        "gcm-int-row",
     ],
 )
 def test_refused_inputs_raise_their_error_class(call, error, message):

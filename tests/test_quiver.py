@@ -9,7 +9,7 @@ from quivex.errors import DomainError, FormatError, QuiverMismatchError, Unknown
 from quivex.hecke import sample_flat_crystal
 from quivex.rep import FramedRep, sample_flat
 from quivex.stability import is_stable
-from quivex.kacmoody import h_eigenvalue, weight_multiplicity
+from quivex.kacmoody import h_eigenvalue, predicted_component_count, weight_multiplicity
 from quivex.quiver import (
     Arrow,
     DimVector,
@@ -323,6 +323,7 @@ _VECTOR_CALLS = {
     "DimVector.__add__": lambda bad: _A2_VECTOR + bad,
     "zeta_pair": lambda bad: zeta_pair(ZetaParam.constant(a2(), 1), bad),
     "weight_multiplicity": lambda bad: weight_multiplicity(a2(), _A2_VECTOR, bad),
+    "predicted_component_count": lambda bad: predicted_component_count(a2(), bad, _A2_VECTOR),
     "sample_flat_crystal dim_v": lambda bad: sample_flat_crystal(double(a2()), bad, _A2_VECTOR, 0),
     "sample_flat_crystal dim_w": lambda bad: sample_flat_crystal(double(a2()), _A2_VECTOR, bad, 0),
     "sample_flat dim_v": lambda bad: sample_flat(double(a2()), bad, _A2_VECTOR, 0),
@@ -352,3 +353,14 @@ def test_vector_over_another_vertex_set_rejected(call, bad):
     else:
         with pytest.raises(QuiverMismatchError, match="mismatched vertex sets"):
             _VECTOR_CALLS[call](bad)
+
+
+@pytest.mark.parametrize("bad", [[1, 0], {"1": 1, "2": 0}, None], ids=["list", "dict", "None"])
+@pytest.mark.parametrize("call", [name for name in _VECTOR_CALLS if name != "is_stable zeta"])
+def test_value_that_is_not_a_vector_rejected(call, bad):
+    # the same functions refuse a value of another type, naming its type,
+    # instead of failing on a missing attribute
+    kind = type(bad).__name__
+    with pytest.raises(DomainError, match=f"^expected a DimVector or ZetaParam, got {kind}$") as excinfo:
+        _VECTOR_CALLS[call](bad)
+    assert excinfo.type is DomainError

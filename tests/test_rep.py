@@ -36,6 +36,7 @@ from quivex.rep import (
     transpose,
     _random_matrix,
 )
+from quivex.stability import is_stable
 
 A1 = ade_minimal_resolution_setup("A1")[0]
 A2 = ade_minimal_resolution_setup("A2")[0]
@@ -513,12 +514,37 @@ ONE = DimVector.of(A1, [1])
             DimensionError,
             "^base change is not a mapping$",
         ),
+        (
+            lambda: is_stable(a2crystal_bundle().reps["generic"], "pos"),
+            DomainError,
+            "^expected a DimVector or ZetaParam, got str$",
+        ),
+        (
+            lambda: FramedRep(a2crystal_bundle().reps["generic"].dq, [1, 1], DimVector.of(A2, [1, 1])),
+            DomainError,
+            "^expected a DimVector or ZetaParam, got list$",
+        ),
+        (
+            lambda: FramedRep("A2", DimVector.of(A2, [1, 1]), DimVector.of(A2, [1, 1])),
+            DomainError,
+            "^expected a DoubledQuiver or Quiver, got str$",
+        ),
+        (
+            lambda: direct_sum(a2crystal_bundle().reps["generic"], 5),
+            DomainError,
+            "^expected a FramedRep, got int$",
+        ),
+        (
+            lambda: direct_sum(None, a2crystal_bundle().reps["generic"]),
+            DomainError,
+            "^expected a FramedRep, got NoneType$",
+        ),
     ],
     ids=[
         "I-unknown-vertex", "J-unknown-vertex", "B-shape", "J-shape", "path-start",
         "B-not-a-matrix", "I-not-a-matrix", "J-not-a-matrix", "g-not-a-matrix",
         "g-wrong-size", "g-not-square", "B-int", "B-empty-list", "B-zero", "I-list",
-        "J-str", "g-int", "g-list",
+        "J-str", "g-int", "g-list", "zeta-str", "dim-v-list", "dq-str", "sum-int", "sum-none",
     ],
 )
 def test_refused_inputs_raise_their_error_class(call, error, message):
